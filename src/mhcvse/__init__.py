@@ -17,8 +17,8 @@ from .evaluation import RetrievalResult, evaluate, recall_at_k, similarity_matri
 from .fusion import FusedEmbedding, FusionParams, fuse
 from .gradcheck import gradient_check, run_suite
 from .losses import LossTerms, contrastive_loss, dynamic_weight, kl_loss, total_loss
-from .model import Model, load_model, save_model
-from .training import FitResult, LrSchedule, fit, load_checkpoint, lr_at, save_checkpoint
+from .model import Model, load_checkpoint, load_model, save_checkpoint, save_model
+from .training import FitResult, LrSchedule, fit, lr_at
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "FusedEmbedding", "FusionParams", "fuse",
     "gradient_check", "run_suite",
     "LossTerms", "contrastive_loss", "dynamic_weight", "kl_loss", "total_loss",
-    "Model", "load_model", "save_model",
-    "FitResult", "LrSchedule", "fit", "load_checkpoint", "lr_at",
-    "save_checkpoint",
+    "Model", "load_checkpoint", "load_model", "save_checkpoint", "save_model",
+    "FitResult", "LrSchedule", "fit", "lr_at",
 ]

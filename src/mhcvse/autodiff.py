@@ -23,9 +23,9 @@ __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
     "matmul", "transpose", "add", "sub", "mul", "neg",
     "add_scalar", "mul_scalar", "div_scalar",
-    "tanh", "sigmoid", "relu", "exp", "log",
-    "sum", "mean_rows", "mean_cols",
-    "concat", "stack_rows", "narrow", "row", "index",
+    "tanh", "sigmoid", "relu", "log",
+    "sum", "mean_rows",
+    "concat", "stack_rows", "row", "index",
     "softmax_rows", "l2_normalize_rows",
     "diag_part", "add_rowvec", "sub_colvec", "rowmax",
     "set_finite_checks", "finite_checks_enabled",
@@ -80,9 +80,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data)
-
-    def copy_data(self) -> np.ndarray:
-        return self.data.copy()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -362,12 +359,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0.0),), "relu")
 
 
-def exp(a: Tensor) -> Tensor:
-    _check(a, "a", "exp")
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,), "exp")
-
-
 def log(a: Tensor) -> Tensor:
     _check(a, "a", "log")
     x = a.data
@@ -395,16 +386,6 @@ def mean_rows(a: Tensor) -> Tensor:
     m, n = a.data.shape
     return _make(a.data.mean(axis=0), (a,),
                  lambda g: (np.broadcast_to(g / m, (m, n)),), "mean_rows")
-
-
-def mean_cols(a: Tensor) -> Tensor:
-    """Mean over the column index of a matrix: (m, n) -> (m,)."""
-    _check(a, "a", "mean_cols")
-    if a.data.ndim != 2:
-        raise ValueError(f"mean_cols needs a rank-2 tensor, got rank {a.data.ndim}")
-    m, n = a.data.shape
-    return _make(a.data.mean(axis=1), (a,),
-                 lambda g: (np.broadcast_to((g / n)[:, None], (m, n)),), "mean_cols")
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +430,6 @@ def stack_rows(parts) -> Tensor:
     def vjp(g):
         return tuple(g[i] for i in range(len(parts)))
     return _make(out, tuple(parts), vjp, "stack_rows")
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of length ``length`` starting at ``start`` along ``axis``."""
-    _check(a, "a", "narrow")
-    nd = a.data.ndim
-    if not -nd <= axis < nd:
-        raise ValueError(f"narrow: axis {axis} out of range for rank {nd}")
-    axis %= nd
-    dim = a.data.shape[axis]
-    if length < 1 or start < 0 or start + length > dim:
-        raise ValueError(f"narrow: [{start}, {start + length}) outside dim {dim}")
-    sl = tuple(slice(start, start + length) if i == axis else slice(None)
-               for i in range(nd))
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        z[sl] = g
-        return (z,)
-    return _make(a.data[sl].copy(), (a,), vjp, "narrow")
 
 
 def row(a: Tensor, i: int) -> Tensor:

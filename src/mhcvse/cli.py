@@ -17,7 +17,8 @@ import numpy as np
 from .config import load_config
 from .consensus import build_graph, export_adjacency_csv, export_concepts_csv
 from .data import STOPWORDS, generate_synthetic, load_dataset
-from .evaluation import evaluate, rank_candidates, similarity_matrix, write_eval_report
+from .evaluation import (RETRIEVAL_LEVELS, evaluate, rank_candidates, similarity_matrix,
+                         write_eval_report)
 from .gradcheck import TOLERANCE, run_suite
 from .model import Model, load_model, save_model
 from .training import LrSchedule, fit, write_lr_curve, write_train_log
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default="eval_report.csv")
-    p.add_argument("--level", choices=("fused", "instance", "consensus"))
+    p.add_argument("--level", choices=RETRIEVAL_LEVELS)
 
     p = sub.add_parser("retrieve", help="rank captions for one image")
     p.add_argument("--checkpoint", required=True)

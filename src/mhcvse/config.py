@@ -10,6 +10,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
+from .consensus import GCN_FORMS
+from .evaluation import RETRIEVAL_LEVELS
+from .fusion import FUSE_TYPES
+from .losses import CONTRASTIVE_MODES
+
 __all__ = ["TrainConfig", "parse_config_text", "format_config_text",
            "load_config", "save_config", "SEED_ENV_VAR"]
 
@@ -45,16 +50,15 @@ class TrainConfig:
         if self.heads < 1 or self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} must divide evenly into "
                              f"{self.heads} heads")
-        if self.fuse_type not in ("concat", "adap_sum", "weight_sum",
-                                  "global_weight_sum"):
+        if self.fuse_type not in FUSE_TYPES:
             raise ValueError(f"unknown fuse_type '{self.fuse_type}'")
         if self.margin <= 0.0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.contrastive_mode not in ("sum", "hardest"):
+        if self.contrastive_mode not in CONTRASTIVE_MODES:
             raise ValueError(f"unknown contrastive_mode '{self.contrastive_mode}'")
         if len(self.base_weights) != 4:
             raise ValueError("base_weights needs exactly 4 values")
-        if self.gcn_form not in ("paper", "conventional"):
+        if self.gcn_form not in GCN_FORMS:
             raise ValueError(f"unknown gcn_form '{self.gcn_form}'")
         if self.concepts < 1:
             raise ValueError(f"concepts must be >= 1, got {self.concepts}")
@@ -72,7 +76,7 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.retrieval_level not in ("fused", "instance", "consensus"):
+        if self.retrieval_level not in RETRIEVAL_LEVELS:
             raise ValueError(f"unknown retrieval_level '{self.retrieval_level}'")
         return self
 

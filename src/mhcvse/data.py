@@ -16,13 +16,13 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
-    "STOPWORDS", "tokenize", "Vocabulary", "InstancePair",
-    "DatasetManifest", "Dataset",
+    "STOPWORDS", "Vocabulary", "InstancePair",
+    "DatasetManifest", "Dataset", "BinaryReader",
     "write_features", "read_features",
     "write_captions_jsonl", "read_captions_jsonl",
     "load_dataset", "generate_synthetic",
@@ -36,21 +36,6 @@ STOPWORDS = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
 this to was were will with
 """.split())
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumerics, drop stopwords."""
-    out = []
-    word = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            out.append("".join(word))
-            word = []
-    if word:
-        out.append("".join(word))
-    return [t for t in out if t not in STOPWORDS]
 
 
 class Vocabulary:
@@ -149,9 +134,43 @@ class Dataset:
     def image_ids(self) -> list[int]:
         return sorted(self.images)
 
-    def captions_of(self, image_id: int) -> list[int]:
-        """Positions in self.captions belonging to one image."""
-        return [i for i, (_, img, _) in enumerate(self.captions) if img == image_id]
+
+# ---------------------------------------------------------------------------
+# bounded reader shared by the binary formats
+
+class BinaryReader:
+    """Cursor over the bytes of one little-endian binary file.
+
+    Checks the magic and version on opening, names the file in every
+    error, and refuses any read longer than the bytes left, so a corrupt
+    size field fails as truncation before anything is allocated.
+    """
+
+    def __init__(self, path, label: str, magic: bytes, version: int):
+        self._label = f"{label} {path}"
+        self._view = memoryview(Path(path).read_bytes())
+        self._pos = 0
+        if self.take(len(magic), "magic") != magic:
+            raise self.error("bad magic")
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise self.error(f"unsupported version {found}")
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self._label}: {message}")
+
+    @property
+    def left(self) -> int:
+        return len(self._view) - self._pos
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > self.left:
+            raise self.error(f"truncated while reading {what}")
+        self._pos += n
+        return self._view[self._pos - n:self._pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +194,17 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
 
 def read_features(path) -> dict[int, np.ndarray]:
     """Read the RGFT file back as float64 arrays."""
-    def take(fh, n, what):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise ValueError(f"feature file {path}: truncated while reading {what}")
-        return buf
-
+    reader = BinaryReader(path, "feature file", FEATURES_MAGIC, FEATURES_VERSION)
     out: dict[int, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        if take(fh, 4, "magic") != FEATURES_MAGIC:
-            raise ValueError(f"feature file {path}: bad magic")
-        (version,) = struct.unpack("<I", take(fh, 4, "version"))
-        if version != FEATURES_VERSION:
-            raise ValueError(f"feature file {path}: unsupported version {version}")
-        (count,) = struct.unpack("<Q", take(fh, 8, "image count"))
-        for _ in range(count):
-            image_id, m, f = struct.unpack("<QII", take(fh, 16, "image header"))
-            raw = take(fh, 4 * m * f, f"image {image_id} values")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(m, f)
-            out[image_id] = arr.astype(np.float64)
-        if fh.read(1):
-            raise ValueError(f"feature file {path}: trailing bytes")
+    (count,) = reader.unpack("<Q", "image count")
+    for _ in range(count):
+        image_id, m, f = reader.unpack("<QII", "image header")
+        if image_id in out:
+            raise reader.error(f"repeated image id {image_id}")
+        raw = reader.take(4 * m * f, f"image {image_id} values")
+        out[image_id] = np.frombuffer(raw, dtype="<f4").reshape(m, f).astype(np.float64)
+    if reader.left:
+        raise reader.error("trailing bytes")
     return out
 
 
@@ -212,6 +221,7 @@ def write_captions_jsonl(path, captions) -> None:
 
 def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
     out = []
+    seen: set[int] = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -231,6 +241,10 @@ def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
             if not tokens or not all(isinstance(t, str) for t in tokens):
                 raise ValueError(f"caption file {path}, line {lineno}: tokens must "
                                  "be a non-empty list of strings")
+            if caption_id in seen:
+                raise ValueError(f"caption file {path}, line {lineno}: "
+                                 f"repeated caption_id {caption_id}")
+            seen.add(caption_id)
             out.append((caption_id, image_id, tokens))
     if not out:
         raise ValueError(f"caption file {path}: no captions")
@@ -311,7 +325,7 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
     projections = rng.normal(size=(m, f, l)) / np.sqrt(l)
     buckets = vocab // l
     # equal-occupancy bucket edges under the standard normal latent
-    edges = norm.ppf(np.arange(1, buckets) / buckets)
+    edges = np.array([NormalDist().inv_cdf(i / buckets) for i in range(1, buckets)])
 
     accepted: list[np.ndarray] = []
     codes: list[list[str]] = []

@@ -15,10 +15,12 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["RetrievalResult", "similarity_matrix", "recall_at_k", "rank_candidates",
-           "evaluate", "write_eval_report"]
+__all__ = ["RETRIEVAL_LEVELS", "RetrievalResult", "similarity_matrix", "recall_at_k",
+           "rank_candidates", "evaluate", "write_eval_report"]
 
 RECALL_KS = (1, 5, 10)
+# embedding levels a model can be scored at
+RETRIEVAL_LEVELS = ("fused", "instance", "consensus")
 
 
 @dataclass

@@ -18,8 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .attention import MhsaParams, multi_head
 from .autodiff import Tape, Tensor
-from .consensus import ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
-from .encoders import Caption, EncoderParams, GruGates, RegionFeatures, encode_image, encode_text, gru_step
+from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
+from .encoders import (Caption, EncoderParams, GruGates, RegionFeatures, encode_image,
+                       encode_text, gru_step, uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -139,7 +140,7 @@ def run_suite(seed: int = 0) -> dict[str, float]:
             lambda: _project(fuse(va, vb, fp).vector, proj), params)
 
     # GCN, both layer forms
-    for form in ("paper", "conventional"):
+    for form in GCN_FORMS:
         graph = _random_graph(rng, k, d)
         gcn = GcnParams.init(rng, d, form)
         proj = rng.normal(size=(k, d))
@@ -214,6 +215,5 @@ def run_suite(seed: int = 0) -> dict[str, float]:
 def _random_graph(rng: np.random.Generator, k: int, d: int) -> ConceptGraph:
     adj = rng.uniform(0.1, 1.0, size=(k, k))
     adj /= adj.sum(axis=1, keepdims=True)
-    from .encoders import uniform_init
     return ConceptGraph([f"c{i}" for i in range(k)], [1] * k, adj,
                         uniform_init(rng, (k, d), d))

@@ -9,25 +9,40 @@ Per instance the forward pass produces, for each modality:
 
 Training compares image-side and text-side embeddings level by level;
 retrieval scores whichever level the config selects (fused by default).
+
+A saved model is two files. The checkpoint is little-endian binary: magic
+``MHCV``, version u32, then one record per tensor (name length u32 +
+UTF-8 name, rank u32, dims u64 each, float64 values) until end of file;
+round-trips are bit exact. A JSON sidecar beside it (``.meta.json``)
+holds the config, vocabulary and concept list.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tensor, l2_normalize_rows, matmul, stack_rows, transpose
-from .config import TrainConfig
+from .config import TrainConfig, format_config_text, parse_config_text
 from .consensus import (ConceptGraph, ConsensusHead, GcnParams, consensus_embed,
                         gcn_forward)
-from .data import Dataset, InstancePair, Vocabulary
+from .data import BinaryReader, Dataset, InstancePair, Vocabulary
 from .encoders import Caption, EncoderParams, RegionFeatures, encode_image, encode_text
+from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
 
-__all__ = ["Model", "BatchEmbeddings"]
+__all__ = ["Model", "BatchEmbeddings", "save_model", "load_model",
+           "save_checkpoint", "load_checkpoint"]
+
+CHECKPOINT_MAGIC = b"MHCV"
+CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -164,14 +179,13 @@ class Model:
 
     @staticmethod
     def _level_vector(levels, level: str) -> np.ndarray:
+        if level not in RETRIEVAL_LEVELS:
+            raise ValueError(f"unknown retrieval level '{level}' "
+                             f"(one of {RETRIEVAL_LEVELS})")
         v, c, f, _ = levels
-        if level == "fused":
-            return f.data
         if level == "instance":
             return l2_normalize_rows(v).data
-        if level == "consensus":
-            return c.data
-        raise ValueError(f"unknown retrieval level '{level}'")
+        return (f if level == "fused" else c).data
 
     def embed_dataset(self, dataset: Dataset, level: str | None = None):
         """Embeddings for every image and caption of a split.
@@ -194,14 +208,46 @@ class Model:
         return np.stack(img_rows), np.stack(txt_rows), image_ids, owner
 
 
+# ---------------------------------------------------------------------------
+# checkpoint format
+
+def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
+    """Named float64 tensors in the MHCV binary layout."""
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        for name, tensor in tensors.items():
+            # asarray, not ascontiguousarray: the latter upgrades rank-0 to
+            # rank-1 and would corrupt scalar parameters
+            arr = np.asarray(tensor.data if isinstance(tensor, Tensor) else tensor,
+                             dtype="<f8")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(arr.tobytes())
+
+
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read the MHCV layout back; values are bit-exact float64 arrays."""
+    reader = BinaryReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    out: dict[str, np.ndarray] = {}
+    while reader.left:
+        if reader.left < 4:
+            raise reader.error("truncated record header")
+        (name_len,) = reader.unpack("<I", "name length")
+        name = bytes(reader.take(name_len, "name")).decode("utf-8")
+        (rank,) = reader.unpack("<I", f"rank of '{name}'")
+        shape = reader.unpack(f"<{rank}Q", f"dims of '{name}'")
+        raw = reader.take(8 * math.prod(shape), f"values of '{name}'")
+        out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    return out
+
+
 def save_model(checkpoint_path, model: Model) -> None:
     """Binary checkpoint plus a JSON sidecar with vocab, concepts, config."""
-    import json
-    from pathlib import Path
-
-    from .config import format_config_text
-    from .training import save_checkpoint
-
     checkpoint_path = Path(checkpoint_path)
     save_checkpoint(checkpoint_path, model.state_tensors())
     sidecar = {
@@ -216,12 +262,6 @@ def save_model(checkpoint_path, model: Model) -> None:
 
 def load_model(checkpoint_path) -> Model:
     """Rebuild a model from a checkpoint and its sidecar."""
-    import json
-    from pathlib import Path
-
-    from .config import parse_config_text
-    from .training import load_checkpoint
-
     checkpoint_path = Path(checkpoint_path)
     sidecar_path = Path(f"{checkpoint_path}.meta.json")
     if not sidecar_path.exists():

@@ -1,4 +1,4 @@
-"""Training loop: cosine-annealed Adam, early stopping, checkpoints.
+"""Training loop: cosine-annealed Adam, early stopping, CSV logs.
 
 The learning rate follows cosine annealing with warm restarts,
 
@@ -7,33 +7,24 @@ The learning rate follows cosine annealing with warm restarts,
 with T in optimizer steps. Validation mean recall drives early stopping
 (strict improvement, minimum patience 1) and the returned model always
 carries the best-mR epoch's weights, never the last ones.
-
-Checkpoints are little-endian binary: magic ``MHCV``, version u32, then one
-record per tensor (name length u32 + UTF-8 name, rank u32, dims u64 each,
-float64 values) until end of file. Round-trips are bit exact.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, Tensor, adam_step
+from .autodiff import AdamState, Tape, adam_step
 from .evaluation import evaluate
 
 __all__ = [
     "LrSchedule", "lr_at", "EpochStats", "FitResult",
     "train_epoch", "fit",
-    "save_checkpoint", "load_checkpoint",
     "write_train_log", "write_lr_curve",
 ]
-
-CHECKPOINT_MAGIC = b"MHCV"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -143,7 +134,8 @@ def fit(model, train_dataset, val_dataset, eval_fn=None) -> FitResult:
         def eval_fn(m):
             return evaluate(m, val_dataset).mr
 
-    steps_per_epoch = max(1, len(pairs) // cfg.batch_size)
+    # the period counts the steps train_epoch actually takes
+    steps_per_epoch = sum(1 for _ in _batches(np.arange(len(pairs)), cfg.batch_size))
     schedule = LrSchedule(cfg.eta0, cfg.eta_min,
                           steps_per_epoch * cfg.period_epochs)
     adam = AdamState()
@@ -168,63 +160,11 @@ def fit(model, train_dataset, val_dataset, eval_fn=None) -> FitResult:
             since_improved += 1
             if since_improved >= cfg.patience:
                 break
+    if best_epoch < 0:
+        raise ValueError("validation score was not finite in any epoch")
     for name, p in params.items():
         p.data[...] = best_state[name]
     return FitResult(history, best_epoch, best_mr)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format
-
-def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
-    """Named float64 tensors in the MHCV binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name, tensor in tensors.items():
-            # asarray, not ascontiguousarray: the latter upgrades rank-0 to
-            # rank-1 and would corrupt scalar parameters
-            arr = np.asarray(tensor.data if isinstance(tensor, Tensor) else tensor,
-                             dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read the MHCV layout back; values are bit-exact float64 arrays."""
-    def take(fh, n, what):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise ValueError(f"checkpoint {path}: truncated while reading {what}")
-        return buf
-
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        if take(fh, 4, "magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"checkpoint {path}: bad magic")
-        (version,) = struct.unpack("<I", take(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint {path}: unsupported version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise ValueError(f"checkpoint {path}: truncated record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = take(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", take(fh, 4, f"rank of '{name}'"))
-            shape = tuple(struct.unpack("<Q", take(fh, 8, f"dim of '{name}'"))[0]
-                          for _ in range(rank))
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            raw = take(fh, 8 * count, f"values of '{name}'")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,8 @@ from mhcvse.data import (
 from mhcvse.evaluation import evaluate, recall_at_k
 from mhcvse.gradcheck import TOLERANCE, max_relative_error, numeric_gradients, run_suite
 from mhcvse.losses import contrastive_loss, dynamic_weight, kl_loss, total_loss
-from mhcvse.model import Model
-from mhcvse.training import (
-    LrSchedule,
-    fit,
-    load_checkpoint,
-    lr_at,
-    save_checkpoint,
-    train_epoch,
-)
+from mhcvse.model import Model, load_checkpoint, save_checkpoint
+from mhcvse.training import LrSchedule, fit, lr_at, train_epoch
 
 
 def report(index, name, ok, detail=""):

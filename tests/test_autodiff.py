@@ -69,12 +69,6 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
 
-    def test_copy_data_is_independent(self):
-        t = Tensor([1.0, 2.0])
-        c = t.copy_data()
-        c[0] = 99.0
-        assert t.data[0] == 1.0
-
     def test_operator_sugar_eager(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
@@ -333,19 +327,14 @@ OP_CASES = [
     ("tanh", ad.tanh, (3, 4), None),
     ("sigmoid", ad.sigmoid, (3, 4), None),
     ("relu", ad.relu, (3, 4), _keep_off_kinks),
-    ("exp", ad.exp, (3, 4), None),
     ("log", ad.log, (3, 4), _keep_positive),
     ("sum", ad.sum, (3, 4), None),
     ("mean_rows", ad.mean_rows, (3, 4), None),
-    ("mean_cols", ad.mean_cols, (3, 4), None),
     ("concat_r2", lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]),
      (3, 4), None),
     ("concat_r1", lambda t: ad.concat([t, Tensor(_W[0, :3])]), (4,), None),
     ("stack_rows", lambda t: ad.stack_rows([t, Tensor(_W[0, :4]), ad.tanh(t)]),
      (4,), None),
-    ("narrow_ax0", lambda t: ad.narrow(t, 0, 1, 2), (4, 3), None),
-    ("narrow_ax1", lambda t: ad.narrow(t, 1, 0, 2), (4, 3), None),
-    ("narrow_neg_ax", lambda t: ad.narrow(t, -1, 1, 2), (4, 3), None),
     ("row", lambda t: ad.row(t, 2), (4, 3), None),
     ("index", lambda t: ad.index(t, 1), (4,), None),
     ("softmax_r2", ad.softmax_rows, (3, 4), None),
@@ -419,15 +408,6 @@ class TestShapeGuards:
         with pytest.raises(ValueError):
             ad.stack_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
 
-    def test_narrow_bounds(self):
-        t = Tensor(np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            ad.narrow(t, 2, 0, 1)
-        with pytest.raises(ValueError):
-            ad.narrow(t, 0, 2, 5)
-        with pytest.raises(ValueError):
-            ad.narrow(t, 0, 0, 0)
-
     def test_row_index_bounds(self):
         with pytest.raises(ValueError):
             ad.row(Tensor(np.zeros((2, 2))), 2)
@@ -477,7 +457,7 @@ class TestSpecialValues:
         assert np.isneginf(y.data[0])
         ad.set_finite_checks(True)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            ad.exp(Tensor([1000.0]))
+            ad.mul_scalar(Tensor([1e200]), 1e200)
 
 
 class TestAdam:
@@ -537,7 +517,7 @@ class TestAdam:
     def test_zero_lr_is_identity_on_params(self):
         rng = np.random.default_rng(41)
         p = Tensor(rng.normal(size=(3, 3)))
-        before = p.copy_data()
+        before = p.data.copy()
         state = AdamState()
         for _ in range(5):
             adam_step({"p": p}, {p: rng.normal(size=(3, 3))}, state, lr=0.0)

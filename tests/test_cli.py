@@ -1,12 +1,15 @@
 """The command-line pipeline: synth, train, eval, retrieve, curves, checks."""
 
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset
-from mhcvse.training import load_checkpoint
+from mhcvse.model import load_checkpoint
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
                 epochs=2, patience=1, eta0=0.01, seed=11)
@@ -100,6 +103,19 @@ class TestEval:
               "--manifest", str(data / "val.manifest.json"), "--out", str(b),
               "--level", "instance"])
         assert a.exists() and b.exists()
+
+    def test_oversized_checkpoint_header_exits_one(self, workspace, tmp_path,
+                                                   capsys):
+        data, run, _ = workspace
+        bad = tmp_path / "huge.mhcv"
+        bad.write_bytes(b"MHCV" + struct.pack("<II1sIQQ", 1, 1, b"w", 2,
+                                               2**22, 2**22))
+        shutil.copy(f"{run / 'checkpoint.mhcv'}.meta.json", f"{bad}.meta.json")
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "val.manifest.json"),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 1
+        assert "truncated" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, workspace, tmp_path):
         data, _, _ = workspace

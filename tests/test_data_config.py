@@ -1,11 +1,16 @@
 """File formats, vocabulary, synthetic generation, and config parsing."""
 
 import json
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mhcvse
 from mhcvse.config import (
     SEED_ENV_VAR,
     TrainConfig,
@@ -15,7 +20,6 @@ from mhcvse.config import (
     save_config,
 )
 from mhcvse.data import (
-    STOPWORDS,
     Dataset,
     DatasetManifest,
     Vocabulary,
@@ -23,26 +27,9 @@ from mhcvse.data import (
     load_dataset,
     read_captions_jsonl,
     read_features,
-    tokenize,
     write_captions_jsonl,
     write_features,
 )
-
-
-class TestTokenize:
-    def test_lowercases_and_splits_on_punctuation(self):
-        assert tokenize("Two dogs, RUNNING fast!") == ["two", "dogs", "running", "fast"]
-
-    def test_drops_stopwords(self):
-        assert tokenize("a man on the beach") == ["man", "beach"]
-        assert "the" in STOPWORDS
-
-    def test_keeps_digits(self):
-        assert tokenize("3 dogs") == ["3", "dogs"]
-
-    def test_empty_input(self):
-        assert tokenize("") == []
-        assert tokenize("the a an") == []
 
 
 class TestVocabulary:
@@ -115,6 +102,21 @@ class TestFeatureFormat:
         with pytest.raises(ValueError, match="unsupported version"):
             read_features(path)
 
+    def test_oversized_header_is_truncation_not_an_allocation(self, tmp_path):
+        path = tmp_path / "huge.rgft"
+        path.write_bytes(b"RGFT" + struct.pack("<IQQII", 1, 1, 0, 2**31, 2**31))
+        with pytest.raises(ValueError, match="truncated"):
+            read_features(path)
+
+    def test_repeated_image_id_rejected(self, tmp_path):
+        path = tmp_path / "twice.rgft"
+        record = struct.pack("<QII", 5, 1, 2)
+        path.write_bytes(b"RGFT" + struct.pack("<IQ", 1, 2)
+                         + record + np.ones(2, "<f4").tobytes()
+                         + record + np.full(2, 2.0, "<f4").tobytes())
+        with pytest.raises(ValueError, match=r"twice\.rgft.*repeated image id 5"):
+            read_features(path)
+
 
 class TestCaptionFormat:
     def test_round_trip(self, tmp_path):
@@ -150,6 +152,13 @@ class TestCaptionFormat:
         with pytest.raises(ValueError, match="non-empty list"):
             read_captions_jsonl(path)
 
+    def test_repeated_caption_id_rejected(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        write_captions_jsonl(path, [(4, 1, ["x"]), (4, 2, ["y"])])
+        with pytest.raises(ValueError,
+                           match=r"caps\.jsonl, line 2: repeated caption_id 4"):
+            read_captions_jsonl(path)
+
     def test_empty_file_is_an_error_not_an_empty_dataset(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         path.write_text("")
@@ -178,7 +187,7 @@ class TestManifestAndLoading:
         assert len(ds.pairs) == 10
         assert len(ds.images) == 2
         assert ds.image_ids == [0, 1]
-        assert ds.captions_of(0) == list(range(5))
+        assert [img for _, img, _ in ds.captions] == [0] * 5 + [1] * 5
         # 10 distinct tok* + shared + unk
         assert len(ds.vocab) == 12
 
@@ -307,6 +316,16 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="separation"):
             generate_synthetic(tmp_path, n_pairs=50, l=2, vocab=20,
                                separation=4.0, seed=5)
+
+    def test_import_loads_no_scipy(self):
+        # the bucket edges come from the standard library; a fresh
+        # interpreter must not pull scipy in through any module
+        src = str(Path(mhcvse.__file__).resolve().parents[1])
+        code = ("import sys, mhcvse; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, cwd=src)
+        assert out.stdout.strip() == "[]"
 
 
 class TestConfig:

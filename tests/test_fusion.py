@@ -148,7 +148,7 @@ class TestGradientFlow:
     def test_training_step_moves_weight_net(self):
         rng = np.random.default_rng(8)
         p = make_params("weight_sum")
-        before = p.weight_net.copy_data()
+        before = p.weight_net.data.copy()
         target = Tensor(rng.normal(size=4))
         with Tape() as tape:
             out = fuse(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), p)

@@ -1,6 +1,7 @@
 """Learning-rate schedule, the epoch loop, early stopping, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from numpy.testing import assert_allclose
 from tinymodel import snapshot, states_equal, tiny_setup
 
 from mhcvse.autodiff import AdamState, set_finite_checks
+from mhcvse.model import load_checkpoint, save_checkpoint
 from mhcvse.training import (
     EpochStats,
     LrSchedule,
     fit,
-    load_checkpoint,
     lr_at,
-    save_checkpoint,
     train_epoch,
     write_lr_curve,
     write_train_log,
@@ -195,6 +195,21 @@ class TestFit:
         with pytest.raises(ValueError, match="validation split"):
             fit(model, train, None)
 
+    def test_never_finite_validation_is_a_value_error(self):
+        model, train, val = tiny_setup(epochs=3, patience=1)
+        with pytest.raises(ValueError, match="not finite in any"):
+            fit(model, train, val, eval_fn=lambda m: float("nan"))
+
+    def test_lr_period_counts_the_leftover_batch(self):
+        # 70 pairs in batches of 32 run as [32, 32, 6]: three steps per
+        # epoch, so period_epochs=10 spans 30 steps
+        model, train, val = tiny_setup(n_train=70, batch_size=32, epochs=1,
+                                       period_epochs=10)
+        result = fit(model, train, val, eval_fn=lambda m: 0.0)
+        cfg = model.config
+        period_30 = LrSchedule(cfg.eta0, cfg.eta_min, 30)
+        assert result.history[0].lr == lr_at(period_30, 2)
+
     def test_undersized_training_split_rejected(self):
         model, train, val = tiny_setup()
         train.pairs = train.pairs[:1]
@@ -258,6 +273,14 @@ class TestCheckpointFormat:
         save_checkpoint(path, {"vec": np.arange(3.0)})
         path.write_bytes(path.read_bytes() + b"\x01\x02")
         with pytest.raises(ValueError, match="truncated record header"):
+            load_checkpoint(path)
+
+    def test_oversized_header_is_truncation_not_an_allocation(self, tmp_path):
+        path = tmp_path / "huge.mhcv"
+        path.write_bytes(b"MHCV" + struct.pack("<II1sIQQ", 1, 1, b"w", 2,
+                                                2**22, 2**22))
+        assert path.stat().st_size == 33
+        with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
     def test_empty_checkpoint_loads_empty(self, tmp_path):
