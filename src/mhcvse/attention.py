@@ -4,6 +4,11 @@ One module per modality sits on top of the encoder output (region rows or
 token states) and pools the attended sequence into a single instance
 embedding. No positional encodings anywhere, so the whole stack is
 permutation equivariant and the pooled vector is permutation invariant.
+
+Everything runs on padded batches (B, n, d) with a (B, n) mask of real
+rows. The heads are folded into the batch axis, (B·h, n, d_k), so one
+batched product serves every head; padded rows are masked out as keys and
+left out of the mean pool. A single (n, d) sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Tensor, concat, div_scalar, matmul, mean_rows, softmax_rows, transpose,
+    Tensor, concat, div_scalar, masked_mean, matmul, merge_heads, reshape,
+    softmax_rows, split_heads, transpose,
 )
 from .encoders import uniform_init
 
@@ -59,50 +65,100 @@ class MhsaParams:
         return out
 
 
+def _batched(*operands: Tensor) -> tuple[bool, list[Tensor]]:
+    """Rank-2 operands as a batch of one; whether they were single."""
+    single = operands[0].ndim == 2
+    if single:
+        operands = [reshape(t, (1,) + t.shape) for t in operands]
+    return single, list(operands)
+
+
+def _unbatched(t: Tensor, single: bool) -> Tensor:
+    return reshape(t, t.shape[1:]) if single else t
+
+
 def attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Pre-softmax scores Q K^T / sqrt(d_k)."""
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+    """Pre-softmax scores Q K^T / sqrt(d_k), for (n, d_k) or (B, n, d_k) operands."""
+    if q.ndim not in (2, 3) or k.ndim != q.ndim or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"bad attention operand shapes {q.shape} and {k.shape}")
-    d_k = q.shape[1]
-    return div_scalar(matmul(q, transpose(k)), float(np.sqrt(d_k)))
+    single, (q, k) = _batched(q, k)
+    # scaling the (n, d_k) queries, not the (n, n) scores, saves one score
+    # batch; for d_k a power of 4 (d_k = 16 by default) it is exact
+    scaled = div_scalar(q, float(np.sqrt(q.shape[-1])))
+    return _unbatched(matmul(scaled, transpose(k)), single)
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_k))."""
-    return softmax_rows(attention_scores(q, k))
+def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+    """Row-stochastic attention softmax(Q K^T / sqrt(d_k)) over the real keys.
 
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V for (n, d_k) operands."""
-    if v.ndim != 2 or v.shape[0] != k.shape[0]:
-        raise ValueError(f"value rows {v.shape} do not match keys {k.shape}")
-    return matmul(attention_weights(q, k), v)
-
-
-def multi_head(x: Tensor, params: MhsaParams) -> Tensor:
-    """Self-attention over the rows of x: (n, d) -> (n, d).
-
-    Each head projects x to (n, d_k) queries/keys/values, attends, and the
-    concatenated head outputs go through W_out.
+    ``key_mask`` (B, n) marks the real keys of a batch; None means all.
     """
-    if x.ndim != 2:
-        raise ValueError(f"multi_head needs a rank-2 input, got rank {x.ndim}")
-    if x.shape[1] != params.heads[0][0].shape[0]:
-        raise ValueError(f"input width {x.shape[1]} != projection input "
+    scores = attention_scores(q, k)
+    if key_mask is None:
+        key_mask = np.ones(k.shape[:-1], dtype=bool)
+    return softmax_rows(scores, np.asarray(key_mask)[..., None, :])
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
+                         key_mask: np.ndarray | None = None) -> Tensor:
+    """softmax(Q K^T / sqrt(d_k)) V for (n, d_k) or (B, n, d_k) operands."""
+    if v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"value rows {v.shape} do not match keys {k.shape}")
+    single, (w, v) = _batched(attention_weights(q, k, key_mask), v)
+    return _unbatched(matmul(w, v), single)
+
+
+def _head_qkv(x: Tensor, params: MhsaParams) -> list[Tensor]:
+    """Queries, keys and values of every head, (B·h, n, d_k) each, from one
+    (B·n, d) @ (d, h·d_k) product per role."""
+    if x.ndim != 3:
+        raise ValueError(f"multi_head needs a rank-2 or rank-3 input, got rank {x.ndim}")
+    if x.shape[2] != params.heads[0][0].shape[0]:
+        raise ValueError(f"input width {x.shape[2]} != projection input "
                          f"{params.heads[0][0].shape[0]}")
-    outs = [scaled_dot_attention(matmul(x, wq), matmul(x, wk), matmul(x, wv))
-            for wq, wk, wv in params.heads]
-    return matmul(concat(outs), params.w_out)
+    return [split_heads(matmul(x, concat([head[role] for head in params.heads])),
+                        params.head_count)
+            for role in range(3)]
 
 
-def attend_and_pool(x: Tensor, params: MhsaParams) -> Tensor:
-    """Instance embedding: mean over the n rows of multi_head(x)."""
-    return mean_rows(multi_head(x, params))
+def _key_mask(x: Tensor, mask: np.ndarray | None, heads: int) -> np.ndarray:
+    """The (B, n) mask repeated per head in split_heads order."""
+    if mask is None:
+        return np.ones((x.shape[0] * heads, x.shape[1]), dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[:2]:
+        raise ValueError(f"mask {mask.shape} does not match input {x.shape}")
+    return np.repeat(mask, heads, axis=0)
+
+
+def multi_head(x: Tensor, params: MhsaParams, mask: np.ndarray | None = None) -> Tensor:
+    """Self-attention over the rows of x: (B, n, d) -> (B, n, d), or (n, d) -> (n, d).
+
+    Each head projects x to (n, d_k) queries/keys/values and attends over
+    the rows ``mask`` marks as real (all, if None); the concatenated head
+    outputs go through W_out. Padded query rows are computed but meaningless.
+    """
+    single, (x,) = _batched(x)
+    h = params.head_count
+    q, k, v = _head_qkv(x, params)
+    heads = scaled_dot_attention(q, k, v, _key_mask(x, mask, h))
+    return _unbatched(matmul(merge_heads(heads, h), params.w_out), single)
+
+
+def attend_and_pool(x: Tensor, params: MhsaParams,
+                    mask: np.ndarray | None = None) -> Tensor:
+    """Instance embedding: mean over the real rows of multi_head(x).
+
+    (B, n, d) with a (B, n) mask gives (B, d); one (n, d) sequence gives (d,).
+    """
+    single, (xb,) = _batched(x)
+    if mask is None:
+        mask = np.ones(xb.shape[:2], dtype=bool)
+    return _unbatched(masked_mean(multi_head(xb, params, mask), mask), single)
 
 
 def head_attention_weights(x: Tensor, params: MhsaParams) -> list[np.ndarray]:
-    """Per-head attention matrices for inspection, via the same code path."""
-    out = []
-    for wq, wk, wv in params.heads:
-        out.append(attention_weights(matmul(x, wq), matmul(x, wk)).data)
-    return out
+    """Per-head attention matrices (n, n) of one (n, d) sequence, for inspection."""
+    _, (xb,) = _batched(x)
+    q, k, _ = _head_qkv(xb, params)
+    return list(attention_weights(q, k).data)

@@ -4,11 +4,14 @@ Values are numpy arrays of rank 0..3 (rank 0 is the scalar case used by
 losses). Gradients come from recording every op on a :class:`Tape` during
 the forward pass and replaying the recorded nodes in reverse: define-by-run,
 so the tape is rebuilt on every forward pass and append order is already a
-topological order. The op set is deliberately small -- matrix products,
-elementwise nonlinearities, reductions, concatenation/slicing, a stable row
-softmax, and row L2 normalization -- and everything downstream is composed
-from it. Adam with bias correction lives here too, since every other module
-optimizes through this engine.
+topological order. The op set is deliberately small -- matrix products
+(batched over a leading axis at rank 3), elementwise nonlinearities,
+reductions, concatenation/slicing/reshaping, a row gather, a stable
+(optionally masked) softmax, a masked mean and row L2 normalization -- and
+everything downstream is composed from it. Variable-length items are
+padded to a common length and carry a boolean mask; the masked ops give
+padded positions zero weight and zero gradient. Adam with bias correction
+lives here too, since every other module optimizes through this engine.
 
 Non-finite values raise ``FloatingPointError`` at op boundaries while checks
 are enabled (the default; ``python -O`` or :func:`set_finite_checks` turns
@@ -24,10 +27,11 @@ __all__ = [
     "matmul", "transpose", "add", "sub", "mul", "neg",
     "add_scalar", "mul_scalar", "div_scalar",
     "tanh", "sigmoid", "relu", "log",
-    "sum", "mean_rows",
-    "concat", "stack_rows", "row", "index",
+    "sum", "masked_mean",
+    "concat", "index", "reshape", "gather", "where",
+    "split_heads", "merge_heads",
     "softmax_rows", "l2_normalize_rows",
-    "diag_part", "add_rowvec", "sub_colvec", "rowmax",
+    "diag_part", "add_rowvec", "sub_colvec", "mul_colvec", "rowmax",
     "set_finite_checks", "finite_checks_enabled",
 ]
 
@@ -152,6 +156,13 @@ class Tape:
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
+        # a leaf points back at the tape that registered it; parameters
+        # outlive the tape, and would keep it and every array its vjps hold
+        # alive until their next forward pass
+        for node in self._nodes:
+            if node.leaf is not None and node.leaf._tape is self:
+                node.leaf._tape = None
+                node.leaf._node = -1
         return False
 
     def __len__(self) -> int:
@@ -179,7 +190,9 @@ class Tape:
         """Gradient of a scalar loss for every reachable leaf tensor.
 
         Returns a map keyed by leaf Tensor identity; each gradient has the
-        same shape as the leaf's value.
+        same shape as the leaf's value. An interior node's gradient is
+        dropped as soon as its vjp has run, so the pass holds only the
+        gradients still waiting for their consumer.
         """
         if loss._tape is not self:
             raise ValueError("loss was not recorded on this tape")
@@ -192,6 +205,7 @@ class Tape:
             node = self._nodes[i]
             if g is None or node.vjp is None:
                 continue
+            grads[i] = None
             for j, gj in zip(node.input_ids, node.vjp(g)):
                 if gj is None:
                     continue
@@ -227,16 +241,36 @@ def _check(t, name: str, op: str) -> None:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's rank rules for rank-1 operands."""
+    """Matrix product with numpy's rank rules for rank-1 operands.
+
+    A rank-3 ``a`` is a batch: (B, n, k) @ (k, m) applies one matrix to
+    all B·n rows as a single (B·n, k) @ (k, m) product, and
+    (B, n, k) @ (B, k, m) multiplies the B pairs of matrices.
+    """
     _check(a, "a", "matmul"); _check(b, "b", "matmul")
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.ndim > 2 or bd.ndim > 2:
-        raise ValueError(f"matmul needs rank 1-2 operands, got {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[0]:
+    if (ad.ndim, bd.ndim) not in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 3)):
+        raise ValueError(f"matmul needs rank 1-2 operands or a rank-3 batch, "
+                         f"got {ad.ndim} and {bd.ndim}")
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
+        raise ValueError(f"matmul batch sizes differ: {ad.shape} @ {bd.shape}")
+
+    if ad.ndim == 3 and bd.ndim == 2:
+        a2 = ad.reshape(-1, ad.shape[-1])
+        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+        return _make(out, (a, b), vjp, "matmul")
     out = ad @ bd
 
-    if ad.ndim == 2 and bd.ndim == 2:
+    if ad.ndim == 3:
+        def vjp(g):
+            return g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g
+    elif ad.ndim == 2 and bd.ndim == 2:
         def vjp(g):
             return g @ bd.T, ad.T @ g
     elif ad.ndim == 1 and bd.ndim == 2:
@@ -252,10 +286,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes of a matrix or of each matrix of a batch."""
     _check(a, "a", "transpose")
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose needs a rank-2 tensor, got rank {a.data.ndim}")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
+    if a.data.ndim not in (2, 3):
+        raise ValueError(f"transpose needs a rank-2 or rank-3 tensor, got rank {a.data.ndim}")
+    return _make(a.data.swapaxes(-1, -2).copy(), (a,),
+                 lambda g: (g.swapaxes(-1, -2),), "transpose")
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +414,27 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the op name used throughou
                  lambda g: (np.broadcast_to(g, shape),), "sum")
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the row index of a matrix: (m, n) -> (n,)."""
-    _check(a, "a", "mean_rows")
-    if a.data.ndim != 2:
-        raise ValueError(f"mean_rows needs a rank-2 tensor, got rank {a.data.ndim}")
-    m, n = a.data.shape
-    return _make(a.data.mean(axis=0), (a,),
-                 lambda g: (np.broadcast_to(g / m, (m, n)),), "mean_rows")
+def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean over the real rows of each padded item: (B, n, d) -> (B, d).
+
+    ``mask`` (B, n) is True on real rows; every item needs at least one.
+    Padded rows get zero weight and zero gradient.
+    """
+    _check(a, "a", "masked_mean")
+    x = a.data
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 3 or mask.shape != x.shape[:2]:
+        raise ValueError(f"masked_mean needs (B, n, d) values and a (B, n) mask, "
+                         f"got {x.shape} and {mask.shape}")
+    counts = mask.sum(axis=1)
+    if np.any(counts == 0):
+        raise ValueError("masked_mean: an item has no real rows")
+    keep = mask[:, :, None]
+    out = np.where(keep, x, 0.0).sum(axis=1) / counts[:, None]
+
+    def vjp(g):
+        return (np.where(keep, g[:, None, :] / counts[:, None, None], 0.0),)
+    return _make(out, (a,), vjp, "masked_mean")
 
 
 # ---------------------------------------------------------------------------
@@ -413,70 +462,128 @@ def concat(parts) -> Tensor:
     return _make(out, tuple(parts), vjp, "concat")
 
 
-def stack_rows(parts) -> Tensor:
-    """Stack rank-1 tensors of equal width into a matrix, one per row."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("stack_rows of an empty sequence")
-    for i, t in enumerate(parts):
-        _check(t, f"parts[{i}]", "stack_rows")
-        if t.data.ndim != 1:
-            raise ValueError("stack_rows needs rank-1 tensors")
-    width = parts[0].data.shape[0]
-    if any(t.data.shape[0] != width for t in parts):
-        raise ValueError("stack_rows: widths differ")
-    out = np.stack([t.data for t in parts], axis=0)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
-    return _make(out, tuple(parts), vjp, "stack_rows")
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of a matrix as a rank-1 tensor (embedding lookup)."""
-    _check(a, "a", "row")
-    if a.data.ndim != 2:
-        raise ValueError(f"row needs a rank-2 tensor, got rank {a.data.ndim}")
-    m = a.data.shape[0]
-    if not 0 <= i < m:
-        raise ValueError(f"row index {i} out of range for {m} rows")
+def index(a: Tensor, i: int) -> Tensor:
+    """Slab ``i`` along the leading axis: an element of a vector, a row of a
+    matrix, a matrix of a batch."""
+    _check(a, "a", "index")
+    if a.data.ndim < 1:
+        raise ValueError("index needs a tensor of rank 1 or more")
+    n = a.data.shape[0]
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} out of range for length {n}")
     shape = a.data.shape
 
     def vjp(g):
         z = np.zeros(shape)
         z[i] = g
         return (z,)
-    return _make(a.data[i].copy(), (a,), vjp, "row")
+    return _make(np.array(a.data[i]), (a,), vjp, "index")
 
 
-def index(a: Tensor, i: int) -> Tensor:
-    """Element ``i`` of a vector as a rank-0 tensor."""
-    _check(a, "a", "index")
-    if a.data.ndim != 1:
-        raise ValueError(f"index needs a rank-1 tensor, got rank {a.data.ndim}")
-    n = a.data.shape[0]
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range for length {n}")
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in another shape of rank 0..3 (numpy rules, one -1 allowed)."""
+    _check(a, "a", "reshape")
+    before = a.data.shape
+    out = a.data.reshape(shape)
+    if out.ndim > 3:
+        raise ValueError(f"reshape to rank {out.ndim} (max rank 3)")
+    return _make(out, (a,), lambda g: (g.reshape(before),), "reshape")
+
+
+def gather(table: Tensor, ids) -> Tensor:
+    """Rows of a (V, d) table at integer ``ids`` of rank 1-2: ids.shape + (d,).
+
+    The gradient scatters back into one (V, d) array; repeated ids add up.
+    """
+    _check(table, "table", "gather")
+    ids = np.asarray(ids)
+    if table.data.ndim != 2:
+        raise ValueError(f"gather needs a rank-2 table, got rank {table.data.ndim}")
+    if ids.ndim not in (1, 2) or not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"gather needs integer ids of rank 1 or 2, got {ids.dtype} "
+                         f"of rank {ids.ndim}")
+    v = table.data.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise ValueError(f"gather ids outside [0, {v})")
+    shape = table.data.shape
 
     def vjp(g):
-        z = np.zeros(n)
-        z[i] = g
+        z = np.zeros(shape)
+        np.add.at(z, ids, g)
         return (z,)
-    return _make(np.asarray(a.data[i]), (a,), vjp, "index")
+    return _make(table.data[ids], (table,), vjp, "gather")
+
+
+def where(mask, a: Tensor, b: Tensor) -> Tensor:
+    """``a`` where the boolean ``mask`` (broadcast to their shape) is True, else ``b``."""
+    _check(a, "a", "where"); _check(b, "b", "where")
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ValueError(f"where: shape mismatch {ad.shape} vs {bd.shape}")
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), ad.shape)
+
+    def vjp(g):
+        return np.where(mask, g, 0.0), np.where(mask, 0.0, g)
+    return _make(np.where(mask, ad, bd), (a, b), vjp, "where")
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """(B, n, h·k) -> (B·h, n, k): head i takes columns [i·k, (i+1)·k) and
+    becomes batch entry b·h + i."""
+    _check(a, "a", "split_heads")
+    x = a.data
+    if x.ndim != 3 or heads < 1 or x.shape[2] % heads:
+        raise ValueError(f"split_heads: width of {x.shape} not divisible into {heads} heads")
+    b, n, width = x.shape
+    k = width // heads
+    out = x.reshape(b, n, heads, k).transpose(0, 2, 1, 3).reshape(b * heads, n, k)
+
+    def vjp(g):
+        return (g.reshape(b, heads, n, k).transpose(0, 2, 1, 3).reshape(b, n, width),)
+    return _make(out, (a,), vjp, "split_heads")
+
+
+def merge_heads(a: Tensor, heads: int) -> Tensor:
+    """Inverse of :func:`split_heads`: (B·h, n, k) -> (B, n, h·k)."""
+    _check(a, "a", "merge_heads")
+    x = a.data
+    if x.ndim != 3 or heads < 1 or x.shape[0] % heads:
+        raise ValueError(f"merge_heads: batch of {x.shape} not divisible into {heads} heads")
+    bh, n, k = x.shape
+    b = bh // heads
+    out = x.reshape(b, heads, n, k).transpose(0, 2, 1, 3).reshape(b, n, heads * k)
+
+    def vjp(g):
+        return (g.reshape(b, n, heads, k).transpose(0, 2, 1, 3).reshape(bh, n, k),)
+    return _make(out, (a,), vjp, "merge_heads")
 
 
 # ---------------------------------------------------------------------------
 # normalizers
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis of a vector or matrix, max-shifted for stability."""
+def softmax_rows(a: Tensor, mask=None) -> Tensor:
+    """Softmax along the last axis, max-shifted for stability.
+
+    With a boolean ``mask`` that broadcasts to ``a`` (a key mask of a batch
+    of score matrices is (B, 1, n)), only the entries where it is True take
+    part: the others get probability and gradient zero, and every row
+    needs at least one.
+    """
     _check(a, "a", "softmax_rows")
     x = a.data
-    if x.ndim not in (1, 2):
-        raise ValueError(f"softmax_rows needs rank 1 or 2, got rank {x.ndim}")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    if x.ndim not in (1, 2, 3):
+        raise ValueError(f"softmax_rows needs rank 1 to 3, got rank {x.ndim}")
+    if mask is None:
+        y = x.copy()
+    else:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        if not np.all(mask.any(axis=-1)):
+            raise ValueError("softmax_rows: a row has every entry masked")
+        y = np.where(mask, x, -np.inf)
+    # in place on one array: a score batch is the largest array of a pass
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -501,7 +608,7 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batch helpers for the ranking losses
+# row and column helpers for the ranking losses and fusion
 
 def diag_part(a: Tensor) -> Tensor:
     """Diagonal of a square matrix as a rank-1 tensor."""
@@ -519,14 +626,14 @@ def diag_part(a: Tensor) -> Tensor:
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a width-n vector to every row of an (m, n) matrix."""
+    """Add a width-n vector to every row of an (m, n) matrix or (B, m, n) batch."""
     _check(x, "x", "add_rowvec"); _check(v, "v", "add_rowvec")
     xd, vd = x.data, v.data
-    if xd.ndim != 2 or vd.ndim != 1 or xd.shape[1] != vd.shape[0]:
+    if xd.ndim not in (2, 3) or vd.ndim != 1 or xd.shape[-1] != vd.shape[0]:
         raise ValueError(f"add_rowvec: {xd.shape} + row {vd.shape}")
 
     def vjp(g):
-        return g, g.sum(axis=0)
+        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
     return _make(xd + vd, (x, v), vjp, "add_rowvec")
 
 
@@ -540,6 +647,18 @@ def sub_colvec(x: Tensor, v: Tensor) -> Tensor:
     def vjp(g):
         return g, -g.sum(axis=1)
     return _make(xd - vd[:, None], (x, v), vjp, "sub_colvec")
+
+
+def mul_colvec(x: Tensor, v: Tensor) -> Tensor:
+    """Scale row i of an (m, n) matrix by v[i]."""
+    _check(x, "x", "mul_colvec"); _check(v, "v", "mul_colvec")
+    xd, vd = x.data, v.data
+    if xd.ndim != 2 or vd.ndim != 1 or xd.shape[0] != vd.shape[0]:
+        raise ValueError(f"mul_colvec: {xd.shape} * col {vd.shape}")
+
+    def vjp(g):
+        return g * vd[:, None], (g * xd).sum(axis=1)
+    return _make(xd * vd[:, None], (x, v), vjp, "mul_colvec")
 
 
 def rowmax(a: Tensor) -> Tensor:

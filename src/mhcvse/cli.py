@@ -136,9 +136,9 @@ def _cmd_retrieve(args) -> int:
     dataset = load_dataset(args.manifest, vocab=model.vocab)
     if args.image_id not in dataset.images:
         raise ValueError(f"image id {args.image_id} not in split '{dataset.split}'")
-    img, txt, image_ids, _ = model.embed_dataset(dataset)
-    row = image_ids.index(args.image_id)
-    scores = similarity_matrix(img[row:row + 1], txt)[0]
+    img, txt = model.embed([dataset.images[args.image_id]],
+                           [model.vocab.encode(tokens) for _, _, tokens in dataset.captions])
+    scores = similarity_matrix(img, txt)[0]
     order = rank_candidates(scores[None, :])[0][:args.k]
     for col in order:
         caption_id = dataset.captions[col][0]

@@ -139,14 +139,15 @@ class ConsensusHead:
 
 def consensus_embed(instance: Tensor, gcn_output: Tensor,
                     head: ConsensusHead) -> tuple[Tensor, Tensor]:
-    """Consensus embedding and concept distribution for one instance.
+    """Consensus embeddings and concept distributions for a batch of instances.
 
-    The head turns the instance vector into concept logits; their softmax
+    The head turns each instance row into concept logits; their softmax
     weights the GCN node outputs, and the mixture is L2-normalized.
-    Returns (embedding (d,), concept_dist (K,)).
+    Returns (embeddings (B, d), concept_dists (B, K)) for (B, d) rows, or
+    (d,) and (K,) for one rank-1 instance.
     """
-    if instance.ndim != 1:
-        raise ValueError("instance embedding must be rank-1")
+    if instance.ndim not in (1, 2):
+        raise ValueError("instance embeddings must be rank-1 or rank-2 rows")
     dist = softmax_rows(matmul(instance, head.predictor))
     embedding = l2_normalize_rows(matmul(dist, gcn_output))
     return embedding, dist

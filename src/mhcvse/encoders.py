@@ -5,6 +5,14 @@ side projects each precomputed region-feature row; the text side runs a
 bidirectional GRU over learned word embeddings, concatenating the two
 directions (each of width d/2) per token. Word embeddings are trained from
 scratch.
+
+Both work on a :class:`PaddedBatch`: B items of different lengths padded
+with zeros to the longest, plus a (B, n_max) mask of the real positions.
+The image side is then one (B·M, F) @ (F, d) product; the GRU steps a
+(B, d/2) state through the padded token slots, and a sequence that has
+ended holds its state, so each backward pass starts at its own last token
+from a zero state. A single ``RegionFeatures`` or ``Caption`` goes through
+the same code as a batch of one.
 """
 
 from __future__ import annotations
@@ -14,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, add_rowvec, concat, matmul, mean_rows, mul, row,
-    sigmoid, stack_rows, tanh,
+    Tensor, add, add_rowvec, concat, gather, index, masked_mean, matmul, mul,
+    reshape, sigmoid, tanh, where,
 )
 
 __all__ = [
-    "RegionFeatures", "Caption", "GruGates", "EncoderParams",
+    "RegionFeatures", "Caption", "PaddedBatch", "GruGates", "EncoderParams",
     "encode_image", "gru_step", "encode_text", "uniform_init",
 ]
 
@@ -55,6 +63,38 @@ class Caption:
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+
+@dataclass
+class PaddedBatch:
+    """B items of different lengths, padded with zeros along their first axis.
+
+    ``values`` is (B, n_max, ...) and ``mask`` (B, n_max) is True on each
+    item's real positions, which come first.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, items) -> "PaddedBatch":
+        arrays = [np.asarray(item) for item in items]
+        if not arrays:
+            raise ValueError("a batch needs at least one item")
+        if any(len(a) < 1 for a in arrays):
+            raise ValueError("every item of a batch needs at least one position")
+        tail = arrays[0].shape[1:]
+        if any(a.shape[1:] != tail for a in arrays):
+            raise ValueError("batch items differ in shape beyond their length")
+        lengths = np.array([len(a) for a in arrays])
+        values = np.zeros((len(arrays), lengths.max()) + tail,
+                          dtype=np.result_type(*arrays))
+        for i, a in enumerate(arrays):
+            values[i, :len(a)] = a
+        return cls(values, np.arange(lengths.max()) < lengths[:, None])
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 class GruGates:
@@ -118,48 +158,80 @@ class EncoderParams:
         return out
 
 
-def encode_image(features: RegionFeatures, params: EncoderParams) -> Tensor:
-    """Project region features into the embedding space: (M, F) -> (M, d)."""
-    if features.regions.shape[1] != params.image_proj.shape[0]:
+def encode_image(features: PaddedBatch | RegionFeatures,
+                 params: EncoderParams) -> Tensor:
+    """Project region features into the embedding space.
+
+    A padded batch (B, M, F) gives (B, M, d), as one (B·M, F) @ (F, d)
+    product; one ``RegionFeatures`` (M, F) gives (M, d). Padded rows come
+    out as the bias alone and are left to the caller's mask.
+    """
+    if isinstance(features, RegionFeatures):
+        seq = encode_image(PaddedBatch.of([features.regions]), params)
+        return reshape(seq, seq.shape[1:])
+    regions = features.values
+    if regions.ndim != 3 or regions.shape[2] != params.image_proj.shape[0]:
         raise ValueError(
-            f"feature width {features.regions.shape[1]} != projection input "
+            f"region batch {regions.shape} does not match projection input "
             f"{params.image_proj.shape[0]}")
-    projected = matmul(Tensor(features.regions), params.image_proj)
-    return add_rowvec(projected, params.image_bias)
+    return add_rowvec(matmul(Tensor(regions), params.image_proj), params.image_bias)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
-    """One GRU step: h_t = (1 - z_t) * h_prev + z_t * h_cand."""
-    z = sigmoid(add(add(matmul(x_t, gates.w_z), matmul(h_prev, gates.u_z)), gates.b_z))
-    r = sigmoid(add(add(matmul(x_t, gates.w_r), matmul(h_prev, gates.u_r)), gates.b_r))
-    cand = tanh(add(add(matmul(x_t, gates.w_h),
-                        matmul(mul(r, h_prev), gates.u_h)), gates.b_h))
+    """One GRU step over rows: h_t = (1 - z_t) * h_prev + z_t * h_cand.
+
+    x_t is (B, d_in) and h_prev (B, d_hidden); rank-1 operands are one row.
+    """
+    if x_t.ndim == 1:
+        h = gru_step(reshape(x_t, (1, -1)), reshape(h_prev, (1, -1)), gates)
+        return reshape(h, h.shape[1:])
+    z = sigmoid(add_rowvec(add(matmul(x_t, gates.w_z), matmul(h_prev, gates.u_z)),
+                           gates.b_z))
+    r = sigmoid(add_rowvec(add(matmul(x_t, gates.w_r), matmul(h_prev, gates.u_r)),
+                           gates.b_r))
+    cand = tanh(add_rowvec(add(matmul(x_t, gates.w_h),
+                               matmul(mul(r, h_prev), gates.u_h)), gates.b_h))
     return add(mul(1.0 - z, h_prev), mul(z, cand))
 
 
-def _run_direction(embedded: list[Tensor], gates: GruGates, d_hidden: int) -> list[Tensor]:
-    h = Tensor(np.zeros(d_hidden))
-    states = []
-    for x_t in embedded:
-        h = gru_step(x_t, h, gates)
-        states.append(h)
+def _run_direction(steps: list[Tensor], mask: np.ndarray, gates: GruGates,
+                   reverse: bool) -> list[Tensor]:
+    """States (B, d_hidden) per token slot; a row past its end holds its state."""
+    h = Tensor(np.zeros((mask.shape[0], gates.u_z.shape[0])))
+    states = [None] * len(steps)
+    for t in (range(len(steps) - 1, -1, -1) if reverse else range(len(steps))):
+        h_next = gru_step(steps[t], h, gates)
+        live = mask[:, t]
+        h = h_next if live.all() else where(live[:, None], h_next, h)
+        states[t] = h
     return states
 
 
-def encode_text(caption: Caption, params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Bi-GRU over the caption tokens.
+def encode_text(caption: PaddedBatch | Caption,
+                params: EncoderParams) -> tuple[Tensor, Tensor]:
+    """Bi-GRU over token ids.
 
-    Returns the per-token states (L, d) and their mean over L as the pooled
-    sentence vector (d,). Each token state is the concatenation of the
-    forward state at t and the backward state at t.
+    For a padded batch of ids (B, L) returns the per-token states (B, L, d)
+    and their masked mean (B, d) as the pooled sentence vector; for one
+    ``Caption`` the states are (L, d) and the sentence vector (d,). Each
+    token state is the concatenation of the forward state at t and the
+    backward state at t.
     """
+    if isinstance(caption, Caption):
+        states, pooled = encode_text(PaddedBatch.of([caption.token_ids]), params)
+        return reshape(states, states.shape[1:]), reshape(pooled, pooled.shape[1:])
+    ids, mask = caption.values, caption.mask
     vocab_size = params.word_embedding.shape[0]
-    for tid in caption.token_ids:
-        if not 0 <= tid < vocab_size:
-            raise ValueError(f"token id {tid} outside vocabulary of {vocab_size}")
-    d_hidden = params.gru_forward.u_z.shape[0]
-    embedded = [row(params.word_embedding, tid) for tid in caption.token_ids]
-    fwd = _run_direction(embedded, params.gru_forward, d_hidden)
-    bwd = _run_direction(embedded[::-1], params.gru_backward, d_hidden)[::-1]
-    states = stack_rows([concat([f, b]) for f, b in zip(fwd, bwd)])
-    return states, mean_rows(states)
+    bad = (ids < 0) | (ids >= vocab_size)
+    if np.any(bad & mask):
+        raise ValueError(f"token id {ids[bad & mask][0]} outside vocabulary "
+                         f"of {vocab_size}")
+    # time-major, so that each step's (B, d) input is one slab
+    embedded = gather(params.word_embedding, ids.T)
+    steps = [index(embedded, t) for t in range(ids.shape[1])]
+    fwd = _run_direction(steps, mask, params.gru_forward, reverse=False)
+    bwd = _run_direction(steps, mask, params.gru_backward, reverse=True)
+    b, length = ids.shape
+    states = reshape(concat([h for pair in zip(fwd, bwd) for h in pair]),
+                     (b, length, -1))
+    return states, masked_mean(states, mask)

@@ -11,7 +11,8 @@ Three strategies plus an escape hatch, all L2-normalized on the way out:
   parameters shared across instances.
 
 The model fuses each modality's instance-level embedding with its
-consensus-level embedding; the operator itself just combines two vectors.
+consensus-level embedding; the operator combines two (B, d) batches row by
+row, and a pair of rank-1 vectors is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, concat, index, l2_normalize_rows, matmul, mul, sigmoid,
-    softmax_rows,
+    Tensor, add, concat, index, l2_normalize_rows, matmul, mul, mul_colvec,
+    reshape, sigmoid, softmax_rows, transpose,
 )
 from .encoders import uniform_init
 
@@ -68,7 +69,7 @@ class FusionParams:
 
 @dataclass
 class FusedEmbedding:
-    """L2-normalized fused vector: width 2d for concat, d otherwise."""
+    """L2-normalized fused rows: width 2d for concat, d otherwise."""
 
     vector: Tensor
     fuse_type: str
@@ -76,7 +77,10 @@ class FusedEmbedding:
 
 def fusion_weights(v_image: Tensor, v_text: Tensor,
                    params: FusionParams) -> np.ndarray | None:
-    """The (w_image, w_text) pair as plain values, for inspection; None for concat."""
+    """The (w_image, w_text) pair as plain values, for inspection; None for concat.
+
+    weight_sum gives one pair per row of (B, d) operands.
+    """
     if params.fuse_type == "adap_sum":
         a = sigmoid(params.alpha_raw).item()
         return np.array([a, 1.0 - a])
@@ -89,11 +93,17 @@ def fusion_weights(v_image: Tensor, v_text: Tensor,
 
 
 def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> FusedEmbedding:
-    """Combine two width-d vectors per the configured strategy."""
-    if v_image.ndim != 1 or v_text.ndim != 1:
-        raise ValueError("fuse operands must be rank-1")
+    """Combine two (B, d) batches row by row per the configured strategy.
+
+    Two rank-1 vectors are fused as a batch of one and give a rank-1 result.
+    """
+    if v_image.ndim not in (1, 2) or v_text.ndim != v_image.ndim:
+        raise ValueError("fuse operands must both be rank-1 or both (B, d) rows")
     if v_image.shape != v_text.shape:
         raise ValueError(f"fuse width mismatch {v_image.shape} vs {v_text.shape}")
+    if v_image.ndim == 1:
+        fused = fuse(reshape(v_image, (1, -1)), reshape(v_text, (1, -1)), params)
+        return FusedEmbedding(reshape(fused.vector, (-1,)), fused.fuse_type)
     ft = params.fuse_type
     if ft == "concat":
         vec = concat([v_image, v_text])
@@ -102,8 +112,8 @@ def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> FusedEmbeddin
         vec = add(mul(v_image, a), mul(v_text, 1.0 - a))
     elif ft == "weight_sum":
         logits = matmul(concat([v_image, v_text]), params.weight_net)
-        w = softmax_rows(logits)
-        vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))
+        w = transpose(softmax_rows(logits))
+        vec = add(mul_colvec(v_image, index(w, 0)), mul_colvec(v_text, index(w, 1)))
     elif ft == "global_weight_sum":
         w = softmax_rows(params.global_logits)
         vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))

@@ -16,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import MhsaParams, multi_head
+from .attention import MhsaParams, attend_and_pool, multi_head
 from .autodiff import Tape, Tensor
 from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
-from .encoders import (Caption, EncoderParams, GruGates, RegionFeatures, encode_image,
-                       encode_text, gru_step, uniform_init)
+from .encoders import (Caption, EncoderParams, GruGates, PaddedBatch, RegionFeatures,
+                       encode_image, encode_text, gru_step, uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -209,7 +209,48 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         return out
 
     results["loss_total"] = gradient_check(total, params)
+
+    # the Bi-GRU over a padded batch: lengths 1, l and 2
+    ids = PaddedBatch.of([[3], list(rng.integers(0, vocab, size=l)), [5, 1]])
+    proj = rng.normal(size=(3, l, d))
+    results["encode_text_padded"] = gradient_check(
+        lambda: _project(encode_text(ids, enc)[0], proj * ids.mask[:, :, None]),
+        enc.named_parameters("encoder"))
+
+    # masked attention pooling over a padded batch: lengths m, 1 and 2
+    xs = Tensor(rng.normal(size=(3, m, d)))
+    mask = np.arange(m) < np.array([m, 1, 2])[:, None]
+    proj = rng.normal(size=(3, d))
+    params = dict(attn.named_parameters("attn"), x=xs)
+    results["attend_and_pool_masked"] = gradient_check(
+        lambda: _project(attend_and_pool(xs, attn, mask), proj), params)
+
+    # the batched and masked ops one by one
+    for name, op, shape in _op_cases(mask):
+        t = Tensor(rng.normal(size=shape))
+        proj = rng.normal(size=op(t).shape)
+        results[f"op_{name}"] = gradient_check(lambda: _project(op(t), proj), {name: t})
     return results
+
+
+def _op_cases(mask: np.ndarray):
+    """(name, op of one tensor, input shape) for the ops of the batched path;
+    ``mask`` is a (3, n) padding mask."""
+    n = mask.shape[1]
+    w = np.linspace(-1.0, 1.0, 3 * 4 * 5).reshape(3, 4, 5)
+    return [
+        ("batched_matmul", lambda t: ad.matmul(t, Tensor(w)), (3, 2, 4)),
+        ("shared_matmul", lambda t: ad.matmul(t, Tensor(w[0])), (3, 2, 4)),
+        ("masked_softmax", lambda t: ad.softmax_rows(t, mask[:, None, :]), (3, 2, n)),
+        ("masked_mean", lambda t: ad.masked_mean(t, mask), (3, n, 2)),
+        ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
+        ("where", lambda t: ad.where(mask[:, :1], t, ad.tanh(t)), (3, 2)),
+        ("split_heads", lambda t: ad.split_heads(t, 2), (3, 2, 4)),
+        ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2)),
+        ("mul_colvec", lambda t: ad.mul_colvec(t, Tensor(w[0, :, 0])), (4, 2)),
+        ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
+        ("index", lambda t: ad.index(t, 1), (3, 2, 2)),
+    ]
 
 
 def _random_graph(rng: np.random.Generator, k: int, d: int) -> ConceptGraph:

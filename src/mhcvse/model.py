@@ -1,14 +1,18 @@
 """The full matching model: encoders, per-modality self-attention, consensus
 GCN, and per-modality fusion of the instance and consensus levels.
 
-Per instance the forward pass produces, for each modality:
+For a batch of instances the forward pass produces, for each modality:
 
-* an instance-level embedding (attention-pooled encoder output),
-* a consensus-level embedding plus its concept distribution,
-* a fused embedding combining the two levels.
+* instance-level embeddings (attention-pooled encoder output),
+* consensus-level embeddings plus their concept distributions,
+* fused embeddings combining the two levels.
 
-Training compares image-side and text-side embeddings level by level;
-retrieval scores whichever level the config selects (fused by default).
+Each modality's items are padded into one :class:`PaddedBatch`, so training
+and inference run the same batched, masked code; a single query is a batch
+of one. Training compares image-side and text-side embeddings level by
+level; retrieval scores whichever level the config selects (fused by
+default). Inference embeds items in length-sorted chunks bounded by padded
+size (:data:`CHUNK_CAP`) and returns rows in the order given.
 
 A saved model is two files. The checkpoint is little-endian binary: magic
 ``MHCV``, version u32, then one record per tensor (name length u32 +
@@ -28,12 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MhsaParams, attend_and_pool
-from .autodiff import Tensor, l2_normalize_rows, matmul, stack_rows, transpose
+from .autodiff import Tensor, l2_normalize_rows, matmul, transpose
 from .config import TrainConfig, format_config_text, parse_config_text
 from .consensus import (ConceptGraph, ConsensusHead, GcnParams, consensus_embed,
                         gcn_forward)
 from .data import BinaryReader, Dataset, InstancePair, Vocabulary
-from .encoders import Caption, EncoderParams, RegionFeatures, encode_image, encode_text
+from .encoders import EncoderParams, PaddedBatch, RegionFeatures, encode_image, encode_text
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
@@ -43,6 +47,18 @@ __all__ = ["Model", "BatchEmbeddings", "save_model", "load_model",
 
 CHECKPOINT_MAGIC = b"MHCV"
 CHECKPOINT_VERSION = 1
+
+# Inference embeds items in length-sorted chunks. A chunk of b items padded
+# to n positions holds about b*n*(d + h*n) floats in each attention layer:
+# (b, n, d) activations plus h score matrices of n x n per item. CHUNK_CAP
+# bounds that product, so the working set follows padded size, not item
+# count. Sized on the bench gallery workload (64 images of 10-100 regions,
+# 320 captions of 6-19 tokens, d = 128, h = 8): after 27 gallery passes
+# peak RSS was 59.5 MB at this cap and 60.6 MB at twice it; a cap on
+# b*n**2 alone let 277 six-token captions share a chunk and peaked at
+# 63-68 MB. Here a 100-region image goes alone, 5 captions of 19 tokens
+# share a chunk, and a canonical split (16 items of 6) is one chunk.
+CHUNK_CAP = 30_000
 
 
 @dataclass
@@ -121,35 +137,30 @@ class Model:
     # ------------------------------------------------------------------
     # forward passes
 
-    def _image_levels(self, regions: np.ndarray, gcn_out: Tensor):
-        seq = encode_image(RegionFeatures(regions), self.encoder)
-        v = attend_and_pool(seq, self.attn_image)
-        c, p = consensus_embed(v, gcn_out, self.head_image)
-        f = fuse(v, c, self.fusion).vector
-        return v, c, f, p
+    def _image_levels(self, regions: list[np.ndarray], gcn_out: Tensor):
+        batch = PaddedBatch.of([RegionFeatures(r).regions for r in regions])
+        seq = encode_image(batch, self.encoder)
+        return self._levels(seq, batch.mask, self.attn_image, self.head_image, gcn_out)
 
-    def _text_levels(self, token_ids: list[int], gcn_out: Tensor):
-        seq, _ = encode_text(Caption(token_ids), self.encoder)
-        v = attend_and_pool(seq, self.attn_text)
-        c, p = consensus_embed(v, gcn_out, self.head_text)
+    def _text_levels(self, token_ids: list[list[int]], gcn_out: Tensor):
+        batch = PaddedBatch.of(token_ids)
+        seq, _ = encode_text(batch, self.encoder)
+        return self._levels(seq, batch.mask, self.attn_text, self.head_text, gcn_out)
+
+    def _levels(self, seq: Tensor, mask: np.ndarray, attn: MhsaParams,
+                head: ConsensusHead, gcn_out: Tensor):
+        v = attend_and_pool(seq, attn, mask)
+        c, p = consensus_embed(v, gcn_out, head)
         f = fuse(v, c, self.fusion).vector
         return v, c, f, p
 
     def batch_forward(self, pairs: list[InstancePair]) -> BatchEmbeddings:
         """All three embedding levels for a batch, ready for the losses."""
         gcn_out = gcn_forward(self.graph, self.gcn)
-        vi, vt, ci, ct, fi, ft, pi, pt = [], [], [], [], [], [], [], []
-        for pair in pairs:
-            v, c, f, p = self._image_levels(pair.regions, gcn_out)
-            vi.append(v); ci.append(c); fi.append(f); pi.append(p)
-            v, c, f, p = self._text_levels(pair.token_ids, gcn_out)
-            vt.append(v); ct.append(c); ft.append(f); pt.append(p)
-        return BatchEmbeddings(
-            v_image=stack_rows(vi), v_text=stack_rows(vt),
-            c_image=stack_rows(ci), c_text=stack_rows(ct),
-            f_image=stack_rows(fi), f_text=stack_rows(ft),
-            p_image=stack_rows(pi), p_text=stack_rows(pt),
-        )
+        vi, ci, fi, pi = self._image_levels([p.regions for p in pairs], gcn_out)
+        vt, ct, ft, pt = self._text_levels([p.token_ids for p in pairs], gcn_out)
+        return BatchEmbeddings(v_image=vi, v_text=vt, c_image=ci, c_text=ct,
+                               f_image=fi, f_text=ft, p_image=pi, p_text=pt)
 
     def loss_terms(self, pairs: list[InstancePair]) -> LossTerms:
         """The four dynamically weighted training terms for one batch."""
@@ -170,22 +181,37 @@ class Model:
     # inference embeddings (no tape, plain arrays)
 
     def embed_image(self, regions: np.ndarray, level: str = "fused") -> np.ndarray:
-        gcn_out = gcn_forward(self.graph, self.gcn)
-        return self._level_vector(self._image_levels(regions, gcn_out), level)
+        return self.embed([regions], [], level)[0][0]
 
     def embed_caption(self, token_ids: list[int], level: str = "fused") -> np.ndarray:
-        gcn_out = gcn_forward(self.graph, self.gcn)
-        return self._level_vector(self._text_levels(token_ids, gcn_out), level)
+        return self.embed([], [token_ids], level)[1][0]
 
-    @staticmethod
-    def _level_vector(levels, level: str) -> np.ndarray:
+    def embed(self, images: list[np.ndarray], captions: list[list[int]],
+              level: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Rows for region arrays and token-id lists, in the order given.
+
+        Returns (image rows (len(images), d'), caption rows
+        (len(captions), d')) at ``level`` (the config's if None).
+        """
+        level = level if level is not None else self.config.retrieval_level
         if level not in RETRIEVAL_LEVELS:
             raise ValueError(f"unknown retrieval level '{level}' "
                              f"(one of {RETRIEVAL_LEVELS})")
-        v, c, f, _ = levels
-        if level == "instance":
-            return l2_normalize_rows(v).data
-        return (f if level == "fused" else c).data
+        gcn_out = gcn_forward(self.graph, self.gcn)
+        return (self._embed_rows(self._image_levels, images, level, gcn_out),
+                self._embed_rows(self._text_levels, captions, level, gcn_out))
+
+    def _embed_rows(self, levels_of, items: list, level: str, gcn_out: Tensor) -> np.ndarray:
+        rows = None
+        for chunk in _chunks([len(item) for item in items], self.config.embed_dim,
+                             self.config.heads):
+            v, c, f, _ = levels_of([items[i] for i in chunk], gcn_out)
+            out = l2_normalize_rows(v) if level == "instance" else (
+                f if level == "fused" else c)
+            if rows is None:
+                rows = np.empty((len(items), out.shape[1]))
+            rows[chunk] = out.data
+        return rows if rows is not None else np.empty((0, 0))
 
     def embed_dataset(self, dataset: Dataset, level: str | None = None):
         """Embeddings for every image and caption of a split.
@@ -194,18 +220,26 @@ class Model:
         caption_owner) where caption_owner[j] is the row in image_ids of
         caption j's image.
         """
-        level = level if level is not None else self.config.retrieval_level
-        gcn_out = gcn_forward(self.graph, self.gcn)
         image_ids = dataset.image_ids
-        img_rows = [self._level_vector(
-            self._image_levels(dataset.images[i], gcn_out), level)
-            for i in image_ids]
-        txt_rows = [self._level_vector(
-            self._text_levels(self.vocab.encode(tokens), gcn_out), level)
-            for _, _, tokens in dataset.captions]
+        img_rows, txt_rows = self.embed(
+            [dataset.images[i] for i in image_ids],
+            [self.vocab.encode(tokens) for _, _, tokens in dataset.captions], level)
         img_pos = {img: i for i, img in enumerate(image_ids)}
         owner = np.array([img_pos[img] for _, img, _ in dataset.captions])
-        return np.stack(img_rows), np.stack(txt_rows), image_ids, owner
+        return img_rows, txt_rows, image_ids, owner
+
+
+def _chunks(lengths: list[int], width: int, heads: int) -> list[list[int]]:
+    """Item indices in length-sorted chunks of b items padded to n with
+    b*n*(width + heads*n) <= CHUNK_CAP; an item over the cap goes alone."""
+    chunks: list[list[int]] = []
+    for i in np.argsort(lengths, kind="stable").tolist():
+        n = lengths[i]
+        if chunks and (len(chunks[-1]) + 1) * n * (width + heads * n) <= CHUNK_CAP:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 # ---------------------------------------------------------------------------

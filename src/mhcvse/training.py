@@ -81,6 +81,21 @@ def _batches(order: np.ndarray, batch_size: int):
             yield chunk
 
 
+def _train_step(model, params, batch, adam: AdamState, lr: float):
+    """Forward, backward and Adam on one batch; returns the four loss terms
+    and the total, and the effective weights, as floats.
+
+    A function of its own so that the step's tape, gradients and every
+    array they hold are released on return, before the next forward pass.
+    """
+    with Tape() as tape:
+        terms = model.loss_terms(batch)
+    values = (*terms.values(), terms.total.item())
+    if math.isfinite(values[-1]):
+        adam_step(params, tape.backward(terms.total), adam, lr)
+    return values, terms.effective_weights
+
+
 def train_epoch(model, pairs, adam: AdamState, schedule: LrSchedule,
                 rng: np.random.Generator, epoch: int) -> EpochStats:
     """One seeded-shuffle pass over the training pairs."""
@@ -92,19 +107,15 @@ def train_epoch(model, pairs, adam: AdamState, schedule: LrSchedule,
     n_batches = 0
     lr = lr_at(schedule, adam.step)
     for batch_idx in _batches(order, cfg.batch_size):
-        batch = [pairs[i] for i in batch_idx]
-        with Tape() as tape:
-            terms = model.loss_terms(batch)
-        total = terms.total.item()
-        if not math.isfinite(total):
+        lr = lr_at(schedule, adam.step)
+        values, lambdas = _train_step(model, params, [pairs[i] for i in batch_idx],
+                                      adam, lr)
+        if not math.isfinite(values[-1]):
             raise RuntimeError(
                 f"non-finite loss at epoch {epoch}, batch {n_batches}; "
                 f"pair indices {batch_idx.tolist()}")
-        grads = tape.backward(terms.total)
-        lr = lr_at(schedule, adam.step)
-        adam_step(params, grads, adam, lr)
-        sums += np.array([*terms.values(), total])
-        lam_sums += np.array(terms.effective_weights)
+        sums += np.array(values)
+        lam_sums += np.array(lambdas)
         n_batches += 1
     if n_batches == 0:
         raise ValueError("training set yields no batch of size >= 2")

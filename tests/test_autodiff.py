@@ -1,5 +1,6 @@
 """Tensor engine tests: op semantics, gradients vs finite differences, Adam."""
 
+import tracemalloc
 import zlib
 
 import mpmath
@@ -329,26 +330,48 @@ OP_CASES = [
     ("relu", ad.relu, (3, 4), _keep_off_kinks),
     ("log", ad.log, (3, 4), _keep_positive),
     ("sum", ad.sum, (3, 4), None),
-    ("mean_rows", ad.mean_rows, (3, 4), None),
+    ("masked_mean", lambda t: ad.masked_mean(t, _MASK), (3, 4, 2), None),
     ("concat_r2", lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]),
      (3, 4), None),
     ("concat_r1", lambda t: ad.concat([t, Tensor(_W[0, :3])]), (4,), None),
-    ("stack_rows", lambda t: ad.stack_rows([t, Tensor(_W[0, :4]), ad.tanh(t)]),
-     (4,), None),
-    ("row", lambda t: ad.row(t, 2), (4, 3), None),
     ("index", lambda t: ad.index(t, 1), (4,), None),
+    ("index_r2", lambda t: ad.index(t, 2), (4, 3), None),
+    ("index_r3", lambda t: ad.index(t, 0), (2, 3, 4), None),
+    ("reshape", lambda t: ad.reshape(t, (3, 2, 2)), (3, 4), None),
+    ("gather", lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3), None),
+    ("where", lambda t: ad.where(_MASK[:, :, None], t, ad.tanh(t)), (3, 4, 2), None),
+    ("split_heads", lambda t: ad.split_heads(t, 2), (2, 3, 4), None),
+    ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2), None),
+    ("transpose_r3", ad.transpose, (2, 3, 4), None),
+    ("matmul_32", lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4), None),
+    ("matmul_32_rhs", lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+     (4, 3), None),
+    ("matmul_33", lambda t: ad.matmul(t, Tensor(_W[:4, :6].reshape(2, 4, 3))),
+     (2, 5, 4), None),
+    ("matmul_33_rhs", lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+     (2, 4, 3), None),
     ("softmax_r2", ad.softmax_rows, (3, 4), None),
     ("softmax_r1", ad.softmax_rows, (5,), None),
+    ("masked_softmax", lambda t: ad.softmax_rows(t, _MASK[:, None, :]),
+     (3, 2, 4), None),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4), _keep_off_kinks),
     ("diag_part", ad.diag_part, (4, 4), None),
     ("add_rowvec", lambda t: ad.add_rowvec(t, Tensor(_W[0, :4])), (3, 4), None),
     ("add_rowvec_v", lambda t: ad.add_rowvec(Tensor(_W[:3, :4]), t), (4,), None),
+    ("add_rowvec_r3", lambda t: ad.add_rowvec(t, Tensor(_W[0, :4])), (2, 3, 4), None),
+    ("add_rowvec_r3_v", lambda t: ad.add_rowvec(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+     (4,), None),
     ("sub_colvec", lambda t: ad.sub_colvec(t, Tensor(_W[0, :3])), (3, 4), None),
     ("sub_colvec_v", lambda t: ad.sub_colvec(Tensor(_W[:3, :4]), t), (3,), None),
+    ("mul_colvec", lambda t: ad.mul_colvec(t, Tensor(_W[0, :3])), (3, 4), None),
+    ("mul_colvec_v", lambda t: ad.mul_colvec(Tensor(_W[:3, :4]), t), (3,), None),
     ("rowmax", ad.rowmax, (3, 4), _keep_off_kinks),
 ]
 
 _W = np.random.default_rng(99).normal(size=(6, 6))
+# three padded items of lengths 4, 1 and 3
+_MASK = np.array([[True, True, True, True], [True, False, False, False],
+                  [True, True, True, False]])
 
 
 class TestGradientsVsFiniteDifferences:
@@ -388,10 +411,6 @@ class TestShapeGuards:
         with pytest.raises(ZeroDivisionError):
             ad.div_scalar(Tensor([1.0]), 0.0)
 
-    def test_mean_rows_rank(self):
-        with pytest.raises(ValueError):
-            ad.mean_rows(Tensor([1.0, 2.0]))
-
     def test_concat_errors(self):
         with pytest.raises(ValueError):
             ad.concat([])
@@ -400,21 +419,13 @@ class TestShapeGuards:
         with pytest.raises(ValueError):
             ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
 
-    def test_stack_rows_errors(self):
-        with pytest.raises(ValueError):
-            ad.stack_rows([])
-        with pytest.raises(ValueError):
-            ad.stack_rows([Tensor(np.zeros((2, 2)))])
-        with pytest.raises(ValueError):
-            ad.stack_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
-
     def test_row_index_bounds(self):
         with pytest.raises(ValueError):
-            ad.row(Tensor(np.zeros((2, 2))), 2)
+            ad.index(Tensor(np.zeros((2, 2))), 2)
         with pytest.raises(ValueError):
             ad.index(Tensor(np.zeros(2)), -1)
         with pytest.raises(ValueError):
-            ad.row(Tensor(np.zeros(3)), 0)
+            ad.index(Tensor(0.0), 0)
 
     def test_diag_part_square_only(self):
         with pytest.raises(ValueError):
@@ -429,6 +440,76 @@ class TestShapeGuards:
     def test_rowmax_rank(self):
         with pytest.raises(ValueError):
             ad.rowmax(Tensor([1.0, 2.0]))
+
+    def test_batched_matmul_shapes(self):
+        with pytest.raises(ValueError, match="batch sizes"):
+            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ValueError, match="inner dims"):
+            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2))))
+        with pytest.raises(ValueError, match="rank"):
+            ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4, 5))))
+
+    def test_masked_op_guards(self):
+        with pytest.raises(ValueError, match="every entry masked"):
+            ad.softmax_rows(Tensor(np.zeros((2, 3))), np.zeros((1, 3), dtype=bool))
+        with pytest.raises(ValueError, match="no real rows"):
+            ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.array([[True] * 3, [False] * 3]))
+        with pytest.raises(ValueError, match="mask"):
+            ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.ones((2, 2), dtype=bool))
+
+    def test_gather_where_and_head_guards(self):
+        with pytest.raises(ValueError, match="outside"):
+            ad.gather(Tensor(np.zeros((3, 2))), np.array([0, 3]))
+        with pytest.raises(ValueError, match="integer"):
+            ad.gather(Tensor(np.zeros((3, 2))), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            ad.where(np.array([True]), Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError):
+            ad.split_heads(Tensor(np.zeros((2, 3, 5))), 2)
+        with pytest.raises(ValueError):
+            ad.merge_heads(Tensor(np.zeros((3, 3, 2))), 2)
+        with pytest.raises(ValueError):
+            ad.reshape(Tensor(np.zeros(16)), (2, 2, 2, 2))
+
+
+class TestMaskedSemantics:
+    def test_masked_softmax_matches_softmax_of_the_real_entries(self):
+        x = np.random.default_rng(3).normal(size=(2, 5))
+        mask = np.array([[True, True, True, False, False], [True] * 5])
+        y = ad.softmax_rows(Tensor(x), mask).data
+        assert_allclose(y[0, :3], ad.softmax_rows(Tensor(x[0, :3])).data, rtol=0, atol=0)
+        assert np.all(y[0, 3:] == 0.0)
+        assert_allclose(y[1], ad.softmax_rows(Tensor(x[1])).data, rtol=0, atol=0)
+
+    def test_gather_adds_repeated_ids(self):
+        table = Tensor(np.arange(6.0).reshape(3, 2))
+        with Tape() as tape:
+            grads = tape.backward(ad.sum(ad.gather(table, np.array([[2, 0], [2, 2]]))))
+        assert_allclose(grads[table], [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]], rtol=0, atol=0)
+
+
+class TestTapeMemory:
+    def test_backward_peak_does_not_grow_with_the_chain(self):
+        size = 100_000
+        one = 8 * size
+
+        def backward_peak(n):
+            x = Tensor(np.ones(size))
+            with Tape() as tape:
+                y = x
+                for _ in range(n):
+                    y = ad.mul_scalar(y, 1.0001)
+                loss = ad.sum(y)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = backward_peak(10), backward_peak(40)
+        assert long < 4 * one
+        assert long < short + one
 
 
 class TestSpecialValues:

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset
@@ -140,6 +141,20 @@ class TestRetrieve:
             assert int(cid) in caption_ids
             scores.append(float(score))
         assert scores == sorted(scores, reverse=True)
+
+    def test_embeds_only_the_requested_image(self, workspace, monkeypatch):
+        data, run, _ = workspace
+        embedded = []
+        real = mhcvse.model.encode_image
+        monkeypatch.setattr(mhcvse.model, "encode_image",
+                            lambda batch, enc: (embedded.append(len(batch)),
+                                                real(batch, enc))[1])
+        train_ds = load_dataset(data / "train.manifest.json")
+        assert len(train_ds.image_ids) > 1
+        assert main(["retrieve", "--checkpoint", str(run / "checkpoint.mhcv"),
+                     "--manifest", str(data / "train.manifest.json"),
+                     "--image-id", str(train_ds.image_ids[1])]) == 0
+        assert sum(embedded) == 1
 
     def test_unknown_image_id_exits_one(self, workspace, capsys):
         data, run, _ = workspace

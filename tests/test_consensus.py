@@ -209,12 +209,23 @@ class TestConsensusEmbed:
         emb, _ = consensus_embed(instance, gcn_out, head)
         assert abs(np.linalg.norm(emb.data) - 1.0) <= 1e-12
 
-    def test_rank2_instance_rejected(self):
+    def test_rank3_instance_rejected(self):
         rng = np.random.default_rng(10)
         gcn_out = Tensor(rng.normal(size=(3, 4)))
         head = ConsensusHead.init(rng, 4, 3)
-        with pytest.raises(ValueError, match="rank-1"):
-            consensus_embed(Tensor(rng.normal(size=(2, 4))), gcn_out, head)
+        with pytest.raises(ValueError, match="rank-1 or rank-2"):
+            consensus_embed(Tensor(rng.normal(size=(2, 2, 4))), gcn_out, head)
+
+    def test_rows_match_one_instance_at_a_time(self):
+        rng = np.random.default_rng(11)
+        gcn_out = Tensor(rng.normal(size=(3, 4)))
+        head = ConsensusHead.init(rng, 4, 3)
+        rows = rng.normal(size=(5, 4))
+        emb, dist = consensus_embed(Tensor(rows), gcn_out, head)
+        for i, r in enumerate(rows):
+            e1, d1 = consensus_embed(Tensor(r), gcn_out, head)
+            assert_allclose(emb.data[i], e1.data, rtol=0, atol=1e-12)
+            assert_allclose(dist.data[i], d1.data, rtol=0, atol=1e-12)
 
     def test_relabeling_concepts_leaves_embedding_unchanged(self):
         # permuting concept order, adjacency, node features, and predictor

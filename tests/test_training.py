@@ -2,6 +2,7 @@
 
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 
 from tinymodel import snapshot, states_equal, tiny_setup
 
-from mhcvse.autodiff import AdamState, set_finite_checks
+import mhcvse.training
+from mhcvse.autodiff import AdamState, Tape, set_finite_checks
 from mhcvse.model import load_checkpoint, save_checkpoint
 from mhcvse.training import (
     EpochStats,
@@ -76,6 +78,22 @@ class TestLrSchedule:
 
 
 class TestTrainEpoch:
+    def test_each_step_releases_its_tape_before_the_next(self, monkeypatch):
+        tapes, alive = [], []
+
+        class WatchedTape(Tape):
+            def __enter__(self):
+                alive.append([t() is not None for t in tapes])
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(mhcvse.training, "Tape", WatchedTape)
+        model, train, _ = tiny_setup(n_train=12)  # batch_size 4 -> 3 steps
+        train_epoch(model, train.pairs, AdamState(), LrSchedule(0.01, 0.0, 10),
+                    np.random.default_rng(0), epoch=1)
+        assert len(tapes) == 3
+        assert alive == [[], [False], [False, False]]
+
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         model, train, _ = tiny_setup()
         before = snapshot(model)
