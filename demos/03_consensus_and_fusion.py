@@ -52,23 +52,25 @@ print(f"gcn output: {nodes.shape} (one row per concept)")
 #    there.
 head = ConsensusHead.init(rng, d, k)
 head.predictor.data[:] = graph.concept_embeddings.data.T * 8.0
-instance = Tensor(graph.concept_embeddings.data[dog] * 3.0)
+#    Instances come as (B, d) rows; this is a batch of one.
+instance = Tensor(graph.concept_embeddings.data[dog][None] * 3.0)
 embedding, dist = consensus_embed(instance, nodes, head)
-print(f"concept distribution sums to one: {abs(dist.data.sum() - 1.0) < 1e-12}")
+embedding, dist = embedding.data[0], dist.data[0]
+print(f"concept distribution sums to one: {abs(dist.sum() - 1.0) < 1e-12}")
 print(f"consensus embedding is unit norm:  "
-      f"{abs(np.linalg.norm(embedding.data) - 1.0) < 1e-12}")
-top = int(np.argmax(dist.data))
+      f"{abs(np.linalg.norm(embedding) - 1.0) < 1e-12}")
+top = int(np.argmax(dist))
 print(f"heaviest concept for this instance: {graph.concepts[top]} "
-      f"({dist.data[top]:.3f})")
+      f"({dist[top]:.3f})")
 
-# 4. Fusion. Same two vectors, four strategies; all outputs are unit norm.
-#    concat doubles the width, the others blend with scalar weights.
-a = Tensor(rng.normal(size=d))
-b = Tensor(rng.normal(size=d))
+# 4. Fusion. Same two (1, d) rows, four strategies; all outputs are unit
+#    norm. concat doubles the width, the others blend with scalar weights.
+a = Tensor(rng.normal(size=(1, d)))
+b = Tensor(rng.normal(size=(1, d)))
 for fuse_type in ("concat", "adap_sum", "weight_sum", "global_weight_sum"):
     params = FusionParams.init(rng, d, fuse_type)
     fused = fuse(a, b, params)
     w = fusion_weights(a, b, params)
     blend = "" if w is None else f"  weights={np.round(np.ravel(w), 3)}"
-    print(f"{fuse_type:18s} -> width {fused.vector.shape[0]}, "
-          f"norm {np.linalg.norm(fused.vector.data):.6f}{blend}")
+    print(f"{fuse_type:18s} -> width {fused.shape[1]}, "
+          f"norm {np.linalg.norm(fused.data[0]):.6f}{blend}")

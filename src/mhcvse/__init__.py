@@ -12,9 +12,9 @@ from .attention import MhsaParams, attend_and_pool, multi_head, scaled_dot_atten
 from .config import TrainConfig, load_config, save_config
 from .consensus import ConceptGraph, ConsensusHead, GcnParams, build_graph, consensus_embed, gcn_forward
 from .data import Dataset, DatasetManifest, InstancePair, Vocabulary, generate_synthetic, load_dataset
-from .encoders import Caption, EncoderParams, RegionFeatures, encode_image, encode_text, gru_step
+from .encoders import EncoderParams, PaddedBatch, encode_image, encode_text, gru_step
 from .evaluation import RetrievalResult, evaluate, recall_at_k, similarity_matrix
-from .fusion import FusedEmbedding, FusionParams, fuse
+from .fusion import FusionParams, fuse
 from .gradcheck import gradient_check, run_suite
 from .losses import LossTerms, contrastive_loss, dynamic_weight, kl_loss, total_loss
 from .model import Model, load_checkpoint, load_model, save_checkpoint, save_model
@@ -30,10 +30,9 @@ __all__ = [
     "consensus_embed", "gcn_forward",
     "Dataset", "DatasetManifest", "InstancePair", "Vocabulary",
     "generate_synthetic", "load_dataset",
-    "Caption", "EncoderParams", "RegionFeatures", "encode_image",
-    "encode_text", "gru_step",
+    "EncoderParams", "PaddedBatch", "encode_image", "encode_text", "gru_step",
     "RetrievalResult", "evaluate", "recall_at_k", "similarity_matrix",
-    "FusedEmbedding", "FusionParams", "fuse",
+    "FusionParams", "fuse",
     "gradient_check", "run_suite",
     "LossTerms", "contrastive_loss", "dynamic_weight", "kl_loss", "total_loss",
     "Model", "load_checkpoint", "load_model", "save_checkpoint", "save_model",

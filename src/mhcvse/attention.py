@@ -8,7 +8,8 @@ permutation equivariant and the pooled vector is permutation invariant.
 Everything runs on padded batches (B, n, d) with a (B, n) mask of real
 rows. The heads are folded into the batch axis, (B·h, n, d_k), so one
 batched product serves every head; padded rows are masked out as keys and
-left out of the mean pool. A single (n, d) sequence is a batch of one.
+left out of the mean pool. A single (n, d) sequence is a batch of one,
+(1, n, d).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Tensor, concat, div_scalar, masked_mean, matmul, merge_heads, reshape,
+    Tensor, concat, div_scalar, masked_mean, matmul, merge_heads,
     softmax_rows, split_heads, transpose,
 )
 from .encoders import uniform_init
@@ -65,27 +66,14 @@ class MhsaParams:
         return out
 
 
-def _batched(*operands: Tensor) -> tuple[bool, list[Tensor]]:
-    """Rank-2 operands as a batch of one; whether they were single."""
-    single = operands[0].ndim == 2
-    if single:
-        operands = [reshape(t, (1,) + t.shape) for t in operands]
-    return single, list(operands)
-
-
-def _unbatched(t: Tensor, single: bool) -> Tensor:
-    return reshape(t, t.shape[1:]) if single else t
-
-
 def attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Pre-softmax scores Q K^T / sqrt(d_k), for (n, d_k) or (B, n, d_k) operands."""
-    if q.ndim not in (2, 3) or k.ndim != q.ndim or q.shape[-1] != k.shape[-1]:
+    """Pre-softmax scores Q K^T / sqrt(d_k) for (B, n, d_k) operands."""
+    if q.ndim != 3 or k.ndim != 3 or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"bad attention operand shapes {q.shape} and {k.shape}")
-    single, (q, k) = _batched(q, k)
     # scaling the (n, d_k) queries, not the (n, n) scores, saves one score
     # batch; for d_k a power of 4 (d_k = 16 by default) it is exact
     scaled = div_scalar(q, float(np.sqrt(q.shape[-1])))
-    return _unbatched(matmul(scaled, transpose(k)), single)
+    return matmul(scaled, transpose(k))
 
 
 def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
@@ -101,18 +89,17 @@ def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          key_mask: np.ndarray | None = None) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V for (n, d_k) or (B, n, d_k) operands."""
+    """softmax(Q K^T / sqrt(d_k)) V for (B, n, d_k) operands."""
     if v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
         raise ValueError(f"value rows {v.shape} do not match keys {k.shape}")
-    single, (w, v) = _batched(attention_weights(q, k, key_mask), v)
-    return _unbatched(matmul(w, v), single)
+    return matmul(attention_weights(q, k, key_mask), v)
 
 
 def _head_qkv(x: Tensor, params: MhsaParams) -> list[Tensor]:
     """Queries, keys and values of every head, (B·h, n, d_k) each, from one
     (B·n, d) @ (d, h·d_k) product per role."""
     if x.ndim != 3:
-        raise ValueError(f"multi_head needs a rank-2 or rank-3 input, got rank {x.ndim}")
+        raise ValueError(f"multi_head needs a (B, n, d) input, got rank {x.ndim}")
     if x.shape[2] != params.heads[0][0].shape[0]:
         raise ValueError(f"input width {x.shape[2]} != projection input "
                          f"{params.heads[0][0].shape[0]}")
@@ -132,33 +119,33 @@ def _key_mask(x: Tensor, mask: np.ndarray | None, heads: int) -> np.ndarray:
 
 
 def multi_head(x: Tensor, params: MhsaParams, mask: np.ndarray | None = None) -> Tensor:
-    """Self-attention over the rows of x: (B, n, d) -> (B, n, d), or (n, d) -> (n, d).
+    """Self-attention over the rows of each item: (B, n, d) -> (B, n, d).
 
     Each head projects x to (n, d_k) queries/keys/values and attends over
     the rows ``mask`` marks as real (all, if None); the concatenated head
     outputs go through W_out. Padded query rows are computed but meaningless.
     """
-    single, (x,) = _batched(x)
     h = params.head_count
     q, k, v = _head_qkv(x, params)
     heads = scaled_dot_attention(q, k, v, _key_mask(x, mask, h))
-    return _unbatched(matmul(merge_heads(heads, h), params.w_out), single)
+    return matmul(merge_heads(heads, h), params.w_out)
 
 
 def attend_and_pool(x: Tensor, params: MhsaParams,
                     mask: np.ndarray | None = None) -> Tensor:
     """Instance embedding: mean over the real rows of multi_head(x).
 
-    (B, n, d) with a (B, n) mask gives (B, d); one (n, d) sequence gives (d,).
+    (B, n, d) with a (B, n) mask (all rows real, if None) gives (B, d).
     """
-    single, (xb,) = _batched(x)
+    attended = multi_head(x, params, mask)
     if mask is None:
-        mask = np.ones(xb.shape[:2], dtype=bool)
-    return _unbatched(masked_mean(multi_head(xb, params, mask), mask), single)
+        mask = np.ones(x.shape[:2], dtype=bool)
+    return masked_mean(attended, mask)
 
 
 def head_attention_weights(x: Tensor, params: MhsaParams) -> list[np.ndarray]:
-    """Per-head attention matrices (n, n) of one (n, d) sequence, for inspection."""
-    _, (xb,) = _batched(x)
-    q, k, _ = _head_qkv(xb, params)
+    """Per-head attention matrices (n, n) of one (1, n, d) sequence, for inspection."""
+    if x.ndim != 3 or x.shape[0] != 1:
+        raise ValueError(f"head_attention_weights needs one (1, n, d) sequence, got {x.shape}")
+    q, k, _ = _head_qkv(x, params)
     return list(attention_weights(q, k).data)

@@ -241,18 +241,19 @@ def _check(t, name: str, op: str) -> None:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's rank rules for rank-1 operands.
+    """Product of two matrices or of a batch of them.
 
-    A rank-3 ``a`` is a batch: (B, n, k) @ (k, m) applies one matrix to
-    all B·n rows as a single (B·n, k) @ (k, m) product, and
-    (B, n, k) @ (B, k, m) multiplies the B pairs of matrices.
+    (n, k) @ (k, m) is one matrix product. A rank-3 ``a`` is a batch:
+    (B, n, k) @ (k, m) applies one matrix to all B·n rows as a single
+    (B·n, k) @ (k, m) product, and (B, n, k) @ (B, k, m) multiplies the B
+    pairs of matrices. No other rank pair is accepted.
     """
     _check(a, "a", "matmul"); _check(b, "b", "matmul")
     ad, bd = a.data, b.data
-    if (ad.ndim, bd.ndim) not in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 3)):
-        raise ValueError(f"matmul needs rank 1-2 operands or a rank-3 batch, "
+    if (ad.ndim, bd.ndim) not in ((2, 2), (3, 2), (3, 3)):
+        raise ValueError(f"matmul needs ranks (2, 2), (3, 2) or (3, 3), "
                          f"got {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
+    if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ValueError(f"matmul batch sizes differ: {ad.shape} @ {bd.shape}")
@@ -265,24 +266,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
         return _make(out, (a, b), vjp, "matmul")
-    out = ad @ bd
 
-    if ad.ndim == 3:
-        def vjp(g):
-            return g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g
-    elif ad.ndim == 2 and bd.ndim == 2:
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-    elif ad.ndim == 1 and bd.ndim == 2:
-        def vjp(g):
-            return bd @ g, np.outer(ad, g)
-    elif ad.ndim == 2 and bd.ndim == 1:
-        def vjp(g):
-            return np.outer(g, bd), ad.T @ g
-    else:  # dot product
-        def vjp(g):
-            return g * bd, g * ad
-    return _make(out, (a, b), vjp, "matmul")
+    def vjp(g):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+    return _make(ad @ bd, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -441,19 +428,17 @@ def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
 # shape plumbing
 
 def concat(parts) -> Tensor:
-    """Concatenate rank-1 or rank-2 tensors along the last axis."""
+    """Concatenate rank-2 tensors along the last axis."""
     parts = list(parts)
     if not parts:
         raise ValueError("concat of an empty sequence")
     for i, t in enumerate(parts):
         _check(t, f"parts[{i}]", "concat")
-    nd = parts[0].data.ndim
-    if nd not in (1, 2) or any(t.data.ndim != nd for t in parts):
-        raise ValueError("concat needs tensors of equal rank 1 or 2")
-    if nd == 2:
-        lead = parts[0].data.shape[0]
-        if any(t.data.shape[0] != lead for t in parts):
-            raise ValueError("concat: leading dims differ")
+    if any(t.data.ndim != 2 for t in parts):
+        raise ValueError("concat needs rank-2 tensors")
+    lead = parts[0].data.shape[0]
+    if any(t.data.shape[0] != lead for t in parts):
+        raise ValueError("concat: leading dims differ")
     out = np.concatenate([t.data for t in parts], axis=-1)
     offsets = np.cumsum([t.data.shape[-1] for t in parts])[:-1]
 
@@ -592,11 +577,11 @@ def softmax_rows(a: Tensor, mask=None) -> Tensor:
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
-    """Scale each row (or a single vector) to unit L2 norm; zero rows pass through."""
+    """Scale each row of a matrix to unit L2 norm; zero rows pass through."""
     _check(a, "a", "l2_normalize_rows")
     x = a.data
-    if x.ndim not in (1, 2):
-        raise ValueError(f"l2_normalize_rows needs rank 1 or 2, got rank {x.ndim}")
+    if x.ndim != 2:
+        raise ValueError(f"l2_normalize_rows needs rank 2, got rank {x.ndim}")
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     safe = np.where(norms == 0.0, 1.0, norms)
     y = x / safe

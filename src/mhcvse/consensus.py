@@ -143,11 +143,10 @@ def consensus_embed(instance: Tensor, gcn_output: Tensor,
 
     The head turns each instance row into concept logits; their softmax
     weights the GCN node outputs, and the mixture is L2-normalized.
-    Returns (embeddings (B, d), concept_dists (B, K)) for (B, d) rows, or
-    (d,) and (K,) for one rank-1 instance.
+    Returns (embeddings (B, d), concept_dists (B, K)) for (B, d) rows.
     """
-    if instance.ndim not in (1, 2):
-        raise ValueError("instance embeddings must be rank-1 or rank-2 rows")
+    if instance.ndim != 2:
+        raise ValueError(f"instance embeddings must be (B, d) rows, got {instance.shape}")
     dist = softmax_rows(matmul(instance, head.predictor))
     embedding = l2_normalize_rows(matmul(dist, gcn_output))
     return embedding, dist

@@ -107,12 +107,26 @@ class DatasetManifest:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ValueError(f"manifest {path}: invalid JSON ({err})") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"manifest {path}: expected a JSON object, "
+                             f"got {type(raw).__name__}")
         missing = {"split", "features", "captions", "images",
                    "captions_per_image"} - raw.keys()
         if missing:
             raise ValueError(f"manifest {path}: missing keys {sorted(missing)}")
+        for key in ("split", "features", "captions"):
+            if not isinstance(raw[key], str):
+                raise ValueError(f"manifest {path}: key '{key}' must be a string, "
+                                 f"got {raw[key]!r}")
+        counts = {}
+        for key in ("images", "captions_per_image"):
+            try:
+                counts[key] = int(raw[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"manifest {path}: key '{key}' must be an integer, "
+                                 f"got {raw[key]!r}") from None
         return cls(raw["split"], raw["features"], raw["captions"],
-                   int(raw["images"]), int(raw["captions_per_image"]))
+                   counts["images"], counts["captions_per_image"])
 
 
 class Dataset:
@@ -201,6 +215,9 @@ def read_features(path) -> dict[int, np.ndarray]:
         image_id, m, f = reader.unpack("<QII", "image header")
         if image_id in out:
             raise reader.error(f"repeated image id {image_id}")
+        if m == 0 or f == 0:
+            raise reader.error(f"image {image_id} has {m} regions of {f} features; "
+                               "it needs at least one of each")
         raw = reader.take(4 * m * f, f"image {image_id} values")
         out[image_id] = np.frombuffer(raw, dtype="<f4").reshape(m, f).astype(np.float64)
     if reader.left:
@@ -234,11 +251,12 @@ def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
             try:
                 image_id = int(obj["image_id"])
                 caption_id = int(obj["caption_id"])
-                tokens = list(obj["tokens"])
+                tokens = obj["tokens"]
             except (KeyError, TypeError) as err:
                 raise ValueError(f"caption file {path}, line {lineno}: "
                                  f"missing or malformed field ({err})") from None
-            if not tokens or not all(isinstance(t, str) for t in tokens):
+            if (not isinstance(tokens, list) or not tokens
+                    or not all(isinstance(t, str) for t in tokens)):
                 raise ValueError(f"caption file {path}, line {lineno}: tokens must "
                                  "be a non-empty list of strings")
             if caption_id in seen:

@@ -11,8 +11,7 @@ with zeros to the longest, plus a (B, n_max) mask of the real positions.
 The image side is then one (B·M, F) @ (F, d) product; the GRU steps a
 (B, d/2) state through the padded token slots, and a sequence that has
 ended holds its state, so each backward pass starts at its own last token
-from a zero state. A single ``RegionFeatures`` or ``Caption`` goes through
-the same code as a batch of one.
+from a zero state. A single image or caption is a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .autodiff import (
 )
 
 __all__ = [
-    "RegionFeatures", "Caption", "PaddedBatch", "GruGates", "EncoderParams",
+    "PaddedBatch", "GruGates", "EncoderParams",
     "encode_image", "gru_step", "encode_text", "uniform_init",
 ]
 
@@ -37,32 +36,6 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape))
-
-
-@dataclass
-class RegionFeatures:
-    """Precomputed region features for one image, shape (M, F), M >= 1."""
-
-    regions: np.ndarray
-
-    def __post_init__(self):
-        self.regions = np.asarray(self.regions, dtype=np.float64)
-        if self.regions.ndim != 2 or self.regions.shape[0] < 1:
-            raise ValueError(f"regions must be (M>=1, F), got {self.regions.shape}")
-
-
-@dataclass
-class Caption:
-    """One tokenized caption as vocabulary ids, length >= 1."""
-
-    token_ids: list[int]
-
-    def __post_init__(self):
-        if len(self.token_ids) < 1:
-            raise ValueError("caption must contain at least one token")
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
 
 
 @dataclass
@@ -81,7 +54,7 @@ class PaddedBatch:
         arrays = [np.asarray(item) for item in items]
         if not arrays:
             raise ValueError("a batch needs at least one item")
-        if any(len(a) < 1 for a in arrays):
+        if any(a.ndim < 1 or len(a) < 1 for a in arrays):
             raise ValueError("every item of a batch needs at least one position")
         tail = arrays[0].shape[1:]
         if any(a.shape[1:] != tail for a in arrays):
@@ -158,33 +131,27 @@ class EncoderParams:
         return out
 
 
-def encode_image(features: PaddedBatch | RegionFeatures,
-                 params: EncoderParams) -> Tensor:
+def encode_image(features: PaddedBatch, params: EncoderParams) -> Tensor:
     """Project region features into the embedding space.
 
     A padded batch (B, M, F) gives (B, M, d), as one (B·M, F) @ (F, d)
-    product; one ``RegionFeatures`` (M, F) gives (M, d). Padded rows come
-    out as the bias alone and are left to the caller's mask.
+    product. Padded rows come out as the bias alone and are left to the
+    caller's mask.
     """
-    if isinstance(features, RegionFeatures):
-        seq = encode_image(PaddedBatch.of([features.regions]), params)
-        return reshape(seq, seq.shape[1:])
     regions = features.values
     if regions.ndim != 3 or regions.shape[2] != params.image_proj.shape[0]:
-        raise ValueError(
-            f"region batch {regions.shape} does not match projection input "
-            f"{params.image_proj.shape[0]}")
+        raise ValueError(f"region batch must be (B, M, {params.image_proj.shape[0]}), "
+                         f"got {regions.shape}")
     return add_rowvec(matmul(Tensor(regions), params.image_proj), params.image_bias)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
     """One GRU step over rows: h_t = (1 - z_t) * h_prev + z_t * h_cand.
 
-    x_t is (B, d_in) and h_prev (B, d_hidden); rank-1 operands are one row.
+    x_t is (B, d_in) and h_prev (B, d_hidden).
     """
-    if x_t.ndim == 1:
-        h = gru_step(reshape(x_t, (1, -1)), reshape(h_prev, (1, -1)), gates)
-        return reshape(h, h.shape[1:])
+    if x_t.ndim != 2 or h_prev.ndim != 2:
+        raise ValueError(f"gru_step needs (B, d) rows, got {x_t.shape} and {h_prev.shape}")
     z = sigmoid(add_rowvec(add(matmul(x_t, gates.w_z), matmul(h_prev, gates.u_z)),
                            gates.b_z))
     r = sigmoid(add_rowvec(add(matmul(x_t, gates.w_r), matmul(h_prev, gates.u_r)),
@@ -207,20 +174,17 @@ def _run_direction(steps: list[Tensor], mask: np.ndarray, gates: GruGates,
     return states
 
 
-def encode_text(caption: PaddedBatch | Caption,
-                params: EncoderParams) -> tuple[Tensor, Tensor]:
+def encode_text(caption: PaddedBatch, params: EncoderParams) -> tuple[Tensor, Tensor]:
     """Bi-GRU over token ids.
 
     For a padded batch of ids (B, L) returns the per-token states (B, L, d)
-    and their masked mean (B, d) as the pooled sentence vector; for one
-    ``Caption`` the states are (L, d) and the sentence vector (d,). Each
-    token state is the concatenation of the forward state at t and the
-    backward state at t.
+    and their masked mean (B, d) as the pooled sentence vector. Each token
+    state is the concatenation of the forward state at t and the backward
+    state at t.
     """
-    if isinstance(caption, Caption):
-        states, pooled = encode_text(PaddedBatch.of([caption.token_ids]), params)
-        return reshape(states, states.shape[1:]), reshape(pooled, pooled.shape[1:])
     ids, mask = caption.values, caption.mask
+    if ids.ndim != 2:
+        raise ValueError(f"token batch must be (B, L) ids, got {ids.shape}")
     vocab_size = params.word_embedding.shape[0]
     bad = (ids < 0) | (ids >= vocab_size)
     if np.any(bad & mask):

@@ -12,22 +12,20 @@ Three strategies plus an escape hatch, all L2-normalized on the way out:
 
 The model fuses each modality's instance-level embedding with its
 consensus-level embedding; the operator combines two (B, d) batches row by
-row, and a pair of rank-1 vectors is a batch of one.
+row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
     Tensor, add, concat, index, l2_normalize_rows, matmul, mul, mul_colvec,
-    reshape, sigmoid, softmax_rows, transpose,
+    sigmoid, softmax_rows, transpose,
 )
 from .encoders import uniform_init
 
-__all__ = ["FUSE_TYPES", "FusionParams", "FusedEmbedding", "fuse", "fusion_weights"]
+__all__ = ["FUSE_TYPES", "FusionParams", "fuse", "fusion_weights"]
 
 FUSE_TYPES = ("concat", "adap_sum", "weight_sum", "global_weight_sum")
 
@@ -67,14 +65,6 @@ class FusionParams:
         }
 
 
-@dataclass
-class FusedEmbedding:
-    """L2-normalized fused rows: width 2d for concat, d otherwise."""
-
-    vector: Tensor
-    fuse_type: str
-
-
 def fusion_weights(v_image: Tensor, v_text: Tensor,
                    params: FusionParams) -> np.ndarray | None:
     """The (w_image, w_text) pair as plain values, for inspection; None for concat.
@@ -92,18 +82,16 @@ def fusion_weights(v_image: Tensor, v_text: Tensor,
     return None
 
 
-def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> FusedEmbedding:
+def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> Tensor:
     """Combine two (B, d) batches row by row per the configured strategy.
 
-    Two rank-1 vectors are fused as a batch of one and give a rank-1 result.
+    Returns L2-normalized rows: width 2d for concat, d otherwise.
     """
-    if v_image.ndim not in (1, 2) or v_text.ndim != v_image.ndim:
-        raise ValueError("fuse operands must both be rank-1 or both (B, d) rows")
+    if v_image.ndim != 2 or v_text.ndim != 2:
+        raise ValueError(f"fuse operands must both be (B, d) rows, got "
+                         f"{v_image.shape} and {v_text.shape}")
     if v_image.shape != v_text.shape:
         raise ValueError(f"fuse width mismatch {v_image.shape} vs {v_text.shape}")
-    if v_image.ndim == 1:
-        fused = fuse(reshape(v_image, (1, -1)), reshape(v_text, (1, -1)), params)
-        return FusedEmbedding(reshape(fused.vector, (-1,)), fused.fuse_type)
     ft = params.fuse_type
     if ft == "concat":
         vec = concat([v_image, v_text])
@@ -119,4 +107,4 @@ def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> FusedEmbeddin
         vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))
     else:  # unreachable: constructor validates
         raise ValueError(f"unknown fuse_type '{ft}'")
-    return FusedEmbedding(l2_normalize_rows(vec), ft)
+    return l2_normalize_rows(vec)

@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .attention import MhsaParams, attend_and_pool, multi_head
 from .autodiff import Tape, Tensor
 from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
-from .encoders import (Caption, EncoderParams, GruGates, PaddedBatch, RegionFeatures,
-                       encode_image, encode_text, gru_step, uniform_init)
+from .encoders import (EncoderParams, GruGates, PaddedBatch, encode_image, encode_text,
+                       gru_step, uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -90,7 +90,8 @@ def _project(t: Tensor, weights: np.ndarray) -> Tensor:
 def run_suite(seed: int = 0) -> dict[str, float]:
     """Finite-difference check of every differentiable block at small dims.
 
-    Returns the worst relative error per block name.
+    Returns the worst relative error per block name. Every block takes
+    batched rows; the single-item blocks run a batch of one.
     """
     rng = np.random.default_rng(seed)
     d, h_heads, f_dim, m, l, k, vocab, b = 8, 2, 6, 3, 4, 5, 20, 4
@@ -98,32 +99,32 @@ def run_suite(seed: int = 0) -> dict[str, float]:
 
     # GRU step
     gates = GruGates.init(rng, d, d // 2)
-    x_t = Tensor(rng.normal(size=d))
-    h_prev = Tensor(rng.normal(size=d // 2))
+    x_t = Tensor(rng.normal(size=(1, d)))
+    h_prev = Tensor(rng.normal(size=(1, d // 2)))
     params = dict(gates.named_parameters("gru"), **{"x_t": x_t, "h_prev": h_prev})
-    proj = rng.normal(size=d // 2)
+    proj = rng.normal(size=(1, d // 2))
     results["gru_step"] = gradient_check(
         lambda: _project(gru_step(x_t, h_prev, gates), proj), params)
 
     # image encoder
     enc = EncoderParams.init(rng, vocab, f_dim, d)
-    regions = RegionFeatures(rng.normal(size=(m, f_dim)))
-    proj = rng.normal(size=(m, d))
+    regions = PaddedBatch.of([rng.normal(size=(m, f_dim))])
+    proj = rng.normal(size=(1, m, d))
     results["encode_image"] = gradient_check(
         lambda: _project(encode_image(regions, enc), proj),
         {"image_proj": enc.image_proj, "image_bias": enc.image_bias})
 
     # text encoder end to end
-    caption = Caption(list(rng.integers(0, vocab, size=l)))
-    proj = rng.normal(size=d)
+    caption = PaddedBatch.of([rng.integers(0, vocab, size=l)])
+    proj = rng.normal(size=(1, d))
     results["encode_text"] = gradient_check(
         lambda: _project(encode_text(caption, enc)[1], proj),
         enc.named_parameters("encoder"))
 
     # multi-head attention
     attn = MhsaParams.init(rng, d, h_heads)
-    x = Tensor(rng.normal(size=(m, d)))
-    proj = rng.normal(size=(m, d))
+    x = Tensor(rng.normal(size=(1, m, d)))
+    proj = rng.normal(size=(1, m, d))
     params = dict(attn.named_parameters("attn"), x=x)
     results["multi_head_attention"] = gradient_check(
         lambda: _project(multi_head(x, attn), proj), params)
@@ -131,13 +132,13 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     # each fusion mode
     for fuse_type in FUSE_TYPES:
         fp = FusionParams.init(rng, d, fuse_type)
-        va = Tensor(rng.normal(size=d))
-        vb = Tensor(rng.normal(size=d))
+        va = Tensor(rng.normal(size=(1, d)))
+        vb = Tensor(rng.normal(size=(1, d)))
         width = 2 * d if fuse_type == "concat" else d
-        proj = rng.normal(size=width)
+        proj = rng.normal(size=(1, width))
         params = dict(fp.named_parameters("fusion"), v_image=va, v_text=vb)
         results[f"fusion_{fuse_type}"] = gradient_check(
-            lambda: _project(fuse(va, vb, fp).vector, proj), params)
+            lambda: _project(fuse(va, vb, fp), proj), params)
 
     # GCN, both layer forms
     for form in GCN_FORMS:
@@ -153,8 +154,8 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     graph = _random_graph(rng, k, d)
     gcn = GcnParams.init(rng, d)
     head = ConsensusHead.init(rng, d, k)
-    inst = Tensor(rng.normal(size=d))
-    proj = rng.normal(size=d)
+    inst = Tensor(rng.normal(size=(1, d)))
+    proj = rng.normal(size=(1, d))
     params = {"predictor": head.predictor, "instance": inst,
               "concept_embeddings": graph.concept_embeddings,
               "w0": gcn.w0, "w1": gcn.w1}

@@ -62,15 +62,15 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
 
 
 def kl_loss(p_text: Tensor, p_image: Tensor) -> Tensor:
-    """KL(p_text || p_image), averaged over the batch for rank-2 inputs.
+    """KL(p_text || p_image) of (B, K) rows, averaged over the batch.
 
     Inputs must be strictly positive distributions (softmax range); that is
     checked while debug checks are enabled.
     """
     if p_text.shape != p_image.shape:
         raise ValueError(f"distribution shapes differ: {p_text.shape} vs {p_image.shape}")
-    if p_text.ndim not in (1, 2):
-        raise ValueError("kl_loss needs rank-1 or rank-2 distributions")
+    if p_text.ndim != 2:
+        raise ValueError(f"kl_loss needs (B, K) distribution rows, got {p_text.shape}")
     if finite_checks_enabled():
         for name, t in (("p_text", p_text), ("p_image", p_image)):
             d = t.data
@@ -79,10 +79,7 @@ def kl_loss(p_text: Tensor, p_image: Tensor) -> Tensor:
             if not np.allclose(d.sum(axis=-1), 1.0, atol=1e-6):
                 raise ValueError(f"{name} rows do not sum to 1")
     per_element = mul(p_text, sub(log(p_text), log(p_image)))
-    total = tsum(per_element)
-    if p_text.ndim == 2:
-        return div_scalar(total, float(p_text.shape[0]))
-    return total
+    return div_scalar(tsum(per_element), float(p_text.shape[0]))
 
 
 def dynamic_weight(w: float, loss_value: float, invert: bool = False) -> float:

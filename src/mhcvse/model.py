@@ -37,7 +37,7 @@ from .config import TrainConfig, format_config_text, parse_config_text
 from .consensus import (ConceptGraph, ConsensusHead, GcnParams, consensus_embed,
                         gcn_forward)
 from .data import BinaryReader, Dataset, InstancePair, Vocabulary
-from .encoders import EncoderParams, PaddedBatch, RegionFeatures, encode_image, encode_text
+from .encoders import EncoderParams, PaddedBatch, encode_image, encode_text
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
@@ -138,7 +138,7 @@ class Model:
     # forward passes
 
     def _image_levels(self, regions: list[np.ndarray], gcn_out: Tensor):
-        batch = PaddedBatch.of([RegionFeatures(r).regions for r in regions])
+        batch = PaddedBatch.of(regions)
         seq = encode_image(batch, self.encoder)
         return self._levels(seq, batch.mask, self.attn_image, self.head_image, gcn_out)
 
@@ -151,7 +151,7 @@ class Model:
                 head: ConsensusHead, gcn_out: Tensor):
         v = attend_and_pool(seq, attn, mask)
         c, p = consensus_embed(v, gcn_out, head)
-        f = fuse(v, c, self.fusion).vector
+        f = fuse(v, c, self.fusion)
         return v, c, f, p
 
     def batch_forward(self, pairs: list[InstancePair]) -> BatchEmbeddings:
@@ -300,10 +300,28 @@ def load_model(checkpoint_path) -> Model:
     sidecar_path = Path(f"{checkpoint_path}.meta.json")
     if not sidecar_path.exists():
         raise ValueError(f"missing checkpoint sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"checkpoint sidecar {sidecar_path}: invalid JSON ({err})") from None
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint sidecar {sidecar_path}: expected a JSON object")
+    for key, kind in (("config", str), ("vocab", list), ("concepts", list),
+                      ("frequencies", list)):
+        if key not in sidecar:
+            raise ValueError(f"checkpoint sidecar {sidecar_path}: missing key '{key}'")
+        if not isinstance(sidecar[key], kind):
+            raise ValueError(f"checkpoint sidecar {sidecar_path}: key '{key}' must be "
+                             f"a JSON {'string' if kind is str else 'list'}")
+    if len(sidecar["frequencies"]) != len(sidecar["concepts"]):
+        raise ValueError(f"checkpoint sidecar {sidecar_path}: 'frequencies' and "
+                         "'concepts' differ in length")
     cfg = parse_config_text(sidecar["config"])
     vocab = Vocabulary.from_tokens(sidecar["vocab"])
     arrays = load_checkpoint(checkpoint_path)
+    missing = {"consensus.adjacency", "consensus.concept_embeddings"} - arrays.keys()
+    if missing:
+        raise ValueError(f"checkpoint {checkpoint_path}: missing tensors {sorted(missing)}")
     graph = ConceptGraph(
         list(sidecar["concepts"]), list(sidecar["frequencies"]),
         arrays["consensus.adjacency"],

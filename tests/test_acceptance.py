@@ -71,19 +71,19 @@ def test_1_gradient_suite():
 def test_2_attention_invariants():
     rng = np.random.default_rng(101)
     d, n = 8, 5
-    x = rng.normal(size=(n, d))
+    x = rng.normal(size=(1, n, d))
     ok = True
     for h in (1, 2, 4, 8):
         params = MhsaParams.init(rng, d, h)
         out = multi_head(Tensor(x), params)
-        ok &= out.shape == (n, d)
+        ok &= out.shape == (1, n, d)
         for weights in head_attention_weights(Tensor(x), params):
             ok &= bool(np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12))
 
     params = MhsaParams.init(rng, d, 2)
     perm = rng.permutation(n)
-    base = multi_head(Tensor(x), params).data
-    shuffled = multi_head(Tensor(x[perm]), params).data
+    base = multi_head(Tensor(x), params).data[0]
+    shuffled = multi_head(Tensor(x[:, perm]), params).data[0]
     ok &= bool(np.abs(shuffled - base[perm]).max() <= 1e-10)
 
     single = MhsaParams.init(rng, d, 1)
@@ -181,9 +181,9 @@ def test_5_loss_oracles():
     for _ in range(1000):
         k = int(rng.integers(2, 10))
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
-        ok &= kl_loss(Tensor(p), Tensor(q)).item() >= -1e-12
+        ok &= kl_loss(Tensor(p[None]), Tensor(q[None])).item() >= -1e-12
     p = rng.dirichlet(np.ones(6))
-    ok &= kl_loss(Tensor(p), Tensor(p.copy())).item() == 0.0
+    ok &= kl_loss(Tensor(p[None]), Tensor(p[None].copy())).item() == 0.0
     report(5, "loss oracles", ok, f"worst hinge gap {worst:.2e}")
 
 

@@ -17,6 +17,11 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def one(x):
+    """One (n, d) sequence as a batch of one, (1, n, d)."""
+    return Tensor(np.asarray(x)[None])
+
+
 class TestMhsaParams:
     def test_head_dim_division(self):
         p = MhsaParams.init(np.random.default_rng(0), d=8, h=4)
@@ -45,20 +50,20 @@ class TestMhsaParams:
 class TestScaledDotAttention:
     def test_single_position_returns_value(self):
         rng = np.random.default_rng(1)
-        q = Tensor(rng.normal(size=(1, 3)))
-        k = Tensor(rng.normal(size=(1, 3)))
-        v = Tensor(rng.normal(size=(1, 3)))
+        q = one(rng.normal(size=(1, 3)))
+        k = one(rng.normal(size=(1, 3)))
+        v = one(rng.normal(size=(1, 3)))
         out = scaled_dot_attention(q, k, v)
         assert_allclose(out.data, v.data, rtol=0, atol=0)
 
     def test_identical_keys_give_column_mean(self):
         rng = np.random.default_rng(2)
-        q = Tensor(rng.normal(size=(4, 3)))
-        k = Tensor(np.tile(rng.normal(size=3), (4, 1)))
+        q = one(rng.normal(size=(4, 3)))
+        k = one(np.tile(rng.normal(size=3), (4, 1)))
         v_data = rng.normal(size=(4, 3))
-        out = scaled_dot_attention(q, k, Tensor(v_data))
+        out = scaled_dot_attention(q, k, one(v_data))
         expected = np.tile(v_data.mean(axis=0), (4, 1))
-        assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        assert_allclose(out.data[0], expected, rtol=0, atol=1e-12)
 
     def test_step_by_step_oracle(self):
         rng = np.random.default_rng(3)
@@ -68,23 +73,23 @@ class TestScaledDotAttention:
             v = rng.normal(size=(3, 2))
             scores = (q @ k.T) / np.sqrt(2.0)
             ref = softmax(scores) @ v
-            got = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
-            assert_allclose(got.data, ref, rtol=0, atol=1e-12)
+            got = scaled_dot_attention(one(q), one(k), one(v))
+            assert_allclose(got.data[0], ref, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            attention_scores(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            attention_scores(one(np.zeros((2, 3))), one(np.zeros((2, 4))))
         with pytest.raises(ValueError):
-            scaled_dot_attention(Tensor(np.zeros((2, 3))),
-                                 Tensor(np.zeros((2, 3))),
-                                 Tensor(np.zeros((3, 3))))
+            scaled_dot_attention(one(np.zeros((2, 3))),
+                                 one(np.zeros((2, 3))),
+                                 one(np.zeros((3, 3))))
 
     def test_scaling_divides_by_eight_at_dk_64(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(3, 64))
         k = rng.normal(size=(3, 64))
-        scores = attention_scores(Tensor(q), Tensor(k))
-        assert_allclose(scores.data, (q @ k.T) / 8.0, rtol=0, atol=0)
+        scores = attention_scores(one(q), one(k))
+        assert_allclose(scores.data[0], (q @ k.T) / 8.0, rtol=0, atol=0)
 
 
 class TestAttentionWeights:
@@ -92,7 +97,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(5)
         for h in (1, 2, 4, 8):
             p = MhsaParams.init(rng, d=8, h=h)
-            x = Tensor(rng.normal(size=(5, 8)) * 3.0)
+            x = one(rng.normal(size=(5, 8)) * 3.0)
             mats = head_attention_weights(x, p)
             assert len(mats) == h
             for w in mats:
@@ -104,7 +109,7 @@ class TestAttentionWeights:
         rng = np.random.default_rng(6)
         q = rng.normal(size=(4, 3))
         k = rng.normal(size=(4, 3))
-        got = attention_weights(Tensor(q), Tensor(k)).data
+        got = attention_weights(one(q), one(k)).data[0]
         assert_allclose(got, softmax((q @ k.T) / np.sqrt(3.0)),
                         rtol=0, atol=1e-14)
 
@@ -114,7 +119,7 @@ class TestMultiHead:
         rng = np.random.default_rng(7)
         p = MhsaParams.init(rng, d=4, h=1)
         p.w_out = Tensor(np.eye(4))
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = one(rng.normal(size=(5, 4)))
         wq, wk, wv = p.heads[0]
         direct = scaled_dot_attention(
             ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv))
@@ -124,16 +129,16 @@ class TestMultiHead:
     def test_shape_preserved(self, h):
         rng = np.random.default_rng(8)
         p = MhsaParams.init(rng, d=8, h=h)
-        x = Tensor(rng.normal(size=(6, 8)))
-        assert multi_head(x, p).shape == (6, 8)
+        x = one(rng.normal(size=(6, 8)))
+        assert multi_head(x, p).shape == (1, 6, 8)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         p = MhsaParams.init(rng, d=8, h=2)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        base = multi_head(Tensor(x), p).data
-        permuted = multi_head(Tensor(x[perm]), p).data
+        base = multi_head(one(x), p).data[0]
+        permuted = multi_head(one(x[perm]), p).data[0]
         assert_allclose(permuted, base[perm], rtol=0, atol=1e-10)
 
     def test_input_validation(self):
@@ -141,18 +146,20 @@ class TestMultiHead:
         with pytest.raises(ValueError):
             multi_head(Tensor(np.zeros(4)), p)
         with pytest.raises(ValueError):
-            multi_head(Tensor(np.zeros((3, 5))), p)
+            multi_head(Tensor(np.zeros((3, 4))), p)
+        with pytest.raises(ValueError):
+            multi_head(one(np.zeros((3, 5))), p)
 
     def test_concat_head_layout(self):
         # with W_out = identity, columns [i*d_k:(i+1)*d_k) come from head i
         rng = np.random.default_rng(11)
         p = MhsaParams.init(rng, d=4, h=2)
         p.w_out = Tensor(np.eye(4))
-        x = Tensor(rng.normal(size=(3, 4)))
-        out = multi_head(x, p).data
+        x = one(rng.normal(size=(3, 4)))
+        out = multi_head(x, p).data[0]
         for i, (wq, wk, wv) in enumerate(p.heads):
             head = scaled_dot_attention(
-                ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)).data
+                ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)).data[0]
             assert_allclose(out[:, i * 2:(i + 1) * 2], head, rtol=0, atol=1e-14)
 
 
@@ -160,38 +167,38 @@ class TestAttendAndPool:
     def test_single_row_passthrough(self):
         rng = np.random.default_rng(12)
         p = MhsaParams.init(rng, d=6, h=2)
-        x = Tensor(rng.normal(size=(1, 6)))
+        x = one(rng.normal(size=(1, 6)))
         pooled = attend_and_pool(x, p)
-        assert_allclose(pooled.data, multi_head(x, p).data[0], rtol=0, atol=0)
+        assert_allclose(pooled.data[0], multi_head(x, p).data[0, 0], rtol=0, atol=0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
         p = MhsaParams.init(rng, d=8, h=4)
         x = rng.normal(size=(7, 8))
         perm = rng.permutation(7)
-        a = attend_and_pool(Tensor(x), p).data
-        b = attend_and_pool(Tensor(x[perm]), p).data
+        a = attend_and_pool(one(x), p).data
+        b = attend_and_pool(one(x[perm]), p).data
         assert_allclose(a, b, rtol=0, atol=1e-10)
 
     def test_pooled_is_row_mean(self):
         rng = np.random.default_rng(14)
         p = MhsaParams.init(rng, d=6, h=3)
-        x = Tensor(rng.normal(size=(4, 6)))
-        assert_allclose(attend_and_pool(x, p).data,
-                        multi_head(x, p).data.mean(axis=0), rtol=0, atol=1e-15)
+        x = one(rng.normal(size=(4, 6)))
+        assert_allclose(attend_and_pool(x, p).data[0],
+                        multi_head(x, p).data[0].mean(axis=0), rtol=0, atol=1e-15)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(15)
         p = MhsaParams.init(rng, d=6, h=2)
-        x = rng.normal(size=(4, 6))
+        x = rng.normal(size=(1, 4, 6))
         probe = rng.normal(size=6)
 
         def loss_of(arr):
-            return float(attend_and_pool(Tensor(arr), p).data @ probe)
+            return float(attend_and_pool(Tensor(arr), p).data[0] @ probe)
 
         t = Tensor(x.copy())
         with Tape() as tape:
-            loss = ad.sum(ad.mul(attend_and_pool(t, p), Tensor(probe)))
+            loss = ad.sum(ad.mul(attend_and_pool(t, p), Tensor(probe[None])))
             grads = tape.backward(loss)
         h = 1e-5
         flat = x.reshape(-1)

@@ -134,14 +134,19 @@ class TestMatmul:
         m22 = ad.matmul(Tensor(rng.normal(size=(2, 3))),
                         Tensor(rng.normal(size=(3, 4))))
         assert m22.shape == (2, 4)
-        v_m = ad.matmul(Tensor(rng.normal(size=3)),
+        b32 = ad.matmul(Tensor(rng.normal(size=(5, 2, 3))),
                         Tensor(rng.normal(size=(3, 4))))
-        assert v_m.shape == (4,)
-        m_v = ad.matmul(Tensor(rng.normal(size=(2, 3))),
-                        Tensor(rng.normal(size=3)))
-        assert m_v.shape == (2,)
-        dot = ad.matmul(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
-        assert dot.shape == ()
+        assert b32.shape == (5, 2, 4)
+        b33 = ad.matmul(Tensor(rng.normal(size=(5, 2, 3))),
+                        Tensor(rng.normal(size=(5, 3, 4))))
+        assert b33.shape == (5, 2, 4)
+        shapes = {0: (), 1: (3,), 2: (3, 3), 3: (2, 3, 3)}
+        for ra in range(4):
+            for rb in range(4):
+                if (ra, rb) in ((2, 2), (3, 2), (3, 3)):
+                    continue
+                with pytest.raises(ValueError, match="matmul needs ranks"):
+                    ad.matmul(Tensor(np.ones(shapes[ra])), Tensor(np.ones(shapes[rb])))
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
@@ -310,9 +315,6 @@ def _keep_off_kinks(x):
 
 OP_CASES = [
     ("matmul_22", lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4), None),
-    ("matmul_12", lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (4,), None),
-    ("matmul_21", lambda t: ad.matmul(t, Tensor(_W[:4, 0])), (5, 4), None),
-    ("matmul_11", lambda t: ad.matmul(t, Tensor(_W[:4, 0])), (4,), None),
     ("matmul_rhs", lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5), None),
     ("transpose", ad.transpose, (3, 4), None),
     ("add", lambda t: ad.add(t, Tensor(_W[:3, :4])), (3, 4), None),
@@ -333,7 +335,6 @@ OP_CASES = [
     ("masked_mean", lambda t: ad.masked_mean(t, _MASK), (3, 4, 2), None),
     ("concat_r2", lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]),
      (3, 4), None),
-    ("concat_r1", lambda t: ad.concat([t, Tensor(_W[0, :3])]), (4,), None),
     ("index", lambda t: ad.index(t, 1), (4,), None),
     ("index_r2", lambda t: ad.index(t, 2), (4, 3), None),
     ("index_r3", lambda t: ad.index(t, 0), (2, 3, 4), None),

@@ -1,5 +1,6 @@
-"""The batched, masked forward path: padded rows equal one-item rows, and
-chunked inference returns rows in the order it was given."""
+"""The batched, masked forward path: padded rows equal one-item rows,
+chunked inference returns rows in the order it was given, and every block
+rejects an unbatched item."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,17 @@ from numpy.testing import assert_allclose
 from tinymodel import tiny_setup
 
 import mhcvse.model
-from mhcvse.attention import attend_and_pool
-from mhcvse.autodiff import Tape
+from mhcvse.attention import (
+    MhsaParams, attend_and_pool, attention_scores, attention_weights,
+    head_attention_weights, multi_head, scaled_dot_attention,
+)
+from mhcvse.autodiff import Tape, Tensor, concat, l2_normalize_rows
+from mhcvse.consensus import ConsensusHead, consensus_embed
 from mhcvse.data import InstancePair
-from mhcvse.encoders import Caption, PaddedBatch, RegionFeatures, encode_image, encode_text
+from mhcvse.encoders import EncoderParams, PaddedBatch, encode_image, encode_text, gru_step
 from mhcvse.evaluation import RETRIEVAL_LEVELS
+from mhcvse.fusion import FusionParams, fuse
+from mhcvse.losses import kl_loss
 from mhcvse.model import CHUNK_CAP, _chunks
 
 TOL = 1e-12
@@ -48,6 +55,8 @@ class TestPaddedBatch:
             PaddedBatch.of([[1], []])
         with pytest.raises(ValueError):
             PaddedBatch.of([np.zeros((2, 3)), np.zeros((2, 4))])
+        with pytest.raises(ValueError):
+            PaddedBatch.of([np.float64(1.0)])
 
 
 class TestPaddedEqualsSingle:
@@ -58,19 +67,20 @@ class TestPaddedEqualsSingle:
         seq = encode_image(images, enc)
         pooled = attend_and_pool(seq, model.attn_image, images.mask)
         for i, r in enumerate(regions):
-            one = encode_image(RegionFeatures(r), enc)
-            assert_allclose(seq.data[i, :len(r)], one.data, rtol=0, atol=TOL)
-            assert_allclose(pooled.data[i], attend_and_pool(one, model.attn_image).data,
+            one = encode_image(PaddedBatch.of([r]), enc)
+            assert_allclose(seq.data[i, :len(r)], one.data[0], rtol=0, atol=TOL)
+            assert_allclose(pooled.data[i], attend_and_pool(one, model.attn_image).data[0],
                             rtol=0, atol=TOL)
 
         texts = PaddedBatch.of(captions)
         states, sentence = encode_text(texts, enc)
         pooled = attend_and_pool(states, model.attn_text, texts.mask)
         for i, ids in enumerate(captions):
-            one_states, one_sentence = encode_text(Caption(ids), enc)
-            assert_allclose(states.data[i, :len(ids)], one_states.data, rtol=0, atol=TOL)
-            assert_allclose(sentence.data[i], one_sentence.data, rtol=0, atol=TOL)
-            assert_allclose(pooled.data[i], attend_and_pool(one_states, model.attn_text).data,
+            one_states, one_sentence = encode_text(PaddedBatch.of([ids]), enc)
+            assert_allclose(states.data[i, :len(ids)], one_states.data[0], rtol=0, atol=TOL)
+            assert_allclose(sentence.data[i], one_sentence.data[0], rtol=0, atol=TOL)
+            assert_allclose(pooled.data[i],
+                            attend_and_pool(one_states, model.attn_text).data[0],
                             rtol=0, atol=TOL)
 
     @pytest.mark.parametrize("level", RETRIEVAL_LEVELS)
@@ -93,6 +103,72 @@ class TestPaddedEqualsSingle:
             for name in fields:
                 assert_allclose(getattr(batch, name).data[i], getattr(one, name).data[0],
                                 rtol=0, atol=TOL, err_msg=name)
+
+
+def _single_item_calls():
+    """Each block called on a rank-1 input and on an input one rank off its
+    batched form: an unbatched (n, ·) item where it takes (B, n, ·), rank 3
+    where it takes (B, ·) rows."""
+    rng = np.random.default_rng(3)
+    d, f, k, n = 8, 6, 5, 3
+    enc = EncoderParams.init(rng, 12, f, d)
+    attn = MhsaParams.init(rng, d, 2)
+    head = ConsensusHead.init(rng, d, k)
+    fusion = FusionParams.init(rng, d, "weight_sum")
+    gcn_out = Tensor(rng.normal(size=(k, d)))
+    dist = np.full(k, 1.0 / k)
+
+    def vec(width):
+        return Tensor(rng.normal(size=width))
+
+    def seq(width):
+        return Tensor(rng.normal(size=(n, width)))
+
+    def seq3(width):
+        return Tensor(rng.normal(size=(1, n, width)))
+
+    def single(values):
+        return PaddedBatch(values, np.ones(values.shape[:1], dtype=bool))
+
+    return {
+        "encode_image": (lambda: encode_image(single(rng.normal(size=f)), enc),
+                         lambda: encode_image(single(rng.normal(size=(n, f))), enc)),
+        "encode_text": (lambda: encode_text(single(np.array([1, 2, 3])), enc),
+                        lambda: encode_text(single(np.ones((1, n, 2), dtype=int)), enc)),
+        "gru_step": (lambda: gru_step(vec(d), vec(d // 2), enc.gru_forward),
+                     lambda: gru_step(seq3(d), seq3(d // 2), enc.gru_forward)),
+        "attention_scores": (lambda: attention_scores(vec(4), vec(4)),
+                             lambda: attention_scores(seq(4), seq(4))),
+        "attention_weights": (lambda: attention_weights(vec(4), vec(4)),
+                              lambda: attention_weights(seq(4), seq(4))),
+        "scaled_dot_attention": (lambda: scaled_dot_attention(vec(4), vec(4), vec(4)),
+                                 lambda: scaled_dot_attention(seq(4), seq(4), seq(4))),
+        "multi_head": (lambda: multi_head(vec(d), attn),
+                       lambda: multi_head(seq(d), attn)),
+        "attend_and_pool": (lambda: attend_and_pool(vec(d), attn),
+                            lambda: attend_and_pool(seq(d), attn)),
+        "head_attention_weights": (
+            lambda: head_attention_weights(seq(d), attn),
+            lambda: head_attention_weights(Tensor(rng.normal(size=(2, n, d))), attn)),
+        "consensus_embed": (lambda: consensus_embed(vec(d), gcn_out, head),
+                            lambda: consensus_embed(seq3(d), gcn_out, head)),
+        "kl_loss": (lambda: kl_loss(Tensor(dist), Tensor(dist)),
+                    lambda: kl_loss(Tensor(dist[None, None]), Tensor(dist[None, None]))),
+        "fuse": (lambda: fuse(vec(d), vec(d), fusion),
+                 lambda: fuse(seq3(d), seq3(d), fusion)),
+        "concat": (lambda: concat([vec(d), vec(d)]),
+                   lambda: concat([seq3(d), seq3(d)])),
+        "l2_normalize_rows": (lambda: l2_normalize_rows(vec(d)),
+                              lambda: l2_normalize_rows(seq3(d))),
+    }
+
+
+class TestBatchOnly:
+    @pytest.mark.parametrize("block", sorted(_single_item_calls()))
+    def test_single_item_forms_are_rejected(self, block):
+        for call in _single_item_calls()[block]:
+            with pytest.raises(ValueError):
+                call()
 
 
 def cost(b, n, d=128, h=8):

@@ -1,7 +1,9 @@
 """The command-line pipeline: synth, train, eval, retrieve, curves, checks."""
 
+import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
-from mhcvse.data import load_dataset
+from mhcvse.data import load_dataset, read_features, write_features
 from mhcvse.model import load_checkpoint
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
@@ -122,6 +124,108 @@ class TestEval:
         data, _, _ = workspace
         assert main(["eval", "--checkpoint", str(tmp_path / "no.mhcv"),
                      "--manifest", str(data / "val.manifest.json")]) == 2
+
+
+def _eval_exit(checkpoint, manifest, tmp_path, capsys):
+    """Exit code and stderr of ``mhcvse eval``."""
+    code = main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "report.csv")])
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """A malformed split or sidecar makes ``eval`` exit 1 with a message that
+    names the file and the field, never a traceback."""
+
+    @pytest.fixture
+    def split(self, workspace, tmp_path):
+        data, run, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        return copy, run / "checkpoint.mhcv"
+
+    def test_empty_image_exits_one(self, split, tmp_path, capsys):
+        data, checkpoint = split
+        features = read_features(data / "test.features.rgft")
+        image_id = min(features)
+        features[image_id] = np.zeros((0, features[image_id].shape[1]))
+        write_features(data / "test.features.rgft", features)
+        code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
+        assert code == 1
+        assert "test.features.rgft" in err and f"image {image_id} " in err
+
+    def test_string_tokens_exit_one(self, split, tmp_path, capsys):
+        data, checkpoint = split
+        path = data / "test.captions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            row["tokens"] = " ".join(row["tokens"])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
+        assert code == 1
+        assert "test.captions.jsonl, line 1" in err and "list of strings" in err
+
+    def test_manifest_not_an_object_exits_one(self, split, tmp_path, capsys):
+        data, checkpoint = split
+        manifest = data / "test.manifest.json"
+        manifest.write_text("[1, 2]\n")
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(manifest) in err and "JSON object" in err
+
+    def test_manifest_non_integer_count_exits_one(self, split, tmp_path, capsys):
+        data, checkpoint = split
+        manifest = data / "test.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["images"] = "many"
+        manifest.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(manifest) in err and "'images'" in err
+
+    @pytest.fixture
+    def sidecar(self, workspace, tmp_path):
+        data, run, _ = workspace
+        checkpoint = tmp_path / "checkpoint.mhcv"
+        shutil.copy(run / "checkpoint.mhcv", checkpoint)
+        shutil.copy(f"{run / 'checkpoint.mhcv'}.meta.json", f"{checkpoint}.meta.json")
+        return checkpoint, Path(f"{checkpoint}.meta.json"), data / "test.manifest.json"
+
+    def test_sidecar_without_vocab_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, meta, manifest = sidecar
+        raw = json.loads(meta.read_text())
+        del raw["vocab"]
+        meta.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(meta) in err and "'vocab'" in err
+
+    @pytest.mark.parametrize("key, value", [("config", 5), ("frequencies", [1])])
+    def test_sidecar_with_malformed_field_exits_one(self, sidecar, tmp_path, capsys,
+                                                    key, value):
+        checkpoint, meta, manifest = sidecar
+        raw = json.loads(meta.read_text())
+        raw[key] = value
+        meta.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(meta) in err and f"'{key}'" in err
+
+    def test_checkpoint_without_adjacency_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, _, manifest = sidecar
+        arrays = load_checkpoint(checkpoint)
+        del arrays["consensus.adjacency"]
+        mhcvse.model.save_checkpoint(checkpoint, arrays)
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(checkpoint) in err and "consensus.adjacency" in err
+
+    def test_truncated_sidecar_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, meta, manifest = sidecar
+        meta.write_text(meta.read_text()[:12])
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(meta) in err and "invalid JSON" in err
 
 
 class TestRetrieve:

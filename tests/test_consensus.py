@@ -170,32 +170,32 @@ class TestConsensusEmbed:
         rng = np.random.default_rng(seed)
         gcn_out = Tensor(rng.normal(size=(k, d)))
         head = ConsensusHead.init(rng, d, k)
-        instance = Tensor(rng.normal(size=d))
+        instance = Tensor(rng.normal(size=(1, d)))
         return instance, gcn_out, head
 
     def test_one_hot_distribution_selects_gcn_row(self):
         rng = np.random.default_rng(6)
         k, d = 4, 3
         gcn_out = Tensor(rng.normal(size=(k, d)))
-        instance = Tensor(np.ones(d))
+        instance = Tensor(np.ones((1, d)))
         # force huge logit mass on concept 2
         predictor = np.zeros((d, k))
         predictor[:, 2] = 200.0
         emb, dist = consensus_embed(instance, gcn_out, ConsensusHead(Tensor(predictor)))
-        assert_allclose(dist.data, np.eye(k)[2], rtol=0, atol=1e-12)
+        assert_allclose(dist.data[0], np.eye(k)[2], rtol=0, atol=1e-12)
         row = gcn_out.data[2]
-        assert_allclose(emb.data, row / np.linalg.norm(row), rtol=0, atol=1e-12)
+        assert_allclose(emb.data[0], row / np.linalg.norm(row), rtol=0, atol=1e-12)
 
     def test_uniform_logits_give_mean_of_rows(self):
         rng = np.random.default_rng(7)
         k, d = 5, 4
         gcn_out = Tensor(rng.normal(size=(k, d)))
-        instance = Tensor(rng.normal(size=d))
+        instance = Tensor(rng.normal(size=(1, d)))
         emb, dist = consensus_embed(instance, gcn_out,
                                     ConsensusHead(Tensor(np.zeros((d, k)))))
-        assert_allclose(dist.data, np.full(k, 1.0 / k), rtol=0, atol=1e-15)
+        assert_allclose(dist.data[0], np.full(k, 1.0 / k), rtol=0, atol=1e-15)
         mean = gcn_out.data.mean(axis=0)
-        assert_allclose(emb.data, mean / np.linalg.norm(mean), rtol=0, atol=1e-12)
+        assert_allclose(emb.data[0], mean / np.linalg.norm(mean), rtol=0, atol=1e-12)
 
     def test_distribution_sums_to_one_and_is_positive(self):
         for seed in range(20):
@@ -213,7 +213,7 @@ class TestConsensusEmbed:
         rng = np.random.default_rng(10)
         gcn_out = Tensor(rng.normal(size=(3, 4)))
         head = ConsensusHead.init(rng, 4, 3)
-        with pytest.raises(ValueError, match="rank-1 or rank-2"):
+        with pytest.raises(ValueError, match=r"\(B, d\) rows"):
             consensus_embed(Tensor(rng.normal(size=(2, 2, 4))), gcn_out, head)
 
     def test_rows_match_one_instance_at_a_time(self):
@@ -223,9 +223,9 @@ class TestConsensusEmbed:
         rows = rng.normal(size=(5, 4))
         emb, dist = consensus_embed(Tensor(rows), gcn_out, head)
         for i, r in enumerate(rows):
-            e1, d1 = consensus_embed(Tensor(r), gcn_out, head)
-            assert_allclose(emb.data[i], e1.data, rtol=0, atol=1e-12)
-            assert_allclose(dist.data[i], d1.data, rtol=0, atol=1e-12)
+            e1, d1 = consensus_embed(Tensor(r[None]), gcn_out, head)
+            assert_allclose(emb.data[i], e1.data[0], rtol=0, atol=1e-12)
+            assert_allclose(dist.data[i], d1.data[0], rtol=0, atol=1e-12)
 
     def test_relabeling_concepts_leaves_embedding_unchanged(self):
         # permuting concept order, adjacency, node features, and predictor
@@ -237,7 +237,7 @@ class TestConsensusEmbed:
         h0 = rng.normal(size=(k, d))
         w0, w1 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
         predictor = rng.normal(size=(d, k))
-        instance = Tensor(rng.normal(size=d))
+        instance = Tensor(rng.normal(size=(1, d)))
         perm = rng.permutation(k)
 
         def run(adj, feats, pred):
@@ -246,7 +246,7 @@ class TestConsensusEmbed:
             out = gcn_forward(graph, GcnParams(Tensor(w0), Tensor(w1)))
             emb, dist = consensus_embed(instance, out,
                                         ConsensusHead(Tensor(pred)))
-            return emb.data, dist.data
+            return emb.data[0], dist.data[0]
 
         base_emb, base_dist = run(adjacency, h0, predictor)
         perm_emb, perm_dist = run(adjacency[np.ix_(perm, perm)], h0[perm],
@@ -262,13 +262,13 @@ class TestConsensusEmbed:
         feats = rng.normal(size=(k, d))
         w0, w1 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
         predictor = rng.normal(size=(d, k))
-        inst = rng.normal(size=d)
+        inst = rng.normal(size=(1, d))
         probe = rng.normal(size=d)
 
         def loss_value(f, a, b, p, x):
             h1 = relu_np(adjacency @ f) @ a
             h2 = relu_np(adjacency @ h1) @ b
-            dist = softmax_np(x @ p)
+            dist = softmax_np(x[0] @ p)
             mix = dist @ h2
             return probe @ (mix / np.linalg.norm(mix))
 
@@ -283,7 +283,7 @@ class TestConsensusEmbed:
             out = gcn_forward(graph, GcnParams(leaves["w0"], leaves["w1"]))
             emb, _ = consensus_embed(leaves["instance"], out,
                                      ConsensusHead(leaves["predictor"]))
-            loss = t_sum(emb * Tensor(probe))
+            loss = t_sum(emb * Tensor(probe[None]))
             grads = tape.backward(loss)
 
         arrays = {name: t.data.copy() for name, t in leaves.items()}

@@ -118,6 +118,14 @@ class TestFeatureFormat:
             read_features(path)
 
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_empty_image_rejected(self, tmp_path, shape):
+        path = tmp_path / "empty.rgft"
+        write_features(path, {1: np.ones((2, 4)), 7: np.zeros(shape)})
+        with pytest.raises(ValueError, match=r"empty\.rgft: image 7 has"):
+            read_features(path)
+
+
 class TestCaptionFormat:
     def test_round_trip(self, tmp_path):
         captions = [(0, 10, ["dog", "park"]), (1, 10, ["dog"]),
@@ -201,6 +209,13 @@ class TestManifestAndLoading:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"split": "train"}))
         with pytest.raises(ValueError, match="missing keys"):
+            DatasetManifest.load(path)
+
+    def test_manifest_file_names_must_be_strings(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"split": "t", "features": 3, "captions": "c",
+                                    "images": 1, "captions_per_image": 5}))
+        with pytest.raises(ValueError, match=r"m\.json: key 'features' must be a string"):
             DatasetManifest.load(path)
 
     def test_manifest_invalid_json_rejected(self, tmp_path):

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    Caption, EncoderParams, GruGates, RegionFeatures, encode_image,
-    encode_text, gru_step, uniform_init,
+    EncoderParams, GruGates, PaddedBatch, encode_image, encode_text, gru_step,
+    uniform_init,
 )
 
 
@@ -27,18 +27,20 @@ def random_params(rng, vocab=12, feature_dim=8, embed_dim=8):
     return EncoderParams.init(rng, vocab, feature_dim, embed_dim)
 
 
-class TestRegionFeaturesAndCaption:
-    def test_region_shape_validation(self):
-        RegionFeatures(np.zeros((1, 4)))
-        with pytest.raises(ValueError):
-            RegionFeatures(np.zeros(4))
-        with pytest.raises(ValueError):
-            RegionFeatures(np.zeros((0, 4)))
+def image_one(regions, p):
+    """encode_image of a batch of one image, as its (M, d) rows."""
+    return encode_image(PaddedBatch.of([regions]), p).data[0]
 
-    def test_caption_needs_tokens(self):
-        assert len(Caption([1, 2, 3])) == 3
-        with pytest.raises(ValueError):
-            Caption([])
+
+def text_one(ids, p):
+    """encode_text of a batch of one caption: (L, d) states, (d,) sentence."""
+    states, pooled = encode_text(PaddedBatch.of([ids]), p)
+    return states.data[0], pooled.data[0]
+
+
+def step_one(x, h_prev, gates):
+    """gru_step on one (1, d) row, as a rank-1 array."""
+    return gru_step(Tensor(x[None]), Tensor(h_prev[None]), gates).data[0]
 
 
 class TestUniformInit:
@@ -88,23 +90,23 @@ class TestEncodeImage:
         p = random_params(rng, feature_dim=4, embed_dim=4)
         p.image_proj = Tensor(np.eye(4))
         p.image_bias = Tensor(np.zeros(4))
-        out = encode_image(RegionFeatures(regions), p)
-        assert_allclose(out.data, regions, rtol=0, atol=0)
+        out = image_one(regions, p)
+        assert_allclose(out, regions, rtol=0, atol=0)
 
     def test_single_region_shape(self):
         rng = np.random.default_rng(2)
         p = random_params(rng, feature_dim=8, embed_dim=6)
-        out = encode_image(RegionFeatures(rng.normal(size=(1, 8))), p)
-        assert out.shape == (1, 6)
+        out = encode_image(PaddedBatch.of([rng.normal(size=(1, 8))]), p)
+        assert out.shape == (1, 1, 6)
 
     def test_matches_matmul_oracle_with_bias(self):
         rng = np.random.default_rng(3)
         regions = rng.normal(size=(4, 8))
         p = random_params(rng, feature_dim=8, embed_dim=6)
         p.image_bias = Tensor(rng.normal(size=6))
-        out = encode_image(RegionFeatures(regions), p)
+        out = image_one(regions, p)
         ref = regions @ p.image_proj.data + p.image_bias.data
-        assert_allclose(out.data, ref, rtol=1e-13, atol=1e-13)
+        assert_allclose(out, ref, rtol=1e-13, atol=1e-13)
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(4)
@@ -112,30 +114,29 @@ class TestEncodeImage:
         a = rng.normal(size=(3, 8))
         b = rng.normal(size=(3, 8))
         alpha, beta = 1.7, -0.4
-        combined = encode_image(RegionFeatures(alpha * a + beta * b), p).data
-        separate = (alpha * encode_image(RegionFeatures(a), p).data
-                    + beta * encode_image(RegionFeatures(b), p).data)
+        combined = image_one(alpha * a + beta * b, p)
+        separate = alpha * image_one(a, p) + beta * image_one(b, p)
         assert_allclose(combined, separate, rtol=1e-10, atol=1e-10)
 
     def test_feature_width_mismatch(self):
         p = random_params(np.random.default_rng(5), feature_dim=8)
         with pytest.raises(ValueError):
-            encode_image(RegionFeatures(np.zeros((2, 5))), p)
+            encode_image(PaddedBatch.of([np.zeros((2, 5))]), p)
 
 
 class TestGruStep:
     def test_zero_fixed_point(self):
         gates = zero_gates(4, 3)
-        h = gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(3)), gates)
-        assert_allclose(h.data, np.zeros(3), rtol=0, atol=0)
+        h = step_one(np.zeros(4), np.zeros(3), gates)
+        assert_allclose(h, np.zeros(3), rtol=0, atol=0)
 
     def test_copy_gate_limit(self):
         rng = np.random.default_rng(6)
         gates = GruGates.init(rng, 4, 3)
         gates.b_z = Tensor(np.full(3, -50.0))  # update gate forced to ~0
         h_prev = rng.normal(size=3)
-        h = gru_step(Tensor(rng.normal(size=4)), Tensor(h_prev), gates)
-        assert_allclose(h.data, h_prev, rtol=0, atol=1e-12)
+        h = step_one(rng.normal(size=4), h_prev, gates)
+        assert_allclose(h, h_prev, rtol=0, atol=1e-12)
 
     def test_candidate_gate_limit(self):
         rng = np.random.default_rng(7)
@@ -143,11 +144,11 @@ class TestGruStep:
         gates.b_z = Tensor(np.full(3, 50.0))  # update gate forced to ~1
         x = rng.normal(size=4)
         h_prev = rng.normal(size=3)
-        h = gru_step(Tensor(x), Tensor(h_prev), gates)
+        h = step_one(x, h_prev, gates)
         r = sigmoid(x @ gates.w_r.data + h_prev @ gates.u_r.data + gates.b_r.data)
         cand = np.tanh(x @ gates.w_h.data + (r * h_prev) @ gates.u_h.data
                        + gates.b_h.data)
-        assert_allclose(h.data, cand, rtol=0, atol=1e-12)
+        assert_allclose(h, cand, rtol=0, atol=1e-12)
 
     def test_reference_step_oracle(self):
         rng = np.random.default_rng(8)
@@ -162,8 +163,8 @@ class TestGruStep:
             cand = np.tanh(x @ gates.w_h.data + (r * h_prev) @ gates.u_h.data
                            + gates.b_h.data)
             ref = (1.0 - z) * h_prev + z * cand
-            got = gru_step(Tensor(x), Tensor(h_prev), gates)
-            assert_allclose(got.data, ref, rtol=0, atol=1e-12)
+            got = step_one(x, h_prev, gates)
+            assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_output_bounded_by_unit_interval_mix(self):
         # h_t is a convex mix of h_prev and a tanh value, so |h_t| stays below
@@ -171,17 +172,17 @@ class TestGruStep:
         rng = np.random.default_rng(9)
         gates = GruGates.init(rng, 4, 3)
         h_prev = rng.normal(size=3)
-        h = gru_step(Tensor(rng.normal(size=4)), Tensor(h_prev), gates)
-        assert np.all(np.abs(h.data) <= np.maximum(np.abs(h_prev), 1.0) + 1e-12)
+        h = step_one(rng.normal(size=4), h_prev, gates)
+        assert np.all(np.abs(h) <= np.maximum(np.abs(h_prev), 1.0) + 1e-12)
 
 
 class TestEncodeText:
     def test_single_token_pooled_equals_state(self):
         rng = np.random.default_rng(10)
         p = random_params(rng)
-        states, pooled = encode_text(Caption([3]), p)
+        states, pooled = text_one([3], p)
         assert states.shape == (1, 8)
-        assert_allclose(pooled.data, states.data[0], rtol=0, atol=0)
+        assert_allclose(pooled, states[0], rtol=0, atol=0)
 
     def test_zero_parameters_propagate_zero(self):
         rng = np.random.default_rng(11)
@@ -189,40 +190,40 @@ class TestEncodeText:
         p.word_embedding = Tensor(np.zeros((12, 8)))
         p.gru_forward = zero_gates(8, 4)
         p.gru_backward = zero_gates(8, 4)
-        states, pooled = encode_text(Caption([0, 1, 2]), p)
-        assert_allclose(states.data, np.zeros((3, 8)), rtol=0, atol=0)
-        assert_allclose(pooled.data, np.zeros(8), rtol=0, atol=0)
+        states, pooled = text_one([0, 1, 2], p)
+        assert_allclose(states, np.zeros((3, 8)), rtol=0, atol=0)
+        assert_allclose(pooled, np.zeros(8), rtol=0, atol=0)
 
     def test_pooled_is_mean_of_states(self):
         rng = np.random.default_rng(12)
         p = random_params(rng)
-        states, pooled = encode_text(Caption([1, 5, 7, 2]), p)
-        assert_allclose(pooled.data, states.data.mean(axis=0), rtol=0, atol=1e-15)
+        states, pooled = text_one([1, 5, 7, 2], p)
+        assert_allclose(pooled, states.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_state_layout_forward_backward_halves(self):
         rng = np.random.default_rng(13)
         p = random_params(rng)
         ids = [4, 9, 2]
-        states, _ = encode_text(Caption(ids), p)
+        states, _ = text_one(ids, p)
         # forward half at t=0 equals a single forward GRU step from zero state
         emb0 = p.word_embedding.data[ids[0]]
-        h0 = gru_step(Tensor(emb0), Tensor(np.zeros(4)), p.gru_forward)
-        assert_allclose(states.data[0, :4], h0.data, rtol=0, atol=1e-14)
+        h0 = step_one(emb0, np.zeros(4), p.gru_forward)
+        assert_allclose(states[0, :4], h0, rtol=0, atol=1e-14)
         # backward half at t=L-1 equals a single backward step from zero state
         embL = p.word_embedding.data[ids[-1]]
-        hL = gru_step(Tensor(embL), Tensor(np.zeros(4)), p.gru_backward)
-        assert_allclose(states.data[-1, 4:], hL.data, rtol=0, atol=1e-14)
+        hL = step_one(embL, np.zeros(4), p.gru_backward)
+        assert_allclose(states[-1, 4:], hL, rtol=0, atol=1e-14)
 
     def test_reversal_symmetry_with_swapped_directions(self):
         rng = np.random.default_rng(14)
         p = random_params(rng)
         ids = [1, 4, 2, 9, 6]
-        _, pooled = encode_text(Caption(ids), p)
+        _, pooled = text_one(ids, p)
         swapped = EncoderParams(p.word_embedding, p.gru_backward,
                                 p.gru_forward, p.image_proj, p.image_bias)
-        _, pooled_rev = encode_text(Caption(ids[::-1]), swapped)
-        fwd_half, bwd_half = pooled.data[:4], pooled.data[4:]
-        rev_fwd, rev_bwd = pooled_rev.data[:4], pooled_rev.data[4:]
+        _, pooled_rev = text_one(ids[::-1], swapped)
+        fwd_half, bwd_half = pooled[:4], pooled[4:]
+        rev_fwd, rev_bwd = pooled_rev[:4], pooled_rev[4:]
         assert_allclose(rev_fwd, bwd_half, rtol=0, atol=1e-12)
         assert_allclose(rev_bwd, fwd_half, rtol=0, atol=1e-12)
 
@@ -231,16 +232,16 @@ class TestEncodeText:
         p = random_params(rng)
         p.gru_backward = p.gru_forward  # tie the two directions
         ids = [3, 7, 5, 7, 3]
-        _, pooled = encode_text(Caption(ids), p)
-        _, pooled_rev = encode_text(Caption(ids[::-1]), p)
-        assert_allclose(pooled.data, pooled_rev.data, rtol=0, atol=1e-12)
+        _, pooled = text_one(ids, p)
+        _, pooled_rev = text_one(ids[::-1], p)
+        assert_allclose(pooled, pooled_rev, rtol=0, atol=1e-12)
 
     def test_token_id_out_of_range(self):
         p = random_params(np.random.default_rng(16), vocab=12)
         with pytest.raises(ValueError):
-            encode_text(Caption([0, 12]), p)
+            encode_text(PaddedBatch.of([[0, 12]]), p)
         with pytest.raises(ValueError):
-            encode_text(Caption([-1]), p)
+            encode_text(PaddedBatch.of([[-1]]), p)
 
     def test_gradient_check_full_text_encoder(self):
         rng = np.random.default_rng(17)
@@ -250,8 +251,8 @@ class TestEncodeText:
         leaves = p.named_parameters()
 
         def forward():
-            _, pooled = encode_text(Caption(ids), p)
-            return ad.sum(ad.mul(pooled, Tensor(probe)))
+            _, pooled = encode_text(PaddedBatch.of([ids]), p)
+            return ad.sum(ad.mul(pooled, Tensor(probe[None])))
 
         with Tape() as tape:
             grads = tape.backward(forward())

@@ -13,6 +13,11 @@ def make_params(fuse_type, d=4, seed=0):
     return FusionParams.init(np.random.default_rng(seed), d, fuse_type)
 
 
+def row(v):
+    """One vector as a batch of one, (1, d)."""
+    return Tensor(np.asarray(v)[None])
+
+
 class TestFusionParams:
     def test_strategy_catalog(self):
         assert FUSE_TYPES == ("concat", "adap_sum", "weight_sum",
@@ -42,18 +47,17 @@ class TestFuseOutputs:
         p = make_params("concat", d=3)
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([4.0, 5.0, 6.0])
-        out = fuse(Tensor(a), Tensor(b), p)
-        assert out.fuse_type == "concat"
-        assert out.vector.shape == (6,)
+        out = fuse(row(a), row(b), p)
+        assert out.shape == (1, 6)
         joint = np.concatenate([a, b])
-        assert_allclose(out.vector.data, joint / np.linalg.norm(joint),
+        assert_allclose(out.data[0], joint / np.linalg.norm(joint),
                         rtol=0, atol=1e-15)
 
     def test_adap_sum_fixed_point(self):
         p = make_params("adap_sum")
         v = np.array([3.0, 0.0, 4.0, 0.0])
-        out = fuse(Tensor(v), Tensor(v.copy()), p)
-        assert_allclose(out.vector.data, v / 5.0, rtol=0, atol=1e-15)
+        out = fuse(row(v), row(v.copy()), p)
+        assert_allclose(out.data[0], v / 5.0, rtol=0, atol=1e-15)
 
     def test_adap_sum_is_convex_combination(self):
         rng = np.random.default_rng(1)
@@ -61,9 +65,9 @@ class TestFuseOutputs:
         p.alpha_raw = Tensor(0.7)
         a = 1.0 / (1.0 + np.exp(-0.7))
         vi, vt = rng.normal(size=4), rng.normal(size=4)
-        out = fuse(Tensor(vi), Tensor(vt), p)
+        out = fuse(row(vi), row(vt), p)
         blend = a * vi + (1.0 - a) * vt
-        assert_allclose(out.vector.data, blend / np.linalg.norm(blend),
+        assert_allclose(out.data[0], blend / np.linalg.norm(blend),
                         rtol=0, atol=1e-14)
         lo = np.minimum(vi, vt) - 1e-12
         hi = np.maximum(vi, vt) + 1e-12
@@ -73,22 +77,22 @@ class TestFuseOutputs:
         rng = np.random.default_rng(2)
         p = make_params("weight_sum")
         for _ in range(100):
-            w = fusion_weights(Tensor(rng.normal(size=4)),
-                               Tensor(rng.normal(size=4)), p)
+            w = fusion_weights(row(rng.normal(size=4)),
+                               row(rng.normal(size=4)), p)
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_cross_strategy_equivalence(self):
         # weight_net forced to emit (0.5, 0.5) must match adap_sum at alpha 0.5
         rng = np.random.default_rng(3)
-        vi = Tensor(rng.normal(size=4))
-        vt = Tensor(rng.normal(size=4))
+        vi = row(rng.normal(size=4))
+        vt = row(rng.normal(size=4))
         ws = make_params("weight_sum")
         ws.weight_net = Tensor(np.zeros((8, 2)))  # logits (0,0) -> (0.5, 0.5)
         asum = make_params("adap_sum")
         asum.alpha_raw = Tensor(0.0)  # sigmoid(0) = 0.5
-        a = fuse(vi, vt, ws).vector.data
-        b = fuse(vi, vt, asum).vector.data
+        a = fuse(vi, vt, ws).data
+        b = fuse(vi, vt, asum).data
         assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_global_weight_sum_matches_manual_softmax(self):
@@ -99,25 +103,25 @@ class TestFuseOutputs:
         e = np.exp([1.0, -1.0])
         w = e / e.sum()
         blend = w[0] * vi + w[1] * vt
-        out = fuse(Tensor(vi), Tensor(vt), p)
-        assert_allclose(out.vector.data, blend / np.linalg.norm(blend),
+        out = fuse(row(vi), row(vt), p)
+        assert_allclose(out.data[0], blend / np.linalg.norm(blend),
                         rtol=0, atol=1e-14)
-        assert_allclose(fusion_weights(Tensor(vi), Tensor(vt), p), w,
+        assert_allclose(fusion_weights(row(vi), row(vt), p), w,
                         rtol=0, atol=1e-15)
 
     def test_output_unit_norm(self):
         rng = np.random.default_rng(5)
         for ft in FUSE_TYPES:
             p = make_params(ft)
-            out = fuse(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), p)
-            assert abs(np.linalg.norm(out.vector.data) - 1.0) <= 1e-12
+            out = fuse(row(rng.normal(size=4)), row(rng.normal(size=4)), p)
+            assert abs(np.linalg.norm(out.data[0]) - 1.0) <= 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         vi, vt = rng.normal(size=4), rng.normal(size=4)
         p = make_params("weight_sum")
-        a = fuse(Tensor(vi.copy()), Tensor(vt.copy()), p).vector.data
-        b = fuse(Tensor(vi.copy()), Tensor(vt.copy()), p).vector.data
+        a = fuse(row(vi.copy()), row(vt.copy()), p).data
+        b = fuse(row(vi.copy()), row(vt.copy()), p).data
         assert np.array_equal(a, b)
 
     def test_operand_validation(self):
@@ -125,11 +129,11 @@ class TestFuseOutputs:
         with pytest.raises(ValueError):
             fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)), p)
         with pytest.raises(ValueError):
-            fuse(Tensor(np.zeros(4)), Tensor(np.zeros(5)), p)
+            fuse(row(np.zeros(4)), row(np.zeros(5)), p)
 
     def test_fusion_weights_none_for_concat(self):
         p = make_params("concat")
-        assert fusion_weights(Tensor(np.zeros(4)), Tensor(np.zeros(4)), p) is None
+        assert fusion_weights(row(np.zeros(4)), row(np.zeros(4)), p) is None
 
 
 class TestGradientFlow:
@@ -137,10 +141,10 @@ class TestGradientFlow:
         rng = np.random.default_rng(7)
         p = make_params("adap_sum")
         before = p.alpha_raw.item()
-        target = Tensor(rng.normal(size=4))
+        target = row(rng.normal(size=4))
         with Tape() as tape:
-            out = fuse(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), p)
-            diff = ad.sub(out.vector, target)
+            out = fuse(row(rng.normal(size=4)), row(rng.normal(size=4)), p)
+            diff = ad.sub(out, target)
             grads = tape.backward(ad.sum(ad.mul(diff, diff)))
         adam_step(p.named_parameters(), grads, AdamState(), lr=0.01)
         assert p.alpha_raw.item() != before
@@ -149,10 +153,10 @@ class TestGradientFlow:
         rng = np.random.default_rng(8)
         p = make_params("weight_sum")
         before = p.weight_net.data.copy()
-        target = Tensor(rng.normal(size=4))
+        target = row(rng.normal(size=4))
         with Tape() as tape:
-            out = fuse(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), p)
-            diff = ad.sub(out.vector, target)
+            out = fuse(row(rng.normal(size=4)), row(rng.normal(size=4)), p)
+            diff = ad.sub(out, target)
             grads = tape.backward(ad.sum(ad.mul(diff, diff)))
         adam_step(p.named_parameters(), grads, AdamState(), lr=0.01)
         assert not np.array_equal(p.weight_net.data, before)
@@ -161,8 +165,8 @@ class TestGradientFlow:
         rng = np.random.default_rng(9)
         p = make_params("adap_sum")
         with Tape() as tape:
-            out = fuse(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)), p)
-            grads = tape.backward(ad.sum(out.vector))
+            out = fuse(row(rng.normal(size=4)), row(rng.normal(size=4)), p)
+            grads = tape.backward(ad.sum(out))
         assert p.alpha_raw in grads
         assert p.weight_net not in grads
         assert p.global_logits not in grads

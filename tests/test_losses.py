@@ -124,7 +124,7 @@ class TestContrastiveLoss:
 
 class TestKlLoss:
     def test_identical_distributions_give_zero(self):
-        p = Tensor(np.array([0.2, 0.3, 0.5]))
+        p = Tensor(np.array([[0.2, 0.3, 0.5]]))
         assert kl_loss(p, Tensor(p.data.copy())).item() == 0.0
 
     def test_near_point_mass_against_uniform(self):
@@ -132,7 +132,7 @@ class TestKlLoss:
         p = np.array([1.0 - delta, delta])
         q = np.array([0.5, 0.5])
         exact = sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
-        got = kl_loss(Tensor(p), Tensor(q)).item()
+        got = kl_loss(Tensor(p[None]), Tensor(q[None])).item()
         assert_allclose(got, exact, rtol=0, atol=1e-15)
         assert_allclose(got, math.log(2.0), rtol=0, atol=2e-5)
 
@@ -142,25 +142,25 @@ class TestKlLoss:
             k = int(rng.integers(2, 12))
             p = rng.dirichlet(np.ones(k))
             q = rng.dirichlet(np.ones(k))
-            assert kl_loss(Tensor(p), Tensor(q)).item() >= -1e-12
+            assert kl_loss(Tensor(p[None]), Tensor(q[None])).item() >= -1e-12
 
     def test_batch_input_averages_rows(self):
         rng = np.random.default_rng(41)
         p = rng.dirichlet(np.ones(6), size=4)
         q = rng.dirichlet(np.ones(6), size=4)
         batch = kl_loss(Tensor(p), Tensor(q)).item()
-        rows = [kl_loss(Tensor(p[i]), Tensor(q[i])).item() for i in range(4)]
+        rows = [kl_loss(Tensor(p[i:i + 1]), Tensor(q[i:i + 1])).item() for i in range(4)]
         assert_allclose(batch, np.mean(rows), rtol=0, atol=1e-12)
 
     def test_zero_entry_rejected_while_checks_enabled(self):
-        p = Tensor(np.array([1.0, 0.0]))
-        q = Tensor(np.array([0.5, 0.5]))
+        p = Tensor(np.array([[1.0, 0.0]]))
+        q = Tensor(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="strictly positive"):
             kl_loss(p, q)
 
     def test_unnormalized_rows_rejected(self):
-        p = Tensor(np.array([0.4, 0.4]))
-        q = Tensor(np.array([0.5, 0.5]))
+        p = Tensor(np.array([[0.4, 0.4]]))
+        q = Tensor(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="sum to 1"):
             kl_loss(p, q)
 
@@ -168,17 +168,17 @@ class TestKlLoss:
         # the distribution guard is a debug assertion, not a runtime branch
         set_finite_checks(False)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got = kl_loss(Tensor(np.array([1.0, 0.0])),
-                          Tensor(np.array([0.5, 0.5]))).item()
+            got = kl_loss(Tensor(np.array([[1.0, 0.0]])),
+                          Tensor(np.array([[0.5, 0.5]]))).item()
         assert not math.isfinite(got) or got >= 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            kl_loss(Tensor(np.full(3, 1 / 3)), Tensor(np.full(4, 0.25)))
+            kl_loss(Tensor(np.full((1, 3), 1 / 3)), Tensor(np.full((1, 4), 0.25)))
 
     def test_rank3_rejected(self):
         t = Tensor(np.full((2, 2, 2), 0.5))
-        with pytest.raises(ValueError, match="rank-1 or rank-2"):
+        with pytest.raises(ValueError, match=r"\(B, K\) distribution rows"):
             kl_loss(t, t)
 
 
