@@ -316,8 +316,14 @@ def load_model(checkpoint_path) -> Model:
     if len(sidecar["frequencies"]) != len(sidecar["concepts"]):
         raise ValueError(f"checkpoint sidecar {sidecar_path}: 'frequencies' and "
                          "'concepts' differ in length")
-    cfg = parse_config_text(sidecar["config"])
-    vocab = Vocabulary.from_tokens(sidecar["vocab"])
+    try:
+        cfg = parse_config_text(sidecar["config"])
+    except ValueError as err:
+        raise ValueError(f"checkpoint sidecar {sidecar_path}: key 'config': {err}") from None
+    try:
+        vocab = Vocabulary.from_tokens(sidecar["vocab"])
+    except ValueError as err:
+        raise ValueError(f"checkpoint sidecar {sidecar_path}: key 'vocab': {err}") from None
     arrays = load_checkpoint(checkpoint_path)
     missing = {"consensus.adjacency", "consensus.concept_embeddings"} - arrays.keys()
     if missing:
@@ -326,6 +332,14 @@ def load_model(checkpoint_path) -> Model:
         list(sidecar["concepts"]), list(sidecar["frequencies"]),
         arrays["consensus.adjacency"],
         Tensor(arrays["consensus.concept_embeddings"]))
-    model = Model(cfg, vocab, graph)
+    model = Model(cfg, vocab, graph, rng=_NoDraw())
     model.load_state(arrays)
     return model
+
+
+class _NoDraw:
+    """Init generator for a model whose every value a checkpoint is about
+    to overwrite: parameters start at zero and no random value is drawn."""
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(size)

@@ -1,6 +1,7 @@
 """The command-line pipeline: synth, train, eval, retrieve, curves, checks."""
 
 import json
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -8,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tinymodel import rgft_bytes
+
 import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
-from mhcvse.data import load_dataset, read_features, write_features
+from mhcvse.data import load_dataset, read_features
 from mhcvse.model import load_checkpoint
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
@@ -149,7 +152,7 @@ class TestMalformedInputs:
         features = read_features(data / "test.features.rgft")
         image_id = min(features)
         features[image_id] = np.zeros((0, features[image_id].shape[1]))
-        write_features(data / "test.features.rgft", features)
+        (data / "test.features.rgft").write_bytes(rgft_bytes(features))
         code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
         assert code == 1
         assert "test.features.rgft" in err and f"image {image_id} " in err
@@ -164,6 +167,24 @@ class TestMalformedInputs:
         code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
         assert code == 1
         assert "test.captions.jsonl, line 1" in err and "list of strings" in err
+
+    @pytest.mark.parametrize("key, make_bad", [
+        pytest.param("image_id", lambda v: v + 0.9, id="image_id-float"),
+        pytest.param("image_id", str, id="image_id-string"),
+        pytest.param("image_id", lambda v: True, id="image_id-bool"),
+        pytest.param("caption_id", float, id="caption_id-integral-float"),
+    ])
+    def test_non_integer_caption_ids_exit_one(self, split, tmp_path, capsys,
+                                              key, make_bad):
+        # 80.9 used to attach the caption to image 80 and eval exited 0
+        data, checkpoint = split
+        path = data / "test.captions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0][key] = make_bad(rows[0][key])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
+        assert code == 1
+        assert "test.captions.jsonl, line 1" in err and f"'{key}'" in err
 
     def test_manifest_not_an_object_exits_one(self, split, tmp_path, capsys):
         data, checkpoint = split
@@ -200,7 +221,10 @@ class TestMalformedInputs:
         assert code == 1
         assert str(meta) in err and "'vocab'" in err
 
-    @pytest.mark.parametrize("key, value", [("config", 5), ("frequencies", [1])])
+    @pytest.mark.parametrize("key, value", [
+        ("config", 5), ("frequencies", [1]),
+        pytest.param("vocab", ["w001", "w002"], id="vocab-without-unk"),
+        pytest.param("config", "embed_dim = many\n", id="config-unparsable")])
     def test_sidecar_with_malformed_field_exits_one(self, sidecar, tmp_path, capsys,
                                                     key, value):
         checkpoint, meta, manifest = sidecar
@@ -345,3 +369,19 @@ class TestDeterminism:
         assert run(tmp_path / "r3") == 0
         c = load_checkpoint(tmp_path / "r3" / "checkpoint.mhcv")
         assert any(not np.array_equal(a[n], c[n]) for n in a)
+
+
+class TestReadme:
+    def test_quick_start_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Quick start", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+        assert [c[:2] for c in commands] == [
+            ["mhcvse", "synth"], ["mhcvse", "train"], ["mhcvse", "eval"],
+            ["mhcvse", "retrieve"]]
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            capsys.readouterr()
+            assert main(command[1:]) == 0, shlex.join(command)
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3

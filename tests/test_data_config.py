@@ -1,16 +1,22 @@
 """File formats, vocabulary, synthetic generation, and config parsing."""
 
+import hashlib
 import json
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tinymodel import rgft_bytes
+
 import mhcvse
+import mhcvse.data
 from mhcvse.config import (
     SEED_ENV_VAR,
     TrainConfig,
@@ -23,6 +29,7 @@ from mhcvse.data import (
     Dataset,
     DatasetManifest,
     Vocabulary,
+    _split_sizes,
     generate_synthetic,
     load_dataset,
     read_captions_jsonl,
@@ -117,13 +124,19 @@ class TestFeatureFormat:
         with pytest.raises(ValueError, match=r"twice\.rgft.*repeated image id 5"):
             read_features(path)
 
-
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
     def test_empty_image_rejected(self, tmp_path, shape):
         path = tmp_path / "empty.rgft"
-        write_features(path, {1: np.ones((2, 4)), 7: np.zeros(shape)})
+        path.write_bytes(rgft_bytes({1: np.ones((2, 4)), 7: np.zeros(shape)}))
         with pytest.raises(ValueError, match=r"empty\.rgft: image 7 has"):
             read_features(path)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_empty_image_rejected_before_writing(self, tmp_path, shape):
+        path = tmp_path / "empty.rgft"
+        with pytest.raises(ValueError, match="image 7 has"):
+            write_features(path, {1: np.ones((2, 4)), 7: np.zeros(shape)})
+        assert not path.exists()
 
 
 class TestCaptionFormat:
@@ -165,6 +178,21 @@ class TestCaptionFormat:
         write_captions_jsonl(path, [(4, 1, ["x"]), (4, 2, ["y"])])
         with pytest.raises(ValueError,
                            match=r"caps\.jsonl, line 2: repeated caption_id 4"):
+            read_captions_jsonl(path)
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("image_id", 80.9, id="float"),
+        pytest.param("image_id", 80.0, id="integral-float"),
+        pytest.param("image_id", "80", id="string"),
+        pytest.param("image_id", True, id="bool"),
+        pytest.param("caption_id", None, id="null")])
+    def test_ids_must_be_json_integers(self, tmp_path, key, value):
+        path = tmp_path / "caps.jsonl"
+        row = {"image_id": 80, "caption_id": 3, "tokens": ["x"]}
+        row[key] = value
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"caps\.jsonl, line 1: '{key}' must be a JSON integer"):
             read_captions_jsonl(path)
 
     def test_empty_file_is_an_error_not_an_empty_dataset(self, tmp_path):
@@ -341,6 +369,135 @@ class TestSyntheticGenerator:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, cwd=src)
         assert out.stdout.strip() == "[]"
+
+
+def reference_synthetic(out_dir, n_pairs, m=6, f=64, l=6, vocab=60, noise=0.03,
+                        separation=2.5, seed=7, budget=10_000) -> Counter:
+    """generate_synthetic drawing one candidate latent at a time, each tested
+    against every accepted latent and caption in Python: the reference whose
+    files the block-screened generator must reproduce byte for byte.
+    Returns how often each rejection test fired."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    projections = rng.normal(size=(m, f, l)) / np.sqrt(l)
+    buckets = vocab // l
+    edges = np.array([NormalDist().inv_cdf(i / buckets) for i in range(1, buckets)])
+    accepted, codes, train_tokens = [], [], set()
+    rejected = Counter()
+
+    def draw_pair(check_coverage):
+        for _ in range(budget):
+            z = rng.normal(size=l)
+            if any(np.linalg.norm(z - prev) < separation for prev in accepted):
+                rejected["separation"] += 1
+                continue
+            jittered = z + noise * rng.normal(size=l)
+            tokens = [f"w{pos * buckets + int(np.searchsorted(edges, zv)):03d}"
+                      for pos, zv in enumerate(jittered)]
+            if any(sum(a != b for a, b in zip(tokens, prev)) < 2 for prev in codes):
+                rejected["caption distance"] += 1
+                continue
+            if check_coverage and not train_tokens.issuperset(tokens):
+                rejected["coverage"] += 1
+                continue
+            accepted.append(z)
+            codes.append(tokens)
+            return z, tokens
+        raise ValueError(f"could not place {n_pairs} latents with pairwise "
+                         f"separation {separation} in {l} dimensions")
+
+    pair_id = 0
+    for split, size in zip(("train", "val", "test"), _split_sizes(n_pairs)):
+        features, captions = {}, []
+        for _ in range(size):
+            z, tokens = draw_pair(check_coverage=split != "train")
+            if split == "train":
+                train_tokens.update(tokens)
+            features[pair_id] = projections @ z + noise * rng.normal(size=(m, f))
+            captions.append((pair_id, pair_id, tokens))
+            pair_id += 1
+        write_features(out_dir / f"{split}.features.rgft", features)
+        write_captions_jsonl(out_dir / f"{split}.captions.jsonl", captions)
+        DatasetManifest(split, f"{split}.features.rgft", f"{split}.captions.jsonl",
+                        size, 1).save(out_dir / f"{split}.manifest.json")
+    return rejected
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# SHA-256 of each file of generate_synthetic(n_pairs=96, seed=7) as written by
+# the one-candidate-at-a-time generator
+CANONICAL_SYNTH_SHA256 = {
+    "test.captions.jsonl": "6205945c94531d91852e9017595d24c24880f5a071ef19bd0b9ed772423dc092",
+    "test.features.rgft": "dde1d80873a82e00493f89142428d57fe0dab17799bedda52ac9630c730058c9",
+    "test.manifest.json": "ed5afd3358649a2875690e6ac6c0d13f5d89e21b4c173585cceeb645bcf60f9b",
+    "train.captions.jsonl": "ef5c2f7de97fd2b1725e8808aa9204f2c71a203fabac0c5a38a9cf799cac4a5b",
+    "train.features.rgft": "37eda8c97f01ddab7e667caf2cde36eb4c49e72dd16334b7a507a3343d0fb92c",
+    "train.manifest.json": "4e3f9827b9275b69414edb0232c5e67b2d82bc8946d00b3a729b74ed49283875",
+    "val.captions.jsonl": "22e48f3fc45fff9589086e21ec4a0384e8e566ac2ed6accfbdd70dd490b5a2a9",
+    "val.features.rgft": "235f23c002012f279fbd06c36d07d279d24ccee590b3e04fa5e34be8816587f9",
+    "val.manifest.json": "e4fed6d10f743a3f65bc993151452429da9be3533bf2968df4974d735dffd873",
+}
+
+# (generator arguments, the rejection test the config must exercise)
+REFERENCE_CASES = [
+    pytest.param(dict(n_pairs=96, seed=7), "caption distance", id="canonical"),
+    pytest.param(dict(n_pairs=12, seed=5), "coverage", id="coverage"),
+    pytest.param(dict(n_pairs=24, l=5, vocab=15, separation=1.0, seed=3),
+                 "caption distance", id="caption-distance"),
+    pytest.param(dict(n_pairs=200, vocab=120, l=8, seed=3), "separation",
+                 id="200-pairs"),
+]
+
+
+class TestSyntheticMatchesReference:
+    def test_canonical_files_hash_as_recorded(self, tmp_path):
+        generate_synthetic(tmp_path, n_pairs=96, seed=7)
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in _files(tmp_path).items()}
+        assert digests == CANONICAL_SYNTH_SHA256
+
+    @pytest.mark.parametrize("kwargs, fired", REFERENCE_CASES)
+    def test_files_match_the_reference(self, tmp_path, kwargs, fired):
+        rejected = reference_synthetic(tmp_path / "ref", **kwargs)
+        assert rejected[fired] > 0
+        generate_synthetic(tmp_path / "new", **kwargs)
+        assert _files(tmp_path / "new") == _files(tmp_path / "ref")
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_the_files(self, tmp_path, monkeypatch, block):
+        reference_synthetic(tmp_path / "ref", n_pairs=24, l=5, vocab=15,
+                            separation=1.0, seed=3)
+        monkeypatch.setattr(mhcvse.data, "_SCREEN_BLOCK", block)
+        generate_synthetic(tmp_path / "new", n_pairs=24, l=5, vocab=15,
+                           separation=1.0, seed=3)
+        assert _files(tmp_path / "new") == _files(tmp_path / "ref")
+
+    def test_failure_matches_the_reference(self, tmp_path):
+        kwargs = dict(n_pairs=50, l=2, vocab=20, separation=4.0, seed=5)
+        with pytest.raises(ValueError) as ref:
+            reference_synthetic(tmp_path / "ref", **kwargs)
+        with pytest.raises(ValueError) as new:
+            generate_synthetic(tmp_path / "new", **kwargs)
+        assert str(new.value) == str(ref.value)
+
+    def test_budget_counts_candidates(self, tmp_path, monkeypatch):
+        # at seed 5 one pair needs 389 candidates: a budget of 389 places
+        # every pair and 388 does not, though neither is a multiple of the
+        # block size
+        kwargs = dict(n_pairs=12, seed=5)
+        monkeypatch.setattr(mhcvse.data, "_CANDIDATE_BUDGET", 389)
+        reference_synthetic(tmp_path / "ref", budget=389, **kwargs)
+        generate_synthetic(tmp_path / "new", **kwargs)
+        assert _files(tmp_path / "new") == _files(tmp_path / "ref")
+        monkeypatch.setattr(mhcvse.data, "_CANDIDATE_BUDGET", 388)
+        with pytest.raises(ValueError, match="could not place"):
+            reference_synthetic(tmp_path / "ref388", budget=388, **kwargs)
+        with pytest.raises(ValueError, match="could not place"):
+            generate_synthetic(tmp_path / "new388", **kwargs)
 
 
 class TestConfig:

@@ -9,7 +9,7 @@ from tinymodel import snapshot, states_equal, tiny_setup
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import Vocabulary
-from mhcvse.model import Model, load_model, save_model
+from mhcvse.model import Model, load_checkpoint, load_model, save_model
 
 
 def small_graph(dim, k=4, seed=1):
@@ -182,6 +182,32 @@ class TestSaveLoadModel:
         assert loaded.graph.concepts == model.graph.concepts
         assert loaded.graph.frequencies == model.graph.frequencies
         assert np.array_equal(loaded.graph.adjacency, model.graph.adjacency)
+
+    def test_loaded_state_equals_the_checkpoint_bit_for_bit(self, tmp_path):
+        model, _, _ = tiny_setup()
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+        arrays = load_checkpoint(path)
+        state = load_model(path).state_tensors()
+        assert state.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            got = state[name].data
+            assert (got.dtype, got.shape) == (arr.dtype, arr.shape), name
+            assert got.tobytes() == arr.tobytes(), name
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        # the checkpoint overwrites every parameter, so an init drawn
+        # from the config seed would be thrown away
+        model, _, _ = tiny_setup()
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_model(path)
+        assert states_equal(snapshot(loaded), snapshot(model))
 
     def test_missing_sidecar_rejected(self, tmp_path):
         model, _, _ = tiny_setup()

@@ -1,5 +1,8 @@
-"""Shared test helper: a small random paired dataset and a model sized to
-train in milliseconds; captions are 3 distinct tokens from a 10-token pool."""
+"""Shared test helpers: a small random paired dataset and a model sized to
+train in milliseconds (captions are 3 distinct tokens from a 10-token
+pool), plus a raw RGFT writer for files the library refuses to write."""
+
+import struct
 
 import numpy as np
 
@@ -43,3 +46,12 @@ def snapshot(model):
 
 def states_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[n], b[n]) for n in a)
+
+
+def rgft_bytes(features):
+    """An RGFT feature file written without ``write_features``' checks."""
+    out = b"RGFT" + struct.pack("<IQ", 1, len(features))
+    for image_id in sorted(features):
+        arr = np.asarray(features[image_id], "<f4")
+        out += struct.pack("<QII", image_id, *arr.shape) + arr.tobytes()
+    return out
