@@ -18,6 +18,7 @@ import numpy as np
 from mhcvse import (EncoderParams, MhsaParams, PaddedBatch, Tensor, attend_and_pool,
                     encode_image, encode_text, multi_head, scaled_dot_attention)
 from mhcvse.attention import head_attention_weights
+from mhcvse.autodiff import masked_mean
 
 rng = np.random.default_rng(1)
 d = 16
@@ -54,12 +55,14 @@ print(f"pooled invariance gap: {np.abs(pooled.data - pooled_perm.data).max():.2e
 #    rows; the text side runs a Bi-GRU and concatenates the forward and
 #    backward states per token. Both land in width d. Items of different
 #    lengths share a batch: they are padded with zeros, and the mask marks
-#    their real rows.
+#    their real rows. The mean of a caption's real token states serves as
+#    its sentence vector here.
 enc = EncoderParams.init(rng, vocab_size=30, feature_dim=7, embed_dim=d)
 images = PaddedBatch.of([rng.normal(size=(5, 7)), rng.normal(size=(2, 7))])
 image_seq = encode_image(images, enc)
 captions = PaddedBatch.of([[3, 14, 8, 21], [21, 8, 14, 3], [9, 2]])
-token_seq, sentence = encode_text(captions, enc)
+token_seq = encode_text(captions, enc)
+sentence = masked_mean(token_seq, captions.mask)
 print(f"image regions encoded:  {image_seq.shape}, real rows per image: "
       f"{images.mask.sum(axis=1).tolist()}")
 print(f"caption tokens encoded: {token_seq.shape}, pooled sentences: {sentence.shape}")

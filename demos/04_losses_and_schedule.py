@@ -3,8 +3,9 @@ Ranking losses, dynamic weights, and the learning-rate curve
 ============================================================
 
 Training pulls on four handles at once: a bidirectional hinge ranking
-loss at the instance, consensus, and fusion levels, plus a symmetric KL
-term aligning the two modalities' concept distributions. Each hinge term
+loss at the instance, consensus, and fusion levels, plus a KL term,
+KL(p_text || p_image), that pulls the text side's concept distribution
+toward the image side's. Each hinge term
 gets a weight that grows with its own current value (computed outside the
 graph, so the weights steer but are not themselves trained), and Adam's
 learning rate follows a cosine curve with warm restarts.
@@ -28,9 +29,10 @@ for mode in ("sum", "hardest"):
     value = contrastive_loss(confused, margin=0.2, mode=mode).item()
     print(f"one confusable negative, {mode:7s} mode: {value:.4f}")
 
-# 2. Symmetric KL between the two modalities' concept distributions: zero
-#    when they agree, positive when the image and its caption disagree
-#    about which concepts are present.
+# 2. KL(p_text || p_image) between the two modalities' concept
+#    distributions, in that one direction only: zero when they agree,
+#    positive when the image and its caption disagree about which
+#    concepts are present.
 agree = Tensor([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
 disagree = Tensor([[0.1, 0.2, 0.7], [0.1, 0.8, 0.1]])
 print(f"kl(agree):    {kl_loss(agree, agree).item():.4f}")

@@ -5,8 +5,9 @@ losses). Gradients come from recording every op on a :class:`Tape` during
 the forward pass and replaying the recorded nodes in reverse: define-by-run,
 so the tape is rebuilt on every forward pass and append order is already a
 topological order. The op set is deliberately small -- matrix products
-(batched over a leading axis at rank 3), elementwise nonlinearities,
-reductions, concatenation/slicing/reshaping, a row gather, a stable
+(batched over a leading axis at rank 3), add/sub/mul with numpy
+broadcasting, elementwise nonlinearities, reductions,
+concatenation/slicing/reshaping, a row gather, a stable
 (optionally masked) softmax, a masked mean and row L2 normalization -- and
 everything downstream is composed from it. Variable-length items are
 padded to a common length and carry a boolean mask; the masked ops give
@@ -24,14 +25,13 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
-    "matmul", "transpose", "add", "sub", "mul", "neg",
-    "add_scalar", "mul_scalar", "div_scalar",
+    "matmul", "transpose", "add", "sub", "mul", "div_scalar",
     "tanh", "sigmoid", "relu", "log",
     "sum", "masked_mean",
     "concat", "index", "reshape", "gather", "where",
     "split_heads", "merge_heads",
     "softmax_rows", "l2_normalize_rows",
-    "diag_part", "add_rowvec", "sub_colvec", "mul_colvec", "rowmax",
+    "diag_part", "rowmax",
     "set_finite_checks", "finite_checks_enabled",
 ]
 
@@ -88,27 +88,20 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; numbers go through the scalar ops so they do not
-    # become tape leaves
+    # operator sugar; a number operand stays a constant, never a tape leaf
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
+        return add(self, other)
 
-    __radd__ = __add__
+    __radd__ = __add__  # exact: float addition and multiplication commute
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
+        return sub(other, self)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
+        return mul(self, other)
 
     __rmul__ = __mul__
 
@@ -118,7 +111,7 @@ class Tensor:
         return div_scalar(self, float(other))
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -284,68 +277,77 @@ def transpose(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def _binary_shapes(ad, bd, op):
-    # equal shapes, or one side rank-0 broadcasting over the other
-    if ad.shape != bd.shape and ad.ndim != 0 and bd.ndim != 0:
-        raise ValueError(f"{op}: shape mismatch {ad.shape} vs {bd.shape}")
+def _operand(x, name: str, op: str):
+    """The value of one operand of add/sub/mul: a Tensor's array, or a plain
+    number as a float constant."""
+    if isinstance(x, Tensor):
+        return x.data
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise TypeError(f"{op}: {name} must be a Tensor or a number, got {type(x).__name__}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check(a, "a", "add"); _check(b, "b", "add")
-    ad, bd = a.data, b.data
-    _binary_shapes(ad, bd, "add")
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient of a broadcast result back to an operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        # one reduction over all the extra leading axes, as for a bias row
+        g = g.reshape((-1,) + g.shape[lead:]).sum(axis=0)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _broadcast(op: str, ufunc, a, b, ad, bd, grad_a, grad_b) -> Tensor:
+    """Record ``ufunc(ad, bd)`` under numpy broadcasting, where ``ad`` and
+    ``bd`` are the values of the operands ``a`` and ``b``.
+
+    ``grad_a(g)`` and ``grad_b(g)`` give each operand's gradient at the
+    result's shape. Only Tensor operands are inputs of the node. The vjp
+    holds only the arrays its gradients read, and never a Tensor, whose
+    tape link would keep the tape alive.
+    """
+    a_is_t, b_is_t = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (a_is_t or b_is_t):
+        raise TypeError(f"{op}: at least one operand must be a Tensor")
+    try:
+        out = ufunc(ad, bd)
+    except ValueError:
+        raise ValueError(f"{op}: shapes {np.shape(ad)} and {np.shape(bd)} "
+                         f"do not broadcast") from None
+    if not b_is_t:
+        return _make(out, (a,), lambda g: (grad_a(g),), op)
+    if not a_is_t:
+        return _make(out, (b,), lambda g: (grad_b(g),), op)
+    sa, sb = ad.shape, bd.shape
 
     def vjp(g):
-        ga = np.asarray(g.sum()) if ad.ndim == 0 and g.ndim != 0 else g
-        gb = np.asarray(g.sum()) if bd.ndim == 0 and g.ndim != 0 else g
-        return ga, gb
-    return _make(ad + bd, (a, b), vjp, "add")
+        return _unbroadcast(grad_a(g), sa), _unbroadcast(grad_b(g), sb)
+    return _make(out, (a, b), vjp, op)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check(a, "a", "sub"); _check(b, "b", "sub")
-    ad, bd = a.data, b.data
-    _binary_shapes(ad, bd, "sub")
-
-    def vjp(g):
-        ga = np.asarray(g.sum()) if ad.ndim == 0 and g.ndim != 0 else g
-        gb = np.asarray((-g).sum()) if bd.ndim == 0 and g.ndim != 0 else -g
-        return ga, gb
-    return _make(ad - bd, (a, b), vjp, "sub")
+def _identity(g):
+    return g
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; either side may be rank-0 (scaling)."""
-    _check(a, "a", "mul"); _check(b, "b", "mul")
-    ad, bd = a.data, b.data
-    _binary_shapes(ad, bd, "mul")
-
-    def vjp(g):
-        ga = g * bd
-        gb = g * ad
-        if ad.ndim == 0 and ga.ndim != 0:
-            ga = np.asarray(ga.sum())
-        if bd.ndim == 0 and gb.ndim != 0:
-            gb = np.asarray(gb.sum())
-        return ga, gb
-    return _make(ad * bd, (a, b), vjp, "mul")
+def add(a, b) -> Tensor:
+    """a + b under numpy broadcasting; either side may be a number."""
+    ad, bd = _operand(a, "a", "add"), _operand(b, "b", "add")
+    return _broadcast("add", np.add, a, b, ad, bd, _identity, _identity)
 
 
-def neg(a: Tensor) -> Tensor:
-    _check(a, "a", "neg")
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
+def sub(a, b) -> Tensor:
+    """a - b under numpy broadcasting; either side may be a number."""
+    ad, bd = _operand(a, "a", "sub"), _operand(b, "b", "sub")
+    return _broadcast("sub", np.subtract, a, b, ad, bd, _identity, np.negative)
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    _check(a, "a", "add_scalar")
-    c = float(c)
-    return _make(a.data + c, (a,), lambda g: (g,), "add_scalar")
-
-
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    _check(a, "a", "mul_scalar")
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,), "mul_scalar")
+def mul(a, b) -> Tensor:
+    """Elementwise a * b under numpy broadcasting; either side may be a number."""
+    ad, bd = _operand(a, "a", "mul"), _operand(b, "b", "mul")
+    return _broadcast("mul", np.multiply, a, b, ad, bd,
+                      lambda g: g * bd, lambda g: g * ad)
 
 
 def div_scalar(a: Tensor, c: float) -> Tensor:
@@ -593,10 +595,10 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row and column helpers for the ranking losses and fusion
+# helpers for the ranking losses
 
 def diag_part(a: Tensor) -> Tensor:
-    """Diagonal of a square matrix as a rank-1 tensor."""
+    """Diagonal of a square (n, n) matrix as an (n, 1) column."""
     _check(a, "a", "diag_part")
     x = a.data
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -605,45 +607,9 @@ def diag_part(a: Tensor) -> Tensor:
 
     def vjp(g):
         z = np.zeros((n, n))
-        np.fill_diagonal(z, g)
+        np.fill_diagonal(z, g[:, 0])
         return (z,)
-    return _make(np.diag(x).copy(), (a,), vjp, "diag_part")
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a width-n vector to every row of an (m, n) matrix or (B, m, n) batch."""
-    _check(x, "x", "add_rowvec"); _check(v, "v", "add_rowvec")
-    xd, vd = x.data, v.data
-    if xd.ndim not in (2, 3) or vd.ndim != 1 or xd.shape[-1] != vd.shape[0]:
-        raise ValueError(f"add_rowvec: {xd.shape} + row {vd.shape}")
-
-    def vjp(g):
-        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
-    return _make(xd + vd, (x, v), vjp, "add_rowvec")
-
-
-def sub_colvec(x: Tensor, v: Tensor) -> Tensor:
-    """Subtract v[i] from every element of row i of an (m, n) matrix."""
-    _check(x, "x", "sub_colvec"); _check(v, "v", "sub_colvec")
-    xd, vd = x.data, v.data
-    if xd.ndim != 2 or vd.ndim != 1 or xd.shape[0] != vd.shape[0]:
-        raise ValueError(f"sub_colvec: {xd.shape} - col {vd.shape}")
-
-    def vjp(g):
-        return g, -g.sum(axis=1)
-    return _make(xd - vd[:, None], (x, v), vjp, "sub_colvec")
-
-
-def mul_colvec(x: Tensor, v: Tensor) -> Tensor:
-    """Scale row i of an (m, n) matrix by v[i]."""
-    _check(x, "x", "mul_colvec"); _check(v, "v", "mul_colvec")
-    xd, vd = x.data, v.data
-    if xd.ndim != 2 or vd.ndim != 1 or xd.shape[0] != vd.shape[0]:
-        raise ValueError(f"mul_colvec: {xd.shape} * col {vd.shape}")
-
-    def vjp(g):
-        return g * vd[:, None], (g * xd).sum(axis=1)
-    return _make(xd * vd[:, None], (x, v), vjp, "mul_colvec")
+    return _make(np.diag(x)[:, None].copy(), (a,), vjp, "diag_part")
 
 
 def rowmax(a: Tensor) -> Tensor:

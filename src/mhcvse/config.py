@@ -7,6 +7,7 @@ a config is loaded for a run.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -52,18 +53,20 @@ class TrainConfig:
                              f"{self.heads} heads")
         if self.fuse_type not in FUSE_TYPES:
             raise ValueError(f"unknown fuse_type '{self.fuse_type}'")
-        if self.margin <= 0.0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not 0.0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
         if self.contrastive_mode not in CONTRASTIVE_MODES:
             raise ValueError(f"unknown contrastive_mode '{self.contrastive_mode}'")
         if len(self.base_weights) != 4:
             raise ValueError("base_weights needs exactly 4 values")
+        if not all(0.0 <= w < math.inf for w in self.base_weights):
+            raise ValueError(f"base_weights must be finite and >= 0, got {self.base_weights}")
         if self.gcn_form not in GCN_FORMS:
             raise ValueError(f"unknown gcn_form '{self.gcn_form}'")
         if self.concepts < 1:
             raise ValueError(f"concepts must be >= 1, got {self.concepts}")
-        if self.eta0 < 0.0:
-            raise ValueError(f"eta0 must be >= 0, got {self.eta0}")
+        if not 0.0 <= self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite and >= 0, got {self.eta0}")
         if not 0.0 <= self.eta_min_ratio <= 1.0:
             raise ValueError(f"eta_min_ratio must lie in [0, 1], got {self.eta_min_ratio}")
         if self.period_epochs < 1:
@@ -134,12 +137,12 @@ def parse_config_text(text: str) -> TrainConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"config line {lineno}: expected key = value, got '{line}'")
+            raise ValueError(f"line {lineno}: expected key = value, got '{line}'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_KINDS:
-            raise ValueError(f"config line {lineno}: unknown key '{key}'")
+            raise ValueError(f"line {lineno}: unknown key '{key}'")
         if key in values:
-            raise ValueError(f"config line {lineno}: duplicate key '{key}'")
+            raise ValueError(f"line {lineno}: duplicate key '{key}'")
         values[key] = _parse_value(key, raw, _FIELD_KINDS[key])
     return TrainConfig(**values).validate()
 
@@ -150,7 +153,11 @@ def load_config(path=None, apply_env: bool = True, **overrides) -> TrainConfig:
         cfg = TrainConfig()
     else:
         with open(path) as fh:
-            cfg = parse_config_text(fh.read())
+            text = fh.read()
+        try:
+            cfg = parse_config_text(text)
+        except ValueError as err:
+            raise ValueError(f"config {path}: {err}") from None
     if overrides:
         cfg = replace(cfg, **overrides)
     if apply_env and SEED_ENV_VAR in os.environ:

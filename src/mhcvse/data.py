@@ -12,6 +12,7 @@ side but never a lookup.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -353,10 +354,10 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
     if vocab < 2 * l:
         raise ValueError(f"vocab={vocab} too small for {l} token positions "
                          "(need at least 2 buckets each)")
-    if noise < 0.0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
-    if separation < 0.0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if not 0.0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, add_rowvec, concat, gather, index, masked_mean, matmul, mul,
-    reshape, sigmoid, tanh, where,
+    Tensor, add, concat, gather, index, matmul, mul, reshape, sigmoid, sub,
+    tanh, where,
 )
 
 __all__ = [
@@ -142,7 +142,7 @@ def encode_image(features: PaddedBatch, params: EncoderParams) -> Tensor:
     if regions.ndim != 3 or regions.shape[2] != params.image_proj.shape[0]:
         raise ValueError(f"region batch must be (B, M, {params.image_proj.shape[0]}), "
                          f"got {regions.shape}")
-    return add_rowvec(matmul(Tensor(regions), params.image_proj), params.image_bias)
+    return add(matmul(Tensor(regions), params.image_proj), params.image_bias)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
@@ -152,13 +152,11 @@ def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
     """
     if x_t.ndim != 2 or h_prev.ndim != 2:
         raise ValueError(f"gru_step needs (B, d) rows, got {x_t.shape} and {h_prev.shape}")
-    z = sigmoid(add_rowvec(add(matmul(x_t, gates.w_z), matmul(h_prev, gates.u_z)),
-                           gates.b_z))
-    r = sigmoid(add_rowvec(add(matmul(x_t, gates.w_r), matmul(h_prev, gates.u_r)),
-                           gates.b_r))
-    cand = tanh(add_rowvec(add(matmul(x_t, gates.w_h),
-                               matmul(mul(r, h_prev), gates.u_h)), gates.b_h))
-    return add(mul(1.0 - z, h_prev), mul(z, cand))
+    z = sigmoid(add(add(matmul(x_t, gates.w_z), matmul(h_prev, gates.u_z)), gates.b_z))
+    r = sigmoid(add(add(matmul(x_t, gates.w_r), matmul(h_prev, gates.u_r)), gates.b_r))
+    cand = tanh(add(add(matmul(x_t, gates.w_h), matmul(mul(r, h_prev), gates.u_h)),
+                    gates.b_h))
+    return add(mul(sub(1.0, z), h_prev), mul(z, cand))
 
 
 def _run_direction(steps: list[Tensor], mask: np.ndarray, gates: GruGates,
@@ -174,13 +172,13 @@ def _run_direction(steps: list[Tensor], mask: np.ndarray, gates: GruGates,
     return states
 
 
-def encode_text(caption: PaddedBatch, params: EncoderParams) -> tuple[Tensor, Tensor]:
+def encode_text(caption: PaddedBatch, params: EncoderParams) -> Tensor:
     """Bi-GRU over token ids.
 
-    For a padded batch of ids (B, L) returns the per-token states (B, L, d)
-    and their masked mean (B, d) as the pooled sentence vector. Each token
-    state is the concatenation of the forward state at t and the backward
-    state at t.
+    For a padded batch of ids (B, L) returns the per-token states (B, L, d).
+    Each token state is the concatenation of the forward state at t and the
+    backward state at t; the states at padded slots are left to the
+    caller's mask.
     """
     ids, mask = caption.values, caption.mask
     if ids.ndim != 2:
@@ -196,6 +194,4 @@ def encode_text(caption: PaddedBatch, params: EncoderParams) -> tuple[Tensor, Te
     fwd = _run_direction(steps, mask, params.gru_forward, reverse=False)
     bwd = _run_direction(steps, mask, params.gru_backward, reverse=True)
     b, length = ids.shape
-    states = reshape(concat([h for pair in zip(fwd, bwd) for h in pair]),
-                     (b, length, -1))
-    return states, masked_mean(states, mask)
+    return reshape(concat([h for pair in zip(fwd, bwd) for h in pair]), (b, length, -1))

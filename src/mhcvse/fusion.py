@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, concat, index, l2_normalize_rows, matmul, mul, mul_colvec,
-    sigmoid, softmax_rows, transpose,
+    Tensor, add, concat, index, l2_normalize_rows, matmul, mul, reshape,
+    sigmoid, softmax_rows, sub, transpose,
 )
 from .encoders import uniform_init
 
@@ -97,11 +97,12 @@ def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> Tensor:
         vec = concat([v_image, v_text])
     elif ft == "adap_sum":
         a = sigmoid(params.alpha_raw)
-        vec = add(mul(v_image, a), mul(v_text, 1.0 - a))
+        vec = add(mul(v_image, a), mul(v_text, sub(1.0, a)))
     elif ft == "weight_sum":
         logits = matmul(concat([v_image, v_text]), params.weight_net)
-        w = transpose(softmax_rows(logits))
-        vec = add(mul_colvec(v_image, index(w, 0)), mul_colvec(v_text, index(w, 1)))
+        # (2, B, 1): slab i holds each row's weight for operand i as a column
+        w = reshape(transpose(softmax_rows(logits)), (2, -1, 1))
+        vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))
     elif ft == "global_weight_sum":
         w = softmax_rows(params.global_logits)
         vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))

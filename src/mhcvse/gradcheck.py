@@ -118,7 +118,7 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     caption = PaddedBatch.of([rng.integers(0, vocab, size=l)])
     proj = rng.normal(size=(1, d))
     results["encode_text"] = gradient_check(
-        lambda: _project(encode_text(caption, enc)[1], proj),
+        lambda: _project(ad.masked_mean(encode_text(caption, enc), caption.mask), proj),
         enc.named_parameters("encoder"))
 
     # multi-head attention
@@ -204,9 +204,9 @@ def run_suite(seed: int = 0) -> dict[str, float]:
 
     def total():
         terms = four_terms()
-        out = ad.mul_scalar(terms[0], frozen[0])
+        out = ad.mul(terms[0], frozen[0])
         for lam, term in zip(frozen[1:], terms[1:]):
-            out = ad.add(out, ad.mul_scalar(term, lam))
+            out = ad.add(out, ad.mul(term, lam))
         return out
 
     results["loss_total"] = gradient_check(total, params)
@@ -215,7 +215,7 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     ids = PaddedBatch.of([[3], list(rng.integers(0, vocab, size=l)), [5, 1]])
     proj = rng.normal(size=(3, l, d))
     results["encode_text_padded"] = gradient_check(
-        lambda: _project(encode_text(ids, enc)[0], proj * ids.mask[:, :, None]),
+        lambda: _project(encode_text(ids, enc), proj * ids.mask[:, :, None]),
         enc.named_parameters("encoder"))
 
     # masked attention pooling over a padded batch: lengths m, 1 and 2
@@ -248,7 +248,7 @@ def _op_cases(mask: np.ndarray):
         ("where", lambda t: ad.where(mask[:, :1], t, ad.tanh(t)), (3, 2)),
         ("split_heads", lambda t: ad.split_heads(t, 2), (3, 2, 4)),
         ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2)),
-        ("mul_colvec", lambda t: ad.mul_colvec(t, Tensor(w[0, :, 0])), (4, 2)),
+        ("broadcast_mul", lambda t: ad.mul(t, Tensor(w[0, :, :1])), (4, 2)),
         ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
         ("index", lambda t: ad.index(t, 1), (3, 2, 2)),
     ]

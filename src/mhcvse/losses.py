@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, add_scalar, diag_part, div_scalar, finite_checks_enabled,
-    log, mul, mul_scalar, relu, rowmax, sub, sub_colvec, sum as tsum,
-    transpose,
+    Tensor, add, diag_part, div_scalar, finite_checks_enabled, log, mul,
+    relu, rowmax, sub, sum as tsum, transpose,
 )
 
 __all__ = [
@@ -48,12 +47,12 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
     if b < 2:
         raise ValueError(f"contrastive loss needs a batch of >= 2, got {b}")
 
-    diag = diag_part(scores)
+    diag = diag_part(scores)  # (B, 1): each row's matched score
     off_diag = Tensor(1.0 - np.eye(b))
     # image -> text: row i against its caption's column
-    viol_t = mul(relu(add_scalar(sub_colvec(scores, diag), margin)), off_diag)
+    viol_t = mul(relu(add(sub(scores, diag), margin)), off_diag)
     # text -> image: column i against its image's row
-    viol_i = mul(relu(add_scalar(sub_colvec(transpose(scores), diag), margin)), off_diag)
+    viol_i = mul(relu(add(sub(transpose(scores), diag), margin)), off_diag)
     if mode == "sum":
         total = add(tsum(viol_t), tsum(viol_i))
         return div_scalar(total, float(b * (b - 1)))
@@ -125,7 +124,7 @@ def total_loss(l_instance: Tensor, l_consensus: Tensor, l_fusion: Tensor,
             raise ValueError("loss terms must be scalars")
     lambdas = tuple(dynamic_weight(float(w), t.item(), invert)
                     for w, t in zip(base_weights, terms))
-    total = mul_scalar(terms[0], lambdas[0])
+    total = mul(terms[0], lambdas[0])
     for lam, t in zip(lambdas[1:], terms[1:]):
-        total = add(total, mul_scalar(t, lam))
+        total = add(total, mul(t, lam))
     return LossTerms(l_instance, l_consensus, l_fusion, l_kl, lambdas, total)

@@ -144,7 +144,7 @@ class Model:
 
     def _text_levels(self, token_ids: list[list[int]], gcn_out: Tensor):
         batch = PaddedBatch.of(token_ids)
-        seq, _ = encode_text(batch, self.encoder)
+        seq = encode_text(batch, self.encoder)
         return self._levels(seq, batch.mask, self.attn_text, self.head_text, gcn_out)
 
     def _levels(self, seq: Tensor, mask: np.ndarray, attn: MhsaParams,

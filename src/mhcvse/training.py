@@ -38,8 +38,8 @@ class LrSchedule:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.eta0 < 0.0 or self.eta_min < 0.0 or self.eta_min > self.eta0:
-            raise ValueError(f"need 0 <= eta_min <= eta0, got "
+        if not 0.0 <= self.eta_min <= self.eta0 < math.inf:
+            raise ValueError(f"need 0 <= eta_min <= eta0 < inf, got "
                              f"eta_min={self.eta_min}, eta0={self.eta0}")
 
 

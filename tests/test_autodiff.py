@@ -214,7 +214,7 @@ class TestBackwardBasics:
     def test_gradient_of_loss_wrt_itself(self):
         x = Tensor(3.0)
         with Tape() as tape:
-            loss = ad.mul_scalar(x, 1.0)
+            loss = ad.mul(x, 1.0)
             grads = tape.backward(loss)
         assert_allclose(grads[x], 1.0)
 
@@ -323,9 +323,10 @@ OP_CASES = [
     ("sub_rank0_rhs", lambda t: ad.sub(Tensor(_W[:3, :4]), t), (), None),
     ("mul", lambda t: ad.mul(t, Tensor(_W[:3, :4])), (3, 4), None),
     ("mul_rank0", lambda t: ad.mul(Tensor(_W[:3, :4]), t), (), None),
-    ("neg", ad.neg, (3, 4), None),
-    ("add_scalar", lambda t: ad.add_scalar(t, 1.7), (3, 4), None),
-    ("mul_scalar", lambda t: ad.mul_scalar(t, -2.3), (3, 4), None),
+    ("neg", lambda t: -t, (3, 4), None),
+    ("add_number", lambda t: ad.add(t, 1.7), (3, 4), None),
+    ("sub_from_number", lambda t: ad.sub(1.0, t), (3, 4), None),
+    ("mul_number", lambda t: ad.mul(t, -2.3), (3, 4), None),
     ("div_scalar", lambda t: ad.div_scalar(t, 3.1), (3, 4), None),
     ("tanh", ad.tanh, (3, 4), None),
     ("sigmoid", ad.sigmoid, (3, 4), None),
@@ -357,15 +358,19 @@ OP_CASES = [
      (3, 2, 4), None),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4), _keep_off_kinks),
     ("diag_part", ad.diag_part, (4, 4), None),
-    ("add_rowvec", lambda t: ad.add_rowvec(t, Tensor(_W[0, :4])), (3, 4), None),
-    ("add_rowvec_v", lambda t: ad.add_rowvec(Tensor(_W[:3, :4]), t), (4,), None),
-    ("add_rowvec_r3", lambda t: ad.add_rowvec(t, Tensor(_W[0, :4])), (2, 3, 4), None),
-    ("add_rowvec_r3_v", lambda t: ad.add_rowvec(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+    ("add_row", lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4), None),
+    ("add_row_v", lambda t: ad.add(Tensor(_W[:3, :4]), t), (4,), None),
+    ("add_row_r3", lambda t: ad.add(t, Tensor(_W[0, :4])), (2, 3, 4), None),
+    ("add_row_r3_v", lambda t: ad.add(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
      (4,), None),
-    ("sub_colvec", lambda t: ad.sub_colvec(t, Tensor(_W[0, :3])), (3, 4), None),
-    ("sub_colvec_v", lambda t: ad.sub_colvec(Tensor(_W[:3, :4]), t), (3,), None),
-    ("mul_colvec", lambda t: ad.mul_colvec(t, Tensor(_W[0, :3])), (3, 4), None),
-    ("mul_colvec_v", lambda t: ad.mul_colvec(Tensor(_W[:3, :4]), t), (3,), None),
+    ("sub_col", lambda t: ad.sub(t, Tensor(_W[:3, :1])), (3, 4), None),
+    ("sub_col_v", lambda t: ad.sub(Tensor(_W[:3, :4]), t), (3, 1), None),
+    ("mul_col", lambda t: ad.mul(t, Tensor(_W[:3, :1])), (3, 4), None),
+    ("mul_col_v", lambda t: ad.mul(Tensor(_W[:3, :4]), t), (3, 1), None),
+    ("mul_outer", lambda t: ad.mul(t, Tensor(_W[:1, :4])), (3, 1), None),
+    ("mul_outer_v", lambda t: ad.mul(Tensor(_W[:3, :1]), t), (1, 4), None),
+    ("mul_mid_r3", lambda t: ad.mul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+     (2, 1, 4), None),
     ("rowmax", ad.rowmax, (3, 4), _keep_off_kinks),
 ]
 
@@ -396,6 +401,22 @@ class TestGradientsVsFiniteDifferences:
         numeric = numeric_grad(loss_of, x.copy())
         assert max_rel_err(grads[t], numeric) < GRAD_TOL
 
+    def test_every_op_has_a_gradient_case(self, monkeypatch):
+        seen = set()
+        make = ad._make
+
+        def recording(out_data, inputs, vjp, op):
+            seen.add(op)
+            return make(out_data, inputs, vjp, op)
+
+        monkeypatch.setattr(ad, "_make", recording)
+        for _, op, shape, prep in OP_CASES:
+            x = np.random.default_rng(0).normal(size=shape)
+            op(Tensor(x if prep is None else prep(x)))
+        not_ops = {"Tensor", "Tape", "AdamState", "adam_step",
+                   "set_finite_checks", "finite_checks_enabled"}
+        assert sorted(set(ad.__all__) - not_ops - seen) == []
+
 
 class TestShapeGuards:
     def test_transpose_rank(self):
@@ -405,7 +426,7 @@ class TestShapeGuards:
     def test_binary_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mul: shapes \(3,\) and \(4,\)"):
             ad.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
     def test_div_scalar_by_zero(self):
@@ -433,10 +454,10 @@ class TestShapeGuards:
             ad.diag_part(Tensor(np.zeros((2, 3))))
 
     def test_rowvec_colvec_shapes(self):
-        with pytest.raises(ValueError):
-            ad.add_rowvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
-        with pytest.raises(ValueError):
-            ad.sub_colvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match=r"add: shapes \(2, 3\) and \(2,\)"):
+            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match=r"sub: shapes \(2, 3\) and \(3, 1\)"):
+            ad.sub(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 1))))
 
     def test_rowmax_rank(self):
         with pytest.raises(ValueError):
@@ -473,6 +494,44 @@ class TestShapeGuards:
             ad.reshape(Tensor(np.zeros(16)), (2, 2, 2, 2))
 
 
+class TestBroadcastOperands:
+    def test_a_number_is_a_constant_not_a_leaf(self):
+        x = Tensor(np.ones((2, 3)))
+        with Tape() as tape:
+            y = ad.mul(ad.sub(1, x), 0.5)
+            grads = tape.backward(ad.sum(y))
+        assert len(tape) == 4  # the leaf x, sub, mul, sum
+        assert tape.parent_ids(1) == (0,) and tape.parent_ids(2) == (1,)
+        assert list(grads) == [x]
+        assert_allclose(grads[x], np.full((2, 3), -0.5), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("a,b", [
+        (Tensor(1.0), True), (False, Tensor(1.0)), (Tensor(1.0), "1"),
+        (Tensor([1.0]), np.ones(1)), (Tensor(1.0), np.int64(1)), (1.0, 2),
+    ], ids=["bool_rhs", "bool_lhs", "str", "ndarray", "numpy_int", "two_numbers"])
+    def test_other_operands_rejected(self, a, b):
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+    def test_a_row_gradient_is_one_sum_over_the_leading_rows(self):
+        # the reduction a bias row's gradient has always had, bit for bit
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(3, 7, 5)))
+        bias = Tensor(rng.normal(size=5))
+        probe = rng.normal(size=(3, 7, 5))
+        with Tape() as tape:
+            grads = tape.backward(ad.sum(ad.mul(ad.add(x, bias), Tensor(probe))))
+        assert np.array_equal(grads[bias], probe.reshape(-1, 5).sum(axis=0))
+
+    def test_operators_match_the_ops_bit_for_bit(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
+        assert np.array_equal((-x).data, -x.data)
+        assert np.array_equal((1.0 - x).data, (-x.data) + 1.0)
+        assert np.array_equal((2.0 * x).data, x.data * 2.0)
+        assert np.array_equal((x - 2.0).data, x.data - 2.0)
+
+
 class TestMaskedSemantics:
     def test_masked_softmax_matches_softmax_of_the_real_entries(self):
         x = np.random.default_rng(3).normal(size=(2, 5))
@@ -499,7 +558,7 @@ class TestTapeMemory:
             with Tape() as tape:
                 y = x
                 for _ in range(n):
-                    y = ad.mul_scalar(y, 1.0001)
+                    y = ad.mul(y, 1.0001)
                 loss = ad.sum(y)
             tracemalloc.start()
             try:
@@ -511,6 +570,21 @@ class TestTapeMemory:
         short, long = backward_peak(10), backward_peak(40)
         assert long < 4 * one
         assert long < short + one
+
+    def test_add_and_sub_nodes_hold_no_operand_values(self):
+        size = 100_000
+        x = Tensor(np.ones(size))
+        row = Tensor(np.ones(size))
+        tracemalloc.start()
+        try:
+            with Tape():
+                y = x
+                for _ in range(20):
+                    y = ad.sub(ad.add(y, row), 1.0)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * 8 * size
 
 
 class TestSpecialValues:
@@ -539,7 +613,7 @@ class TestSpecialValues:
         assert np.isneginf(y.data[0])
         ad.set_finite_checks(True)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            ad.mul_scalar(Tensor([1e200]), 1e200)
+            ad.mul(Tensor([1e200]), 1e200)
 
 
 class TestAdam:
@@ -570,7 +644,7 @@ class TestAdam:
         state = AdamState()
         for _ in range(200):
             with Tape() as tape:
-                d = ad.add_scalar(p, -3.0)
+                d = ad.sub(p, 3.0)
                 grads = tape.backward(ad.mul(d, d))
             adam_step({"p": p}, grads, state, lr=0.1)
         assert abs(float(p.data) - 3.0) < 0.05

@@ -50,6 +50,14 @@ class TestSynth:
             assert (out / f"{split}.features.rgft").exists()
             assert (out / f"{split}.captions.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--noise", "--separation"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exits_one_naming_it(self, tmp_path, capsys, flag, value):
+        code = main(["synth", "--out", str(tmp_path / "x"), flag, value])
+        assert code == 1
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_impossible_geometry_exits_one(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "x"), "--pairs", "50",
                      "--length", "2", "--vocab", "20",
@@ -84,6 +92,26 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "no such file" in err and "usage" in err
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("line", [
+        "margin = nan", "margin = inf", "eta0 = nan", "eta0 = inf",
+        "base_weights = nan,1,1,1", "base_weights = -1,1,1,1", "bogus = 1"],
+        ids=lambda line: line.replace(" = ", "="))
+    def test_train_exits_one_naming_the_file_and_the_key(self, workspace, tmp_path,
+                                                         capsys, line):
+        data, _, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["train", "--config", str(cfg),
+                     "--train", str(data / "train.manifest.json"),
+                     "--val", str(data / "val.manifest.json"),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(cfg) in err and line.split(" = ")[0] in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -310,6 +338,16 @@ class TestLrCurve:
         assert len(rows) == 60
         assert float(rows[0][1]) == 1.0
         assert abs(float(rows[50][1]) - 0.5) < 1e-15
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta0", "nan"), ("--eta0", "inf"), ("--eta-min", "nan")])
+    def test_non_finite_rate_exits_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "lr_curve.csv"
+        code = main(["lr-curve", "--period", "4", "--steps", "3", flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert "eta_min <= eta0 < inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults_come_from_the_config_file(self, workspace, tmp_path):
         _, _, cfg_path = workspace

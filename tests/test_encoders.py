@@ -33,9 +33,10 @@ def image_one(regions, p):
 
 
 def text_one(ids, p):
-    """encode_text of a batch of one caption: (L, d) states, (d,) sentence."""
-    states, pooled = encode_text(PaddedBatch.of([ids]), p)
-    return states.data[0], pooled.data[0]
+    """encode_text of a batch of one caption: (L, d) states, (d,) mean state."""
+    batch = PaddedBatch.of([ids])
+    states = encode_text(batch, p)
+    return states.data[0], ad.masked_mean(states, batch.mask).data[0]
 
 
 def step_one(x, h_prev, gates):
@@ -251,7 +252,8 @@ class TestEncodeText:
         leaves = p.named_parameters()
 
         def forward():
-            _, pooled = encode_text(PaddedBatch.of([ids]), p)
+            batch = PaddedBatch.of([ids])
+            pooled = ad.masked_mean(encode_text(batch, p), batch.mask)
             return ad.sum(ad.mul(pooled, Tensor(probe[None])))
 
         with Tape() as tape:
