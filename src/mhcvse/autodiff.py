@@ -28,7 +28,7 @@ __all__ = [
     "matmul", "transpose", "add", "sub", "mul", "div_scalar",
     "tanh", "sigmoid", "relu", "log",
     "sum", "masked_mean",
-    "concat", "index", "reshape", "gather", "where",
+    "concat", "index", "reshape", "gather",
     "split_heads", "merge_heads",
     "softmax_rows", "l2_normalize_rows",
     "diag_part", "rowmax",
@@ -108,7 +108,7 @@ class Tensor:
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not an op; divide by a scalar")
-        return div_scalar(self, float(other))
+        return div_scalar(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -138,6 +138,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -183,23 +184,29 @@ class Tape:
         """Gradient of a scalar loss for every reachable leaf tensor.
 
         Returns a map keyed by leaf Tensor identity; each gradient has the
-        same shape as the leaf's value. An interior node's gradient is
-        dropped as soon as its vjp has run, so the pass holds only the
-        gradients still waiting for their consumer.
+        same shape as the leaf's value. A tape runs backward once: each
+        node drops its vjp, and with it the forward values the vjp holds,
+        as the pass reaches it, and an interior node's gradient is dropped
+        as soon as its vjp has run. A second call raises ``RuntimeError``.
         """
         if loss._tape is not self:
             raise ValueError("loss was not recorded on this tape")
         if loss.data.ndim != 0:
             raise ValueError("loss must be a scalar (rank-0) tensor")
+        if self._spent:
+            raise RuntimeError("backward has already run on this tape; "
+                               "record the forward pass again")
+        self._spent = True
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         grads[loss._node] = np.asarray(1.0)
         for i in range(loss._node, -1, -1):
             g = grads[i]
             node = self._nodes[i]
-            if g is None or node.vjp is None:
+            vjp, node.vjp = node.vjp, None
+            if g is None or vjp is None:
                 continue
             grads[i] = None
-            for j, gj in zip(node.input_ids, node.vjp(g)):
+            for j, gj in zip(node.input_ids, vjp(g)):
                 if gj is None:
                     continue
                 if grads[j] is None:
@@ -282,9 +289,14 @@ def _operand(x, name: str, op: str):
     number as a float constant."""
     if isinstance(x, Tensor):
         return x.data
+    return _number(x, name, op, "a Tensor or a number")
+
+
+def _number(x, name: str, op: str, kind: str = "a number") -> float:
+    """A plain int or float as a float; a bool or anything else is refused."""
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return float(x)
-    raise TypeError(f"{op}: {name} must be a Tensor or a number, got {type(x).__name__}")
+    raise TypeError(f"{op}: {name} must be {kind}, got {type(x).__name__}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -351,8 +363,9 @@ def mul(a, b) -> Tensor:
 
 
 def div_scalar(a: Tensor, c: float) -> Tensor:
+    """a / c for a nonzero number c."""
     _check(a, "a", "div_scalar")
-    c = float(c)
+    c = _number(c, "c", "div_scalar")
     if c == 0.0:
         raise ZeroDivisionError("div_scalar by zero")
     return _make(a.data / c, (a,), lambda g: (g / c,), "div_scalar")
@@ -367,14 +380,17 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, without overflow for either sign:
+    1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     _check(a, "a", "sigmoid")
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(a.data)
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),), "sigmoid")
 
 
@@ -499,19 +515,6 @@ def gather(table: Tensor, ids) -> Tensor:
         np.add.at(z, ids, g)
         return (z,)
     return _make(table.data[ids], (table,), vjp, "gather")
-
-
-def where(mask, a: Tensor, b: Tensor) -> Tensor:
-    """``a`` where the boolean ``mask`` (broadcast to their shape) is True, else ``b``."""
-    _check(a, "a", "where"); _check(b, "b", "where")
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ValueError(f"where: shape mismatch {ad.shape} vs {bd.shape}")
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), ad.shape)
-
-    def vjp(g):
-        return np.where(mask, g, 0.0), np.where(mask, 0.0, g)
-    return _make(np.where(mask, ad, bd), (a, b), vjp, "where")
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:

@@ -8,10 +8,14 @@ scratch.
 
 Both work on a :class:`PaddedBatch`: B items of different lengths padded
 with zeros to the longest, plus a (B, n_max) mask of the real positions.
-The image side is then one (B·M, F) @ (F, d) product; the GRU steps a
-(B, d/2) state through the padded token slots, and a sequence that has
-ended holds its state, so each backward pass starts at its own last token
-from a zero state. A single image or caption is a batch of one.
+The image side is then one (B·M, F) @ (F, d) product. The Bi-GRU is one
+recorded op, :func:`bi_gru`: it projects the inputs of all token slots at
+once, then steps a (B, d/2) state per direction through the padded slots
+in numpy, and a sequence that has ended holds its state, so each backward
+pass starts at its own last token from a zero state. Its vjp is a
+hand-written backpropagation through time. :func:`gru_step` is the same
+step composed from tape ops, kept as the reference. A single image or
+caption is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, add, concat, gather, index, matmul, mul, reshape, sigmoid, sub,
-    tanh, where,
+    Tensor, _make, _sigmoid, add, finite_checks_enabled, gather, matmul, mul,
+    sigmoid, sub, tanh,
 )
 
 __all__ = [
     "PaddedBatch", "GruGates", "EncoderParams",
-    "encode_image", "gru_step", "encode_text", "uniform_init",
+    "encode_image", "gru_step", "bi_gru", "encode_text", "uniform_init",
 ]
 
 
@@ -73,6 +77,8 @@ class PaddedBatch:
 class GruGates:
     """Gate weights for one GRU direction (update z, reset r, candidate h)."""
 
+    NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
     def __init__(self, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
         self.w_z, self.u_z, self.b_z = w_z, u_z, b_z
         self.w_r, self.u_r, self.b_r = w_r, u_r, b_r
@@ -89,12 +95,12 @@ class GruGates:
         w_h, u_h, b_h = gate()
         return cls(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
 
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The nine gate tensors, in :attr:`NAMES` order."""
+        return tuple(getattr(self, name) for name in self.NAMES)
+
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w_z": self.w_z, f"{prefix}.u_z": self.u_z, f"{prefix}.b_z": self.b_z,
-            f"{prefix}.w_r": self.w_r, f"{prefix}.u_r": self.u_r, f"{prefix}.b_r": self.b_r,
-            f"{prefix}.w_h": self.w_h, f"{prefix}.u_h": self.u_h, f"{prefix}.b_h": self.b_h,
-        }
+        return {f"{prefix}.{name}": t for name, t in zip(self.NAMES, self.tensors())}
 
 
 class EncoderParams:
@@ -159,17 +165,114 @@ def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
     return add(mul(sub(1.0, z), h_prev), mul(z, cand))
 
 
-def _run_direction(steps: list[Tensor], mask: np.ndarray, gates: GruGates,
-                   reverse: bool) -> list[Tensor]:
-    """States (B, d_hidden) per token slot; a row past its end holds its state."""
-    h = Tensor(np.zeros((mask.shape[0], gates.u_z.shape[0])))
-    states = [None] * len(steps)
-    for t in (range(len(steps) - 1, -1, -1) if reverse else range(len(steps))):
-        h_next = gru_step(steps[t], h, gates)
-        live = mask[:, t]
-        h = h_next if live.all() else where(live[:, None], h_next, h)
+def _gru_forward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots):
+    """One direction of the masked recurrence in numpy.
+
+    ``rows`` (L·B, d_in) holds the inputs time-major, ``live`` (L, B, 1) is
+    True on real positions, ``gates`` the nine gate arrays in
+    :attr:`GruGates.NAMES` order and ``slots`` the order of the steps. Each
+    step is :func:`gru_step`'s arithmetic in the same order. Returns the
+    state after each slot (L, B, k) and, per slot, the state before it and
+    the z, r and candidate activations, which the backward pass reads.
+    """
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
+    length, b, _ = live.shape
+    k = u_z.shape[0]
+    xz, xr, xh = ((rows @ w).reshape(length, b, k) for w in (w_z, w_r, w_h))
+    states, before, z, r, cand = (np.empty((length, b, k)) for _ in range(5))
+    full = live.all(axis=(1, 2))
+    check = finite_checks_enabled()
+    h = np.zeros((b, k))
+    for t in slots:
+        a_z = (xz[t] + h @ u_z) + b_z
+        a_r = (xr[t] + h @ u_r) + b_r
+        r_t = _sigmoid(a_r)
+        a_h = (xh[t] + (r_t * h) @ u_h) + b_h
+        if check:
+            for gate, a in (("z", a_z), ("r", a_r), ("h", a_h)):
+                if not np.isfinite(a).all():
+                    raise FloatingPointError(
+                        f"non-finite {gate} pre-activation in bi_gru at slot {t}")
+        z_t, c_t = _sigmoid(a_z), np.tanh(a_h)
+        h_next = (1.0 - z_t) * h + z_t * c_t
+        before[t], z[t], r[t], cand[t] = h, z_t, r_t, c_t
+        h = h_next if full[t] else np.where(live[t], h_next, h)
         states[t] = h
-    return states
+    return states, (before, z, r, cand)
+
+
+def _gru_backward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots,
+                  saved: tuple, g: np.ndarray):
+    """Backpropagation through time for one direction of :func:`_gru_forward`.
+
+    ``g`` (L, B, k) is the gradient of each slot's state. One reverse pass
+    collects the gate pre-activation gradients of every slot; each weight
+    gradient is then one product or sum over all slots. Rows past their
+    end pass their gradient straight to the state before. Returns the
+    gradient of ``rows`` and the nine gate gradients in ``gates`` order.
+    """
+    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = gates
+    before, z, r, cand = saved
+    length, b, k = z.shape
+    da_z, da_r, da_h = (np.empty((length, b, k)) for _ in range(3))
+    full = live.all(axis=(1, 2))
+    carry = np.zeros((b, k))
+    for t in reversed(slots):
+        dh = carry + g[t]
+        gh = dh if full[t] else np.where(live[t], dh, 0.0)
+        h, z_t, r_t, c_t = before[t], z[t], r[t], cand[t]
+        dah = gh * z_t * (1.0 - c_t * c_t)
+        drh = dah @ u_h.T
+        daz = gh * (c_t - h) * z_t * (1.0 - z_t)
+        dar = drh * h * r_t * (1.0 - r_t)
+        dh_before = gh * (1.0 - z_t) + drh * r_t + daz @ u_z.T + dar @ u_r.T
+        carry = dh_before if full[t] else np.where(live[t], dh_before, dh)
+        da_z[t], da_r[t], da_h[t] = daz, dar, dah
+    flat = (length * b, k)
+    da_z, da_r, da_h = da_z.reshape(flat), da_r.reshape(flat), da_h.reshape(flat)
+    h_before = before.reshape(flat)
+    d_rows = da_z @ w_z.T + da_r @ w_r.T + da_h @ w_h.T
+    return d_rows, (rows.T @ da_z, h_before.T @ da_z, da_z.sum(axis=0),
+                    rows.T @ da_r, h_before.T @ da_r, da_r.sum(axis=0),
+                    rows.T @ da_h, (r.reshape(flat) * h_before).T @ da_h,
+                    da_h.sum(axis=0))
+
+
+def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -> Tensor:
+    """Both GRU directions over a padded batch, as one recorded op.
+
+    ``x`` (B, L, d_in) holds the inputs and ``mask`` (B, L) is True on the
+    real positions. Returns the token states (B, L, 2k), the forward state
+    at t next to the backward state at t, for gates of hidden width k. Each
+    direction starts from a zero state, and a row holds its state through
+    its padded slots. The states match a loop of :func:`gru_step` over
+    each item alone; the vjp gives the gradients of ``x`` and of all
+    eighteen gate tensors. While finite checks are on, a non-finite gate
+    pre-activation raises ``FloatingPointError``.
+    """
+    if not isinstance(x, Tensor):
+        raise TypeError(f"bi_gru: x must be a Tensor, got {type(x).__name__}")
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 3 or mask.shape != x.shape[:2]:
+        raise ValueError(f"bi_gru needs (B, L, d) inputs and a (B, L) mask, "
+                         f"got {x.shape} and {mask.shape}")
+    b, length, d_in = x.shape
+    rows = x.data.transpose(1, 0, 2).reshape(length * b, d_in)
+    live = mask.T[:, :, None]
+    params = forward.tensors() + backward.tensors()
+    fwd = tuple(p.data for p in params[:9]), range(length)
+    bwd = tuple(p.data for p in params[9:]), range(length - 1, -1, -1)
+    states_f, saved_f = _gru_forward(rows, live, *fwd)
+    states_b, saved_b = _gru_forward(rows, live, *bwd)
+    out = np.concatenate([states_f.transpose(1, 0, 2), states_b.transpose(1, 0, 2)], axis=2)
+    k = states_f.shape[2]
+
+    def vjp(g):
+        g = g.transpose(1, 0, 2)
+        d_f, grads_f = _gru_backward(rows, live, *fwd, saved_f, g[:, :, :k])
+        d_b, grads_b = _gru_backward(rows, live, *bwd, saved_b, g[:, :, k:])
+        return ((d_f + d_b).reshape(length, b, d_in).transpose(1, 0, 2),) + grads_f + grads_b
+    return _make(out, (x,) + params, vjp, "bi_gru")
 
 
 def encode_text(caption: PaddedBatch, params: EncoderParams) -> Tensor:
@@ -188,10 +291,5 @@ def encode_text(caption: PaddedBatch, params: EncoderParams) -> Tensor:
     if np.any(bad & mask):
         raise ValueError(f"token id {ids[bad & mask][0]} outside vocabulary "
                          f"of {vocab_size}")
-    # time-major, so that each step's (B, d) input is one slab
-    embedded = gather(params.word_embedding, ids.T)
-    steps = [index(embedded, t) for t in range(ids.shape[1])]
-    fwd = _run_direction(steps, mask, params.gru_forward, reverse=False)
-    bwd = _run_direction(steps, mask, params.gru_backward, reverse=True)
-    b, length = ids.shape
-    return reshape(concat([h for pair in zip(fwd, bwd) for h in pair]), (b, length, -1))
+    return bi_gru(gather(params.word_embedding, ids), mask,
+                  params.gru_forward, params.gru_backward)

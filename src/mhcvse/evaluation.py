@@ -64,9 +64,14 @@ def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
 
 
 def rank_candidates(scores: np.ndarray) -> np.ndarray:
-    """Candidate indices per query, best first; equal scores keep lower index."""
+    """Candidate indices per query, best first; equal scores keep lower index.
+
+    The indices are int32, half the memory of numpy's default index type
+    for a ranking the caller keeps; a query has far fewer than 2**31
+    candidates.
+    """
     scores = np.asarray(scores)
-    return np.argsort(-scores, axis=-1, kind="stable")
+    return np.argsort(-scores, axis=-1, kind="stable").astype(np.int32)
 
 
 def recall_at_k(scores, relevant, k: int) -> float:

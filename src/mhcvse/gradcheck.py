@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .attention import MhsaParams, attend_and_pool, multi_head
 from .autodiff import Tape, Tensor
 from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
-from .encoders import (EncoderParams, GruGates, PaddedBatch, encode_image, encode_text,
-                       gru_step, uniform_init)
+from .encoders import (EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
+                       encode_text, gru_step, uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -231,6 +231,17 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         t = Tensor(rng.normal(size=shape))
         proj = rng.normal(size=op(t).shape)
         results[f"op_{name}"] = gradient_check(lambda: _project(op(t), proj), {name: t})
+
+    # the fused Bi-GRU op alone: its input and all eighteen gate tensors,
+    # over a padded batch of lengths 1, l and 2; the projection also weighs
+    # the held states at padded slots
+    fwd, bwd = GruGates.init(rng, d, d // 2), GruGates.init(rng, d, d // 2)
+    xs = Tensor(rng.normal(size=(3, l, d)))
+    mask = np.arange(l) < np.array([1, l, 2])[:, None]
+    proj = rng.normal(size=(3, l, d))
+    params = dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=xs)
+    results["bi_gru_masked"] = gradient_check(
+        lambda: _project(bi_gru(xs, mask, fwd, bwd), proj), params)
     return results
 
 
@@ -245,7 +256,6 @@ def _op_cases(mask: np.ndarray):
         ("masked_softmax", lambda t: ad.softmax_rows(t, mask[:, None, :]), (3, 2, n)),
         ("masked_mean", lambda t: ad.masked_mean(t, mask), (3, n, 2)),
         ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
-        ("where", lambda t: ad.where(mask[:, :1], t, ad.tanh(t)), (3, 2)),
         ("split_heads", lambda t: ad.split_heads(t, 2), (3, 2, 4)),
         ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2)),
         ("broadcast_mul", lambda t: ad.mul(t, Tensor(w[0, :, :1])), (4, 2)),

@@ -39,8 +39,8 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
     """
     if mode not in CONTRASTIVE_MODES:
         raise ValueError(f"unknown contrastive mode '{mode}' (one of {CONTRASTIVE_MODES})")
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"scores must be square, got {scores.shape}")
     b = scores.shape[0]

@@ -341,7 +341,6 @@ OP_CASES = [
     ("index_r3", lambda t: ad.index(t, 0), (2, 3, 4), None),
     ("reshape", lambda t: ad.reshape(t, (3, 2, 2)), (3, 4), None),
     ("gather", lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3), None),
-    ("where", lambda t: ad.where(_MASK[:, :, None], t, ad.tanh(t)), (3, 4, 2), None),
     ("split_heads", lambda t: ad.split_heads(t, 2), (2, 3, 4), None),
     ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2), None),
     ("transpose_r3", ad.transpose, (2, 3, 4), None),
@@ -479,13 +478,11 @@ class TestShapeGuards:
         with pytest.raises(ValueError, match="mask"):
             ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.ones((2, 2), dtype=bool))
 
-    def test_gather_where_and_head_guards(self):
+    def test_gather_and_head_guards(self):
         with pytest.raises(ValueError, match="outside"):
             ad.gather(Tensor(np.zeros((3, 2))), np.array([0, 3]))
         with pytest.raises(ValueError, match="integer"):
             ad.gather(Tensor(np.zeros((3, 2))), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            ad.where(np.array([True]), Tensor(np.zeros(2)), Tensor(np.zeros(3)))
         with pytest.raises(ValueError):
             ad.split_heads(Tensor(np.zeros((2, 3, 5))), 2)
         with pytest.raises(ValueError):
@@ -513,6 +510,14 @@ class TestBroadcastOperands:
         for op in (ad.add, ad.sub, ad.mul):
             with pytest.raises(TypeError):
                 op(a, b)
+
+    @pytest.mark.parametrize("c", [True, False, np.True_, "2", np.int64(2)],
+                             ids=["true", "false", "numpy_bool", "str", "numpy_int"])
+    def test_division_refuses_what_the_other_ops_refuse(self, c):
+        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
+            Tensor([1.0]) / c
+        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
+            ad.div_scalar(Tensor([1.0]), c)
 
     def test_a_row_gradient_is_one_sum_over_the_leading_rows(self):
         # the reduction a bias row's gradient has always had, bit for bit
@@ -549,6 +554,29 @@ class TestMaskedSemantics:
 
 
 class TestTapeMemory:
+    def test_backward_runs_once_and_frees_each_node_as_it_goes(self):
+        size = 100_000
+        one = 8 * size
+        tracemalloc.start()
+        try:
+            x = Tensor(np.ones(size))
+            with Tape() as tape:
+                y = x
+                for _ in range(20):
+                    y = ad.tanh(y)  # each vjp holds its (size,) output
+                loss = ad.sum(y)
+            del y
+            held = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held > 20 * one
+        # the tape is still alive, but its nodes no longer hold their values
+        assert after < held - 15 * one
+        with pytest.raises(RuntimeError, match="already run"):
+            tape.backward(loss)
+
     def test_backward_peak_does_not_grow_with_the_chain(self):
         size = 100_000
         one = 8 * size

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    EncoderParams, GruGates, PaddedBatch, encode_image, encode_text, gru_step,
-    uniform_init,
+    EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image, encode_text,
+    gru_step, uniform_init,
 )
+from mhcvse.gradcheck import TOLERANCE, gradient_check
 
 
 def sigmoid(x):
@@ -278,3 +279,91 @@ class TestEncodeText:
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), 1e-6)
             worst = max(worst, float(np.max(np.abs(analytic - num) / denom)))
         assert worst < 1e-4
+
+
+def gru_loop(x, gates, reverse):
+    """Reference states (n, k) of one direction over one unpadded item (n, d):
+    a loop of gru_step from a zero state."""
+    h = Tensor(np.zeros((1, gates.u_z.shape[0])))
+    out = [None] * len(x)
+    for t in (range(len(x) - 1, -1, -1) if reverse else range(len(x))):
+        h = gru_step(Tensor(x[t][None]), h, gates)
+        out[t] = h.data[0]
+    return np.array(out)
+
+
+class TestBiGru:
+    @pytest.mark.parametrize("lengths", [(1, 5, 3, 1, 4), (4, 4, 4), (1,), (6, 2)])
+    def test_matches_a_gru_step_loop_over_each_item_alone(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        d, k = 6, 4
+        fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
+        items = [rng.normal(size=(n, d)) for n in lengths]
+        batch = PaddedBatch.of(items)
+        out = bi_gru(Tensor(batch.values), batch.mask, fwd, bwd).data
+        assert out.shape == (len(lengths), max(lengths), 2 * k)
+        for i, x in enumerate(items):
+            n = len(x)
+            assert_allclose(out[i, :n, :k], gru_loop(x, fwd, reverse=False),
+                            rtol=0, atol=1e-12)
+            assert_allclose(out[i, :n, k:], gru_loop(x, bwd, reverse=True),
+                            rtol=0, atol=1e-12)
+            # past its end a row holds its forward state, and its backward
+            # state is still the zero it starts from
+            assert np.all(out[i, n:, :k] == out[i, n - 1, :k])
+            assert np.all(out[i, n:, k:] == 0.0)
+
+    def test_gradients_of_the_input_and_every_gate_on_a_masked_batch(self):
+        rng = np.random.default_rng(20)
+        d, k = 6, 3
+        fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
+        for gates in (fwd, bwd):
+            gates.b_z, gates.b_r, gates.b_h = (Tensor(rng.normal(size=k)) for _ in range(3))
+        batch = PaddedBatch.of([rng.normal(size=(n, d)) for n in (3, 1, 5, 2)])
+        x = Tensor(batch.values)
+        probe = Tensor(rng.normal(size=(4, 5, 2 * k)))
+        params = dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=x)
+        assert len(params) == 19
+        worst = gradient_check(
+            lambda: ad.sum(ad.mul(bi_gru(x, batch.mask, fwd, bwd), probe)), params)
+        assert worst < TOLERANCE
+
+    def test_a_tied_pair_of_directions_sums_both_gradients(self):
+        rng = np.random.default_rng(21)
+        gates = GruGates.init(rng, 4, 2)
+        batch = PaddedBatch.of([rng.normal(size=(n, 4)) for n in (2, 3)])
+        x = Tensor(batch.values)
+        probe = Tensor(rng.normal(size=(2, 3, 4)))
+        worst = gradient_check(
+            lambda: ad.sum(ad.mul(bi_gru(x, batch.mask, gates, gates), probe)),
+            gates.named_parameters("gru"))
+        assert worst < TOLERANCE
+
+    @pytest.mark.parametrize("gate", ["w_z", "w_r", "w_h"])
+    def test_a_huge_weight_raises_at_any_gate(self, gate):
+        # the reset gate saturates to 1 and leaves the states finite, so only
+        # a check of each pre-activation sees its overflow
+        rng = np.random.default_rng(22)
+        fwd, bwd = GruGates.init(rng, 4, 2), GruGates.init(rng, 4, 2)
+        setattr(fwd, gate, Tensor(np.full((4, 2), 1e300)))
+        x = Tensor(np.full((1, 3, 4), 1e10))
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match=f"{gate[-1]} pre-activation"):
+            bi_gru(x, np.ones((1, 3), dtype=bool), fwd, bwd)
+
+    def test_shape_guards(self):
+        gates = GruGates.init(np.random.default_rng(23), 4, 2)
+        with pytest.raises(ValueError, match="mask"):
+            bi_gru(Tensor(np.zeros((2, 3, 4))), np.ones((2, 2), dtype=bool), gates, gates)
+        with pytest.raises(ValueError, match="mask"):
+            bi_gru(Tensor(np.zeros((3, 4))), np.ones((3, 4), dtype=bool), gates, gates)
+
+    def test_text_encoder_nodes_do_not_grow_with_caption_length(self):
+        p = random_params(np.random.default_rng(24))
+        counts = []
+        for length in (1, 3, 9):
+            with Tape() as tape:
+                encode_text(PaddedBatch.of([[1] * length, [2, 3]]), p)
+            counts.append(len(tape))
+        # the word-embedding leaf, gather, the eighteen gate leaves and bi_gru
+        assert counts == [21, 21, 21]

@@ -86,7 +86,9 @@ class TestRankCandidates:
                       [0.8, 0.2, 0.7],
                       [0.3, 0.6, 0.4]])
         expected = [[1, 2, 0], [0, 2, 1], [1, 2, 0]]
-        assert rank_candidates(s).tolist() == expected
+        order = rank_candidates(s)
+        assert order.tolist() == expected
+        assert order.dtype == np.int32
 
     def test_ties_keep_the_lower_index(self):
         order = rank_candidates(np.array([[0.5, 0.5, 0.5]]))

@@ -92,6 +92,11 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="margin"):
             contrastive_loss(Tensor(np.eye(3)), margin=0.0)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match=f"margin must be positive and finite, got {margin}"):
+            contrastive_loss(Tensor(np.eye(3)), margin=margin)
+
     def test_rectangular_scores_rejected(self):
         with pytest.raises(ValueError, match="square"):
             contrastive_loss(Tensor(np.ones((3, 4))), margin=0.2)
