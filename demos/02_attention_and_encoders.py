@@ -8,48 +8,51 @@ multi-head self-attention re-weights the sequence and a mean pool gives
 one embedding per instance. Every block takes a batch: B items padded to
 a common length, with a mask of their real rows, so a single sequence is a
 batch of one. This script pokes at the pieces: attention weights are
-row-stochastic, the attended sequence is equivariant to row order (so the
-pooled vector ignores region order entirely), and both encoders agree on
-the output width.
+row-stochastic and equivariant to row order (so the pooled vector ignores
+region order entirely), padding does not leak into a pooled item, and both
+encoders agree on the output width.
 """
 
 import numpy as np
 
 from mhcvse import (EncoderParams, MhsaParams, PaddedBatch, Tensor, attend_and_pool,
-                    encode_image, encode_text, multi_head, scaled_dot_attention)
-from mhcvse.attention import head_attention_weights
+                    encode_image, encode_text, head_attention_weights)
 from mhcvse.autodiff import masked_mean
 
 rng = np.random.default_rng(1)
 d = 16
 
-# 1. Scaled dot-product attention on a handmade batch of one 3-row
-#    sequence. Row i of the output is a convex combination of the value rows.
-q = Tensor(rng.normal(size=(1, 3, 4)))
-k = Tensor(rng.normal(size=(1, 3, 4)))
-v = Tensor(rng.normal(size=(1, 3, 4)))
-out = scaled_dot_attention(q, k, v)
-print(f"attention output shape: {out.shape}")
-
-# 2. Multi-head attention keeps the sequence shape and every head's weight
-#    matrix has rows summing to one.
+# 1. Multi-head attention pooling turns a (B, n, d) batch into one (B, d)
+#    row per item. Each of the h heads scores every row against every
+#    other, softmax(Q K^T / sqrt(d_k)), and each score matrix has rows
+#    summing to one. The pool is one recorded op with a hand-written
+#    backward pass.
 x = Tensor(rng.normal(size=(1, 5, d)))
 params = MhsaParams.init(rng, d, h=4)
-y = multi_head(x, params)
+pooled = attend_and_pool(x, params)
 weights = head_attention_weights(x, params)
-print(f"multi_head: {x.shape} -> {y.shape}, heads: {len(weights)}")
+print(f"attend_and_pool: {x.shape} -> {pooled.shape}, heads: {len(weights)}")
 row_sums = np.concatenate([w.sum(axis=1) for w in weights])
 print(f"attention rows sum to one: {np.allclose(row_sums, 1.0, atol=1e-12)}")
 
-# 3. Shuffle the input rows: the attended rows shuffle the same way, and
-#    the pooled instance embedding does not move. Region order carries no
-#    information, so this is exactly the invariance the image side needs.
+# 2. Shuffle the input rows: every head's weight matrix shuffles the same
+#    way, and the pooled instance embedding does not move. Region order
+#    carries no information, so this is exactly the invariance the image
+#    side needs.
 perm = rng.permutation(5)
-y_perm = multi_head(Tensor(x.data[:, perm]), params)
-print(f"equivariance gap: {np.abs(y_perm.data - y.data[:, perm]).max():.2e}")
-pooled = attend_and_pool(x, params)
+weights_perm = head_attention_weights(Tensor(x.data[:, perm]), params)
+gap = max(np.abs(b - a[perm][:, perm]).max() for a, b in zip(weights, weights_perm))
+print(f"equivariance gap: {gap:.2e}")
 pooled_perm = attend_and_pool(Tensor(x.data[:, perm]), params)
 print(f"pooled invariance gap: {np.abs(pooled.data - pooled_perm.data).max():.2e}")
+
+# 3. Items of different lengths share a padded batch. Padded rows are
+#    masked out as keys and left out of the mean, so each item pools as
+#    it would alone.
+batch = PaddedBatch.of([x.data[0], x.data[0, :2]])
+pooled_batch = attend_and_pool(Tensor(batch.values), params, batch.mask)
+alone = attend_and_pool(Tensor(x.data[:, :2]), params)
+print(f"padded vs alone gap: {np.abs(pooled_batch.data[1] - alone.data[0]).max():.2e}")
 
 # 4. The encoders. The image side is a linear projection of the region
 #    rows; the text side runs a Bi-GRU and concatenates the forward and

@@ -8,7 +8,7 @@ R@K evaluation.
 """
 
 from .autodiff import AdamState, Tape, Tensor, adam_step
-from .attention import MhsaParams, attend_and_pool, multi_head, scaled_dot_attention
+from .attention import MhsaParams, attend_and_pool, head_attention_weights
 from .config import TrainConfig, load_config, save_config
 from .consensus import ConceptGraph, ConsensusHead, GcnParams, build_graph, consensus_embed, gcn_forward
 from .data import Dataset, DatasetManifest, InstancePair, Vocabulary, generate_synthetic, load_dataset
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "Tape", "Tensor", "adam_step",
-    "MhsaParams", "attend_and_pool", "multi_head", "scaled_dot_attention",
+    "MhsaParams", "attend_and_pool", "head_attention_weights",
     "TrainConfig", "load_config", "save_config",
     "ConceptGraph", "ConsensusHead", "GcnParams", "build_graph",
     "consensus_embed", "gcn_forward",

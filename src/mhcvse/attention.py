@@ -6,27 +6,23 @@ embedding. No positional encodings anywhere, so the whole stack is
 permutation equivariant and the pooled vector is permutation invariant.
 
 Everything runs on padded batches (B, n, d) with a (B, n) mask of real
-rows. The heads are folded into the batch axis, (B·h, n, d_k), so one
-batched product serves every head; padded rows are masked out as keys and
-left out of the mean pool. A single (n, d) sequence is a batch of one,
-(1, n, d).
+rows. :func:`attend_and_pool` is one recorded op from the input to the
+pooled rows. Its forward is plain numpy: per role, one (B·n, d) @ (d, h·d_k)
+product against the h per-head matrices side by side; the heads are
+folded into the batch axis, (B·h, n, d_k), so scores and values are two
+batched products; padded rows are masked out as keys and left out of the
+mean pool. Its vjp is hand-written. A single (n, d) sequence is a batch of
+one, (1, n, d).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, concat, div_scalar, masked_mean, matmul, merge_heads,
-    softmax_rows, split_heads, transpose,
-)
+from .autodiff import Tensor, _make, _recording, finite_checks_enabled
 from .encoders import uniform_init
 
-__all__ = [
-    "MhsaParams", "attention_scores", "attention_weights",
-    "scaled_dot_attention", "multi_head", "attend_and_pool",
-    "head_attention_weights",
-]
+__all__ = ["MhsaParams", "attend_and_pool", "head_attention_weights"]
 
 
 class MhsaParams:
@@ -65,87 +61,147 @@ class MhsaParams:
         out[f"{prefix}.w_out"] = self.w_out
         return out
 
+    def role_tensors(self) -> tuple[Tensor, ...]:
+        """The 3·h per-head tensors, role-major: every w_q, every w_k, every w_v."""
+        return tuple(head[role] for role in range(3) for head in self.heads)
 
-def attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Pre-softmax scores Q K^T / sqrt(d_k) for (B, n, d_k) operands."""
-    if q.ndim != 3 or k.ndim != 3 or q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"bad attention operand shapes {q.shape} and {k.shape}")
-    # scaling the (n, d_k) queries, not the (n, n) scores, saves one score
-    # batch; for d_k a power of 4 (d_k = 16 by default) it is exact
-    scaled = div_scalar(q, float(np.sqrt(q.shape[-1])))
-    return matmul(scaled, transpose(k))
-
-
-def attention_weights(q: Tensor, k: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
-    """Row-stochastic attention softmax(Q K^T / sqrt(d_k)) over the real keys.
-
-    ``key_mask`` (B, n) marks the real keys of a batch; None means all.
-    """
-    scores = attention_scores(q, k)
-    if key_mask is None:
-        key_mask = np.ones(k.shape[:-1], dtype=bool)
-    return softmax_rows(scores, np.asarray(key_mask)[..., None, :])
+    def role_projection(self, role: int) -> np.ndarray:
+        """The (d, h·d_k) projection of one role (0 query, 1 key, 2 value):
+        its per-head matrices side by side."""
+        return np.concatenate([head[role].data for head in self.heads], axis=1)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         key_mask: np.ndarray | None = None) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V for (B, n, d_k) operands."""
-    if v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
-        raise ValueError(f"value rows {v.shape} do not match keys {k.shape}")
-    return matmul(attention_weights(q, k, key_mask), v)
-
-
-def _head_qkv(x: Tensor, params: MhsaParams) -> list[Tensor]:
-    """Queries, keys and values of every head, (B·h, n, d_k) each, from one
-    (B·n, d) @ (d, h·d_k) product per role."""
+def _check_input(x: Tensor, params: MhsaParams, mask) -> np.ndarray:
+    """The (B, n) mask of a valid (B, n, d) input; None means all rows real."""
+    if not isinstance(x, Tensor):
+        raise TypeError(f"attention input must be a Tensor, got {type(x).__name__}")
     if x.ndim != 3:
-        raise ValueError(f"multi_head needs a (B, n, d) input, got rank {x.ndim}")
-    if x.shape[2] != params.heads[0][0].shape[0]:
-        raise ValueError(f"input width {x.shape[2]} != projection input "
-                         f"{params.heads[0][0].shape[0]}")
-    return [split_heads(matmul(x, concat([head[role] for head in params.heads])),
-                        params.head_count)
-            for role in range(3)]
-
-
-def _key_mask(x: Tensor, mask: np.ndarray | None, heads: int) -> np.ndarray:
-    """The (B, n) mask repeated per head in split_heads order."""
+        raise ValueError(f"attention needs a (B, n, d) input, got rank {x.ndim}")
+    d = params.heads[0][0].shape[0]
+    if x.shape[2] != d:
+        raise ValueError(f"input width {x.shape[2]} != projection input {d}")
     if mask is None:
-        return np.ones((x.shape[0] * heads, x.shape[1]), dtype=bool)
+        return np.ones(x.shape[:2], dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[:2]:
         raise ValueError(f"mask {mask.shape} does not match input {x.shape}")
-    return np.repeat(mask, heads, axis=0)
+    if not mask.any(axis=1).all():
+        raise ValueError("attention: an item has no real rows")
+    return mask
 
 
-def multi_head(x: Tensor, params: MhsaParams, mask: np.ndarray | None = None) -> Tensor:
-    """Self-attention over the rows of each item: (B, n, d) -> (B, n, d).
+def _attend(x: np.ndarray, params: MhsaParams, mask: np.ndarray, save: bool):
+    """The forward in numpy: pooled rows (B, d), the attention weights
+    (B·h, n, n) with head i of item b at batch entry b·h + i, and, if
+    ``save``, the arrays the vjp reads (None otherwise).
 
-    Each head projects x to (n, d_k) queries/keys/values and attends over
-    the rows ``mask`` marks as real (all, if None); the concatenated head
-    outputs go through W_out. Padded query rows are computed but meaningless.
+    The products and their order are fixed: they are the ones existing
+    checkpoints were trained with, so rows and training runs reproduce bit
+    for bit. Each role's projection and heads are made where they are
+    first used, and an array only the vjp reads is dropped at once when
+    nothing records, which keeps the peak of inference low.
     """
-    h = params.head_count
-    q, k, v = _head_qkv(x, params)
-    heads = scaled_dot_attention(q, k, v, _key_mask(x, mask, h))
-    return matmul(merge_heads(heads, h), params.w_out)
+    b, n, d = x.shape
+    h, k = params.head_count, params.head_dim
+    x2 = x.reshape(-1, d)
+
+    def heads_of(role):
+        # one role's (b·h, n, k) heads
+        w = params.role_projection(role)
+        return (x2 @ w).reshape(b, n, h, k).transpose(0, 2, 1, 3).reshape(b * h, n, k)
+
+    # scaling the (n, d_k) queries, not the (n, n) scores, saves one score
+    # batch; for d_k a power of 4 (d_k = 16 by default) it is exact
+    scale = float(np.sqrt(k))
+    scaled = heads_of(0) / scale
+    key_t = heads_of(1).swapaxes(-1, -2).copy()
+    probs = scaled @ key_t
+    saved = (x2, scale, scaled, key_t) if save else None
+    del scaled, key_t
+    if finite_checks_enabled() and not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite attention scores")
+    # in place on one array: a score batch is the largest array of a pass
+    if not mask.all():
+        np.copyto(probs, -np.inf, where=~np.repeat(mask, h, axis=0)[:, None, :])
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    v = heads_of(2)
+    merged = (probs @ v).reshape(b, h, n, k).transpose(0, 2, 1, 3).reshape(b * n, h * k)
+    keep = mask[:, :, None]
+    counts = mask.sum(axis=1)
+    if save:
+        saved += (v, merged, keep, counts)
+    del v
+    pooled = (np.where(keep, (merged @ params.w_out.data).reshape(b, n, d), 0.0)
+              .sum(axis=1) / counts[:, None])
+    return pooled, probs, saved
 
 
 def attend_and_pool(x: Tensor, params: MhsaParams,
                     mask: np.ndarray | None = None) -> Tensor:
-    """Instance embedding: mean over the real rows of multi_head(x).
+    """Instance embedding: the mean over the real rows of the attended sequence.
 
     (B, n, d) with a (B, n) mask (all rows real, if None) gives (B, d).
+    Each head projects x to (n, d_k) queries, keys and values and attends
+    over the real rows; the concatenated head outputs go through W_out and
+    the real rows are averaged. One recorded op; its vjp gives the
+    gradients of ``x``, of every head's W_q, W_k and W_v and of W_out.
+    While finite checks are on, a non-finite score raises
+    ``FloatingPointError``.
     """
-    attended = multi_head(x, params, mask)
-    if mask is None:
-        mask = np.ones(x.shape[:2], dtype=bool)
-    return masked_mean(attended, mask)
+    mask = _check_input(x, params, mask)
+    pooled, probs, saved = _attend(x.data, params, mask, _recording())
+    b, n, d = x.shape
+    h, k = params.head_count, params.head_dim
+    width = h * k
+    # the vjp takes the saved arrays out of the list, so that it can drop
+    # each one after its last use
+    held = [(probs, saved)]
+
+    def split(g):
+        # (b, n, width) columns -> (b·h, n, k) heads
+        return g.reshape(b, n, h, k).transpose(0, 2, 1, 3).reshape(b * h, n, k)
+
+    def merge(g):
+        # (b·h, n, k) heads -> (b·n, width) columns
+        return g.reshape(b, h, n, k).transpose(0, 2, 1, 3).reshape(b * n, width)
+
+    def vjp(g):
+        probs, (x2, scale, scaled, key_t, v, merged, keep, counts) = held.pop()
+        w_out = params.w_out.data
+
+        def role(r, g_heads):
+            # one role's share of the input's gradient, and its per-head
+            # tensors' column slices of the role's weight gradient
+            g_cols = merge(g_heads)
+            return (g_cols @ params.role_projection(r).T,
+                    np.split(x2.T @ g_cols, h, axis=1))
+
+        # each gradient replaces the one it came from, so the pass holds
+        # about one (B·n, d) gradient at a time
+        g = np.where(keep, g[:, None, :] / counts[:, None, None], 0.0).reshape(-1, d)
+        g_w_out = merged.T @ g
+        g = split(g @ w_out.T)
+        g_x, g_wv = role(2, probs.swapaxes(-1, -2) @ g)
+        g = g @ v.swapaxes(-1, -2)
+        g = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        del probs, v, merged
+        # the input's role gradients add up as (v + k) + q, the order
+        # existing checkpoints were trained with
+        g_xk, g_wk = role(1, (scaled.swapaxes(-1, -2) @ g).swapaxes(-1, -2))
+        g_x += g_xk
+        g_xq, g_wq = role(0, (g @ key_t.swapaxes(-1, -2)) / scale)
+        g_x += g_xq
+        return (g_x.reshape(b, n, d),) + tuple(g_wq + g_wk + g_wv) + (g_w_out,)
+    return _make(pooled, (x,) + params.role_tensors() + (params.w_out,), vjp,
+                 "attend_and_pool")
 
 
 def head_attention_weights(x: Tensor, params: MhsaParams) -> list[np.ndarray]:
     """Per-head attention matrices (n, n) of one (1, n, d) sequence, for inspection."""
-    if x.ndim != 3 or x.shape[0] != 1:
-        raise ValueError(f"head_attention_weights needs one (1, n, d) sequence, got {x.shape}")
-    q, k, _ = _head_qkv(x, params)
-    return list(attention_weights(q, k).data)
+    if not isinstance(x, Tensor) or x.ndim != 3 or x.shape[0] != 1:
+        raise ValueError(f"head_attention_weights needs one (1, n, d) sequence, "
+                         f"got {getattr(x, 'shape', type(x).__name__)}")
+    _, probs, _ = _attend(x.data, params, _check_input(x, params, None), False)
+    return list(probs)

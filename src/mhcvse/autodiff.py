@@ -7,11 +7,12 @@ so the tape is rebuilt on every forward pass and append order is already a
 topological order. The op set is deliberately small -- matrix products
 (batched over a leading axis at rank 3), add/sub/mul with numpy
 broadcasting, elementwise nonlinearities, reductions,
-concatenation/slicing/reshaping, a row gather, a stable
-(optionally masked) softmax, a masked mean and row L2 normalization -- and
-everything downstream is composed from it. Variable-length items are
-padded to a common length and carry a boolean mask; the masked ops give
-padded positions zero weight and zero gradient. Adam with bias correction
+concatenation/slicing/reshaping, a row gather, a stable softmax, a masked
+mean and row L2 normalization -- and everything downstream is composed
+from it, apart from the fused blocks that record one op with a
+hand-written vjp through :func:`_make`. Variable-length items are padded
+to a common length and carry a boolean mask; the masked mean gives padded
+rows zero weight and zero gradient. Adam with bias correction
 lives here too, since every other module optimizes through this engine.
 
 Non-finite values raise ``FloatingPointError`` at op boundaries while checks
@@ -29,7 +30,6 @@ __all__ = [
     "tanh", "sigmoid", "relu", "log",
     "sum", "masked_mean",
     "concat", "index", "reshape", "gather",
-    "split_heads", "merge_heads",
     "softmax_rows", "l2_normalize_rows",
     "diag_part", "rowmax",
     "set_finite_checks", "finite_checks_enabled",
@@ -218,6 +218,12 @@ class Tape:
             if node.leaf is not None and g is not None:
                 out[node.leaf] = np.asarray(g, dtype=np.float64)
         return out
+
+
+def _recording() -> bool:
+    """Whether a tape is recording, so a fused op's forward must keep what
+    its vjp reads."""
+    return _ACTIVE_TAPE is not None
 
 
 def _make(out_data: np.ndarray, inputs, vjp, op: str) -> Tensor:
@@ -517,61 +523,16 @@ def gather(table: Tensor, ids) -> Tensor:
     return _make(table.data[ids], (table,), vjp, "gather")
 
 
-def split_heads(a: Tensor, heads: int) -> Tensor:
-    """(B, n, h·k) -> (B·h, n, k): head i takes columns [i·k, (i+1)·k) and
-    becomes batch entry b·h + i."""
-    _check(a, "a", "split_heads")
-    x = a.data
-    if x.ndim != 3 or heads < 1 or x.shape[2] % heads:
-        raise ValueError(f"split_heads: width of {x.shape} not divisible into {heads} heads")
-    b, n, width = x.shape
-    k = width // heads
-    out = x.reshape(b, n, heads, k).transpose(0, 2, 1, 3).reshape(b * heads, n, k)
-
-    def vjp(g):
-        return (g.reshape(b, heads, n, k).transpose(0, 2, 1, 3).reshape(b, n, width),)
-    return _make(out, (a,), vjp, "split_heads")
-
-
-def merge_heads(a: Tensor, heads: int) -> Tensor:
-    """Inverse of :func:`split_heads`: (B·h, n, k) -> (B, n, h·k)."""
-    _check(a, "a", "merge_heads")
-    x = a.data
-    if x.ndim != 3 or heads < 1 or x.shape[0] % heads:
-        raise ValueError(f"merge_heads: batch of {x.shape} not divisible into {heads} heads")
-    bh, n, k = x.shape
-    b = bh // heads
-    out = x.reshape(b, heads, n, k).transpose(0, 2, 1, 3).reshape(b, n, heads * k)
-
-    def vjp(g):
-        return (g.reshape(b, n, heads, k).transpose(0, 2, 1, 3).reshape(bh, n, k),)
-    return _make(out, (a,), vjp, "merge_heads")
-
-
 # ---------------------------------------------------------------------------
 # normalizers
 
-def softmax_rows(a: Tensor, mask=None) -> Tensor:
-    """Softmax along the last axis, max-shifted for stability.
-
-    With a boolean ``mask`` that broadcasts to ``a`` (a key mask of a batch
-    of score matrices is (B, 1, n)), only the entries where it is True take
-    part: the others get probability and gradient zero, and every row
-    needs at least one.
-    """
+def softmax_rows(a: Tensor) -> Tensor:
+    """Softmax along the last axis, max-shifted for stability."""
     _check(a, "a", "softmax_rows")
     x = a.data
     if x.ndim not in (1, 2, 3):
         raise ValueError(f"softmax_rows needs rank 1 to 3, got rank {x.ndim}")
-    if mask is None:
-        y = x.copy()
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not np.all(mask.any(axis=-1)):
-            raise ValueError("softmax_rows: a row has every entry masked")
-        y = np.where(mask, x, -np.inf)
-    # in place on one array: a score batch is the largest array of a pass
-    y -= y.max(axis=-1, keepdims=True)
+    y = x - x.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, _make, _sigmoid, add, finite_checks_enabled, gather, matmul, mul,
-    sigmoid, sub, tanh,
+    Tensor, _make, _recording, _sigmoid, add, finite_checks_enabled, gather,
+    matmul, mul, sigmoid, sub, tanh,
 )
 
 __all__ = [
@@ -165,21 +165,24 @@ def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
     return add(mul(sub(1.0, z), h_prev), mul(z, cand))
 
 
-def _gru_forward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots):
+def _gru_forward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots,
+                 save: bool):
     """One direction of the masked recurrence in numpy.
 
     ``rows`` (L·B, d_in) holds the inputs time-major, ``live`` (L, B, 1) is
     True on real positions, ``gates`` the nine gate arrays in
     :attr:`GruGates.NAMES` order and ``slots`` the order of the steps. Each
     step is :func:`gru_step`'s arithmetic in the same order. Returns the
-    state after each slot (L, B, k) and, per slot, the state before it and
-    the z, r and candidate activations, which the backward pass reads.
+    state after each slot (L, B, k) and, if ``save``, per slot the state
+    before it and the z, r and candidate activations, which the backward
+    pass reads (None otherwise).
     """
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
     length, b, _ = live.shape
     k = u_z.shape[0]
     xz, xr, xh = ((rows @ w).reshape(length, b, k) for w in (w_z, w_r, w_h))
-    states, before, z, r, cand = (np.empty((length, b, k)) for _ in range(5))
+    states = np.empty((length, b, k))
+    saved = tuple(np.empty((length, b, k)) for _ in range(4)) if save else None
     full = live.all(axis=(1, 2))
     check = finite_checks_enabled()
     h = np.zeros((b, k))
@@ -195,10 +198,12 @@ def _gru_forward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots):
                         f"non-finite {gate} pre-activation in bi_gru at slot {t}")
         z_t, c_t = _sigmoid(a_z), np.tanh(a_h)
         h_next = (1.0 - z_t) * h + z_t * c_t
-        before[t], z[t], r[t], cand[t] = h, z_t, r_t, c_t
+        if save:
+            for arr, value in zip(saved, (h, z_t, r_t, c_t)):
+                arr[t] = value
         h = h_next if full[t] else np.where(live[t], h_next, h)
         states[t] = h
-    return states, (before, z, r, cand)
+    return states, saved
 
 
 def _gru_backward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots,
@@ -262,8 +267,10 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
     params = forward.tensors() + backward.tensors()
     fwd = tuple(p.data for p in params[:9]), range(length)
     bwd = tuple(p.data for p in params[9:]), range(length - 1, -1, -1)
-    states_f, saved_f = _gru_forward(rows, live, *fwd)
-    states_b, saved_b = _gru_forward(rows, live, *bwd)
+    # only a recorded op's vjp reads the per-slot activations
+    save = _recording()
+    states_f, saved_f = _gru_forward(rows, live, *fwd, save)
+    states_b, saved_b = _gru_forward(rows, live, *bwd, save)
     out = np.concatenate([states_f.transpose(1, 0, 2), states_b.transpose(1, 0, 2)], axis=2)
     k = states_f.shape[2]
 

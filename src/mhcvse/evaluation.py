@@ -80,26 +80,34 @@ def recall_at_k(scores, relevant, k: int) -> float:
     ``relevant[i]`` is the collection of relevant column indices for query
     row i. k larger than the candidate count retrieves everything.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    return _recalls(scores, relevant, (k,))[0]
+
+
+def _recalls(scores, relevant, ks) -> list[float]:
+    """:func:`recall_at_k` at each k of ``ks``, from one ranking of the scores."""
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
     scores = _as_array(scores)
     if scores.ndim != 2:
         raise ValueError("scores must be a rank-2 matrix")
     if len(relevant) != scores.shape[0]:
         raise ValueError(f"{len(relevant)} relevance sets for {scores.shape[0]} queries")
-    order = rank_candidates(scores)
-    hits = 0
+    top = max(ks)
+    order = rank_candidates(scores)[:, :top].tolist()
+    # per query, the rank of its best-placed relevant candidate (top if none
+    # is in the top ranks); a query counts at k when that rank is below k
+    first = []
     for i, rel in enumerate(relevant):
         rel = set(rel)
         if not rel:
             raise ValueError(f"query {i} has no relevant candidates")
-        if rel.intersection(order[i, :k].tolist()):
-            hits += 1
-    return hits / scores.shape[0]
+        first.append(next((r for r, c in enumerate(order[i]) if c in rel), top))
+    return [sum(f < k for f in first) / scores.shape[0] for k in ks]
 
 
 def evaluate(model, dataset, level: str | None = None) -> RetrievalResult:
-    """Both retrieval directions at K = 1, 5, 10 for one split."""
+    """Both retrieval directions at K = 1, 5, 10 for one split, each ranked once."""
     img, txt, image_ids, owner = model.embed_dataset(dataset, level)
     scores = similarity_matrix(img, txt)
     n_images = len(image_ids)
@@ -107,9 +115,8 @@ def evaluate(model, dataset, level: str | None = None) -> RetrievalResult:
     for i, caps in enumerate(captions_of):
         if not caps:
             raise ValueError(f"image {image_ids[i]} has no captions")
-    t_r = [recall_at_k(scores, captions_of, k) for k in RECALL_KS]
-    owner_sets = [[int(o)] for o in owner]
-    i_r = [recall_at_k(scores.T, owner_sets, k) for k in RECALL_KS]
+    t_r = _recalls(scores, captions_of, RECALL_KS)
+    i_r = _recalls(scores.T, [[int(o)] for o in owner], RECALL_KS)
     mr = float(np.mean(t_r + i_r))
     return RetrievalResult(t_r[0], t_r[1], t_r[2], i_r[0], i_r[1], i_r[2], mr)
 

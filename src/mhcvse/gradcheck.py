@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import MhsaParams, attend_and_pool, multi_head
+from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tape, Tensor
 from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
 from .encoders import (EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
@@ -121,13 +121,15 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         lambda: _project(ad.masked_mean(encode_text(caption, enc), caption.mask), proj),
         enc.named_parameters("encoder"))
 
-    # multi-head attention
+    # multi-head attention pooling of one unpadded sequence; the first row
+    # of a (1, m, d) draw weighs the pool, which keeps the random inputs of
+    # the blocks below as they were
     attn = MhsaParams.init(rng, d, h_heads)
     x = Tensor(rng.normal(size=(1, m, d)))
-    proj = rng.normal(size=(1, m, d))
+    proj = rng.normal(size=(1, m, d))[:, 0]
     params = dict(attn.named_parameters("attn"), x=x)
-    results["multi_head_attention"] = gradient_check(
-        lambda: _project(multi_head(x, attn), proj), params)
+    results["attend_and_pool"] = gradient_check(
+        lambda: _project(attend_and_pool(x, attn), proj), params)
 
     # each fusion mode
     for fuse_type in FUSE_TYPES:
@@ -253,11 +255,8 @@ def _op_cases(mask: np.ndarray):
     return [
         ("batched_matmul", lambda t: ad.matmul(t, Tensor(w)), (3, 2, 4)),
         ("shared_matmul", lambda t: ad.matmul(t, Tensor(w[0])), (3, 2, 4)),
-        ("masked_softmax", lambda t: ad.softmax_rows(t, mask[:, None, :]), (3, 2, n)),
         ("masked_mean", lambda t: ad.masked_mean(t, mask), (3, n, 2)),
         ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
-        ("split_heads", lambda t: ad.split_heads(t, 2), (3, 2, 4)),
-        ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2)),
         ("broadcast_mul", lambda t: ad.mul(t, Tensor(w[0, :, :1])), (4, 2)),
         ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
         ("index", lambda t: ad.index(t, 1), (3, 2, 2)),

@@ -15,12 +15,7 @@ from numpy.testing import assert_allclose
 
 from tinymodel import snapshot, states_equal, tiny_setup
 
-from mhcvse.attention import (
-    MhsaParams,
-    head_attention_weights,
-    multi_head,
-    scaled_dot_attention,
-)
+from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import AdamState, Tape, Tensor, matmul, mul, sum as t_sum
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
@@ -58,7 +53,7 @@ def test_1_gradient_suite():
     results = run_suite(seed=0)
     elapsed = time.perf_counter() - start
     worst = max(results.values())
-    expected_blocks = {"gru_step", "multi_head_attention", "gcn_paper",
+    expected_blocks = {"gru_step", "attend_and_pool", "attend_and_pool_masked", "gcn_paper",
                        "loss_contrastive_hardest", "loss_kl", "loss_total"}
     ok = (worst < TOLERANCE and elapsed < 60.0
           and expected_blocks <= results.keys()
@@ -75,23 +70,28 @@ def test_2_attention_invariants():
     ok = True
     for h in (1, 2, 4, 8):
         params = MhsaParams.init(rng, d, h)
-        out = multi_head(Tensor(x), params)
-        ok &= out.shape == (1, n, d)
+        ok &= attend_and_pool(Tensor(x), params).shape == (1, d)
         for weights in head_attention_weights(Tensor(x), params):
             ok &= bool(np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12))
 
     params = MhsaParams.init(rng, d, 2)
     perm = rng.permutation(n)
-    base = multi_head(Tensor(x), params).data[0]
-    shuffled = multi_head(Tensor(x[:, perm]), params).data[0]
-    ok &= bool(np.abs(shuffled - base[perm]).max() <= 1e-10)
+    base = head_attention_weights(Tensor(x), params)
+    shuffled = head_attention_weights(Tensor(x[:, perm]), params)
+    ok &= all(bool(np.abs(b - a[perm][:, perm]).max() <= 1e-10)
+              for a, b in zip(base, shuffled))
+    pooled = attend_and_pool(Tensor(x), params).data
+    ok &= bool(np.abs(attend_and_pool(Tensor(x[:, perm]), params).data - pooled).max()
+               <= 1e-10)
 
     single = MhsaParams.init(rng, d, 1)
     single.w_out.data[...] = np.eye(d)
-    wq, wk, wv = single.heads[0]
-    direct = scaled_dot_attention(matmul(Tensor(x), wq), matmul(Tensor(x), wk),
-                                  matmul(Tensor(x), wv)).data
-    ok &= bool(np.abs(multi_head(Tensor(x), single).data - direct).max() <= 1e-12)
+    wq, wk, wv = (w.data for w in single.heads[0])
+    q, k, v = x[0] @ wq, x[0] @ wk, x[0] @ wv
+    scores = q @ k.T / np.sqrt(d)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    direct = (e / e.sum(axis=1, keepdims=True) @ v).mean(axis=0)
+    ok &= bool(np.abs(attend_and_pool(Tensor(x), single).data[0] - direct).max() <= 1e-12)
     report(2, "attention invariants", ok)
 
 

@@ -1,15 +1,26 @@
-"""Attention tests: scaled dot-product semantics, multi-head wiring, pooling."""
+"""Attention tests: scaled dot-product semantics, multi-head wiring, pooling,
+and the fused op against a plain-numpy reference."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import mhcvse.autodiff as ad
-from mhcvse.attention import (
-    MhsaParams, attend_and_pool, attention_scores, attention_weights,
-    head_attention_weights, multi_head, scaled_dot_attention,
-)
+import mhcvse.model
+from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import Tape, Tensor
+from mhcvse.config import TrainConfig
+from mhcvse.consensus import build_graph
+from mhcvse.data import STOPWORDS, generate_synthetic, load_dataset
+from mhcvse.gradcheck import TOLERANCE, gradient_check
+from mhcvse.model import Model
+
+
+@pytest.fixture(autouse=True)
+def _finite_checks_on():
+    ad.set_finite_checks(True)
+    yield
+    ad.set_finite_checks(True)
 
 
 def softmax(x):
@@ -20,6 +31,45 @@ def softmax(x):
 def one(x):
     """One (n, d) sequence as a batch of one, (1, n, d)."""
     return Tensor(np.asarray(x)[None])
+
+
+def role(p, r):
+    """Role r's (d, h·d_k) projection: the per-head matrices side by side."""
+    return np.concatenate([head[r].data for head in p.heads], axis=1)
+
+
+def reference_heads(x, p):
+    """Per-head attention matrices (h, n, n) and head outputs (h, n, d_k) of
+    one unpadded (n, d) sequence, one head at a time."""
+    d_k = p.head_dim
+    mats, outs = [], []
+    for wq, wk, wv in p.heads:
+        q, k, v = x @ wq.data, x @ wk.data, x @ wv.data
+        a = softmax(q @ k.T / np.sqrt(d_k))
+        mats.append(a)
+        outs.append(a @ v)
+    return np.array(mats), np.array(outs)
+
+
+def reference_attended(x, p):
+    """The attended rows (n, d) of one unpadded (n, d) sequence."""
+    _, outs = reference_heads(x, p)
+    return np.concatenate(list(outs), axis=1) @ p.w_out.data
+
+
+def reference_pool(x, p, mask=None):
+    """Pooled rows (B, d) of a padded (B, n, d) batch, each item alone over
+    its real rows."""
+    lengths = [x.shape[1]] * len(x) if mask is None else mask.sum(axis=1)
+    return np.array([reference_attended(item[:n], p).mean(axis=0)
+                     for item, n in zip(x, lengths)])
+
+
+def padded(rng, lengths, d):
+    """A zero-padded (B, n, d) batch of random items and its mask."""
+    n = max(lengths)
+    mask = np.arange(n) < np.array(lengths)[:, None]
+    return rng.normal(size=(len(lengths), n, d)) * mask[:, :, None], mask
 
 
 class TestMhsaParams:
@@ -49,47 +99,55 @@ class TestMhsaParams:
 
 class TestScaledDotAttention:
     def test_single_position_returns_value(self):
+        # one row attends only to itself with weight exactly one, so the
+        # pool is its value row through W_out
         rng = np.random.default_rng(1)
-        q = one(rng.normal(size=(1, 3)))
-        k = one(rng.normal(size=(1, 3)))
-        v = one(rng.normal(size=(1, 3)))
-        out = scaled_dot_attention(q, k, v)
-        assert_allclose(out.data, v.data, rtol=0, atol=0)
+        p = MhsaParams.init(rng, d=6, h=2)
+        x = rng.normal(size=(1, 6))
+        assert [w.tolist() for w in head_attention_weights(one(x), p)] == [[[1.0]]] * 2
+        assert_allclose(attend_and_pool(one(x), p).data,
+                        (x @ role(p, 2)) @ p.w_out.data, rtol=0, atol=0)
 
     def test_identical_keys_give_column_mean(self):
         rng = np.random.default_rng(2)
-        q = one(rng.normal(size=(4, 3)))
-        k = one(np.tile(rng.normal(size=3), (4, 1)))
-        v_data = rng.normal(size=(4, 3))
-        out = scaled_dot_attention(q, k, one(v_data))
-        expected = np.tile(v_data.mean(axis=0), (4, 1))
-        assert_allclose(out.data[0], expected, rtol=0, atol=1e-12)
+        p = MhsaParams.init(rng, d=6, h=3)
+        for _, wk, _ in p.heads:
+            wk.data[...] = 0.0
+        x = rng.normal(size=(4, 6))
+        for w in head_attention_weights(one(x), p):
+            assert_allclose(w, np.full((4, 4), 0.25), rtol=0, atol=1e-15)
+        expected = (x.mean(axis=0) @ role(p, 2)) @ p.w_out.data
+        assert_allclose(attend_and_pool(one(x), p).data[0], expected, rtol=0, atol=1e-12)
 
     def test_step_by_step_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            q = rng.normal(size=(3, 2))
-            k = rng.normal(size=(3, 2))
-            v = rng.normal(size=(3, 2))
-            scores = (q @ k.T) / np.sqrt(2.0)
-            ref = softmax(scores) @ v
-            got = scaled_dot_attention(one(q), one(k), one(v))
-            assert_allclose(got.data[0], ref, rtol=0, atol=1e-12)
+            p = MhsaParams.init(rng, d=4, h=2)
+            x = rng.normal(size=(3, 4))
+            mats, _ = reference_heads(x, p)
+            assert_allclose(np.array(head_attention_weights(one(x), p)), mats,
+                            rtol=0, atol=1e-12)
+            assert_allclose(attend_and_pool(one(x), p).data,
+                            reference_pool(x[None], p), rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            attention_scores(one(np.zeros((2, 3))), one(np.zeros((2, 4))))
-        with pytest.raises(ValueError):
-            scaled_dot_attention(one(np.zeros((2, 3))),
-                                 one(np.zeros((2, 3))),
-                                 one(np.zeros((3, 3))))
+        p = MhsaParams.init(np.random.default_rng(0), d=4, h=2)
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="mask"):
+            attend_and_pool(x, p, np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="no real rows"):
+            attend_and_pool(x, p, np.array([[True] * 3, [False] * 3]))
+        with pytest.raises(TypeError):
+            attend_and_pool(np.zeros((2, 3, 4)), p)
 
     def test_scaling_divides_by_eight_at_dk_64(self):
         rng = np.random.default_rng(4)
-        q = rng.normal(size=(3, 64))
-        k = rng.normal(size=(3, 64))
-        scores = attention_scores(one(q), one(k))
-        assert_allclose(scores.data[0], (q @ k.T) / 8.0, rtol=0, atol=0)
+        p = MhsaParams.init(rng, d=64, h=1)
+        x = rng.normal(size=(3, 64))
+        wq, wk, _ = p.heads[0]
+        scores = ((x @ wq.data) @ (x @ wk.data).T) / 8.0
+        assert_allclose(head_attention_weights(one(x), p)[0], softmax(scores),
+                        rtol=0, atol=1e-15)
 
 
 class TestAttentionWeights:
@@ -107,10 +165,11 @@ class TestAttentionWeights:
 
     def test_weights_match_direct_computation(self):
         rng = np.random.default_rng(6)
-        q = rng.normal(size=(4, 3))
-        k = rng.normal(size=(4, 3))
-        got = attention_weights(one(q), one(k)).data[0]
-        assert_allclose(got, softmax((q @ k.T) / np.sqrt(3.0)),
+        p = MhsaParams.init(rng, d=3, h=1)
+        x = rng.normal(size=(4, 3))
+        wq, wk, _ = p.heads[0]
+        got = head_attention_weights(one(x), p)[0]
+        assert_allclose(got, softmax((x @ wq.data) @ (x @ wk.data).T / np.sqrt(3.0)),
                         rtol=0, atol=1e-14)
 
 
@@ -119,57 +178,61 @@ class TestMultiHead:
         rng = np.random.default_rng(7)
         p = MhsaParams.init(rng, d=4, h=1)
         p.w_out = Tensor(np.eye(4))
-        x = one(rng.normal(size=(5, 4)))
-        wq, wk, wv = p.heads[0]
-        direct = scaled_dot_attention(
-            ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv))
-        assert_allclose(multi_head(x, p).data, direct.data, rtol=0, atol=1e-12)
+        x = rng.normal(size=(5, 4))
+        wq, wk, wv = (w.data for w in p.heads[0])
+        direct = softmax((x @ wq) @ (x @ wk).T / 2.0) @ (x @ wv)
+        assert_allclose(attend_and_pool(one(x), p).data[0], direct.mean(axis=0),
+                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("h", [1, 2, 4, 8])
     def test_shape_preserved(self, h):
         rng = np.random.default_rng(8)
         p = MhsaParams.init(rng, d=8, h=h)
-        x = one(rng.normal(size=(6, 8)))
-        assert multi_head(x, p).shape == (1, 6, 8)
+        x = Tensor(rng.normal(size=(3, 6, 8)))
+        assert attend_and_pool(x, p).shape == (3, 8)
+        assert [w.shape for w in head_attention_weights(one(x.data[0]), p)] == [(6, 6)] * h
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         p = MhsaParams.init(rng, d=8, h=2)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        base = multi_head(one(x), p).data[0]
-        permuted = multi_head(one(x[perm]), p).data[0]
-        assert_allclose(permuted, base[perm], rtol=0, atol=1e-10)
+        base = head_attention_weights(one(x), p)
+        permuted = head_attention_weights(one(x[perm]), p)
+        for a, b in zip(base, permuted):
+            assert_allclose(b, a[perm][:, perm], rtol=0, atol=1e-10)
 
     def test_input_validation(self):
         p = MhsaParams.init(np.random.default_rng(10), d=4, h=2)
         with pytest.raises(ValueError):
-            multi_head(Tensor(np.zeros(4)), p)
+            attend_and_pool(Tensor(np.zeros(4)), p)
         with pytest.raises(ValueError):
-            multi_head(Tensor(np.zeros((3, 4))), p)
+            attend_and_pool(Tensor(np.zeros((3, 4))), p)
         with pytest.raises(ValueError):
-            multi_head(one(np.zeros((3, 5))), p)
+            attend_and_pool(one(np.zeros((3, 5))), p)
 
     def test_concat_head_layout(self):
         # with W_out = identity, columns [i*d_k:(i+1)*d_k) come from head i
         rng = np.random.default_rng(11)
         p = MhsaParams.init(rng, d=4, h=2)
         p.w_out = Tensor(np.eye(4))
-        x = one(rng.normal(size=(3, 4)))
-        out = multi_head(x, p).data[0]
-        for i, (wq, wk, wv) in enumerate(p.heads):
-            head = scaled_dot_attention(
-                ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)).data[0]
-            assert_allclose(out[:, i * 2:(i + 1) * 2], head, rtol=0, atol=1e-14)
+        x = rng.normal(size=(3, 4))
+        out = attend_and_pool(one(x), p).data[0]
+        _, heads = reference_heads(x, p)
+        for i, head in enumerate(heads):
+            assert_allclose(out[i * 2:(i + 1) * 2], head.mean(axis=0), rtol=0, atol=1e-14)
 
 
 class TestAttendAndPool:
     def test_single_row_passthrough(self):
+        # a one-row item padded beside longer ones pools to its value row
+        # through W_out
         rng = np.random.default_rng(12)
         p = MhsaParams.init(rng, d=6, h=2)
-        x = one(rng.normal(size=(1, 6)))
-        pooled = attend_and_pool(x, p)
-        assert_allclose(pooled.data[0], multi_head(x, p).data[0, 0], rtol=0, atol=0)
+        x, mask = padded(rng, (3, 1, 4), 6)
+        pooled = attend_and_pool(Tensor(x), p, mask)
+        assert_allclose(pooled.data[1], (x[1, 0] @ role(p, 2)) @ p.w_out.data,
+                        rtol=0, atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -183,9 +246,9 @@ class TestAttendAndPool:
     def test_pooled_is_row_mean(self):
         rng = np.random.default_rng(14)
         p = MhsaParams.init(rng, d=6, h=3)
-        x = one(rng.normal(size=(4, 6)))
-        assert_allclose(attend_and_pool(x, p).data[0],
-                        multi_head(x, p).data[0].mean(axis=0), rtol=0, atol=1e-15)
+        x = rng.normal(size=(4, 6))
+        assert_allclose(attend_and_pool(one(x), p).data[0],
+                        reference_attended(x, p).mean(axis=0), rtol=0, atol=1e-15)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(15)
@@ -214,3 +277,86 @@ class TestAttendAndPool:
         num = num.reshape(x.shape)
         denom = np.maximum(np.maximum(np.abs(grads[t]), np.abs(num)), 1e-6)
         assert float(np.max(np.abs(grads[t] - num) / denom)) < 1e-4
+
+
+class TestFusedOp:
+    @pytest.mark.parametrize("h,lengths", [
+        (1, (5,)), (8, (5,)), (2, (3, 1, 5, 2)), (8, (1, 7, 4)), (1, (6, 1)), (4, (1,)),
+    ], ids=["B1_h1", "B1_h8", "mixed_h2", "mixed_h8", "mixed_h1", "n1_h4"])
+    def test_matches_the_numpy_reference(self, h, lengths):
+        rng = np.random.default_rng(30 + h)
+        p = MhsaParams.init(rng, d=16, h=h)
+        x, mask = padded(rng, lengths, 16)
+        got = attend_and_pool(Tensor(x), p, mask).data
+        assert got.shape == (len(lengths), 16)
+        assert_allclose(got, reference_pool(x, p, mask), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [1, 8])
+    def test_no_mask_means_every_row_is_real(self, h):
+        rng = np.random.default_rng(40 + h)
+        p = MhsaParams.init(rng, d=16, h=h)
+        x = rng.normal(size=(3, 5, 16))
+        got = attend_and_pool(Tensor(x), p).data
+        assert_allclose(got, reference_pool(x, p), rtol=0, atol=1e-12)
+        all_real = np.ones((3, 5), dtype=bool)
+        assert np.array_equal(got, attend_and_pool(Tensor(x), p, all_real).data)
+
+    def test_padded_rows_get_no_weight_and_no_gradient(self):
+        rng = np.random.default_rng(50)
+        p = MhsaParams.init(rng, d=8, h=2)
+        x, mask = padded(rng, (4, 2, 1), 8)
+        junk = np.where(mask[:, :, None], x, rng.normal(size=x.shape) * 100.0)
+        probe = Tensor(rng.normal(size=(3, 8)))
+        t = Tensor(junk)
+        with Tape() as tape:
+            pooled = attend_and_pool(t, p, mask)
+            grads = tape.backward(ad.sum(ad.mul(pooled, probe)))
+        assert_allclose(pooled.data, attend_and_pool(Tensor(x), p, mask).data,
+                        rtol=0, atol=1e-14)
+        assert np.all(grads[t][~mask] == 0.0)
+
+    def test_gradients_of_the_input_and_every_head_tensor_on_a_masked_batch(self):
+        rng = np.random.default_rng(51)
+        p = MhsaParams.init(rng, d=8, h=2)
+        x, mask = padded(rng, (4, 1, 3), 8)
+        t = Tensor(x)
+        probe = Tensor(rng.normal(size=(3, 8)))
+        params = dict(p.named_parameters("attn"), x=t)
+        assert len(params) == 3 * 2 + 2
+        worst = gradient_check(lambda: ad.sum(ad.mul(attend_and_pool(t, p, mask), probe)),
+                               params)
+        assert worst < TOLERANCE
+
+    def test_an_overflowing_input_raises_only_while_checks_are_on(self):
+        p = MhsaParams.init(np.random.default_rng(52), d=4, h=2)
+        x = Tensor(np.full((1, 3, 4), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="attention scores"):
+                attend_and_pool(x, p)
+            ad.set_finite_checks(False)
+            out = attend_and_pool(x, p)
+        assert not np.all(np.isfinite(out.data))
+
+    def test_a_canonical_step_records_193_tape_nodes(self, tmp_path, monkeypatch):
+        generate_synthetic(tmp_path)
+        train = load_dataset(tmp_path / "train.manifest.json")
+        cfg = TrainConfig()
+        graph = build_graph((tokens for _, _, tokens in train.captions), cfg.concepts,
+                            cfg.embed_dim, np.random.default_rng(cfg.seed), STOPWORDS)
+        model = Model(cfg, train.vocab, graph)
+        added = []
+        real = mhcvse.model.attend_and_pool
+
+        def counted(x, params, mask):
+            before = len(tape)
+            out = real(x, params, mask)
+            added.append(len(tape) - before)
+            return out
+
+        monkeypatch.setattr(mhcvse.model, "attend_and_pool", counted)
+        with Tape() as tape:
+            model.loss_terms(train.pairs[:cfg.batch_size])
+        assert cfg.batch_size == 32
+        # per modality: 3·8 head tensors and W_out as leaves, and the op
+        assert added == [26, 26]
+        assert len(tape) == 193

@@ -341,8 +341,6 @@ OP_CASES = [
     ("index_r3", lambda t: ad.index(t, 0), (2, 3, 4), None),
     ("reshape", lambda t: ad.reshape(t, (3, 2, 2)), (3, 4), None),
     ("gather", lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3), None),
-    ("split_heads", lambda t: ad.split_heads(t, 2), (2, 3, 4), None),
-    ("merge_heads", lambda t: ad.merge_heads(t, 2), (4, 3, 2), None),
     ("transpose_r3", ad.transpose, (2, 3, 4), None),
     ("matmul_32", lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4), None),
     ("matmul_32_rhs", lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
@@ -353,8 +351,6 @@ OP_CASES = [
      (2, 4, 3), None),
     ("softmax_r2", ad.softmax_rows, (3, 4), None),
     ("softmax_r1", ad.softmax_rows, (5,), None),
-    ("masked_softmax", lambda t: ad.softmax_rows(t, _MASK[:, None, :]),
-     (3, 2, 4), None),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4), _keep_off_kinks),
     ("diag_part", ad.diag_part, (4, 4), None),
     ("add_row", lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4), None),
@@ -471,8 +467,6 @@ class TestShapeGuards:
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4, 5))))
 
     def test_masked_op_guards(self):
-        with pytest.raises(ValueError, match="every entry masked"):
-            ad.softmax_rows(Tensor(np.zeros((2, 3))), np.zeros((1, 3), dtype=bool))
         with pytest.raises(ValueError, match="no real rows"):
             ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.array([[True] * 3, [False] * 3]))
         with pytest.raises(ValueError, match="mask"):
@@ -483,10 +477,6 @@ class TestShapeGuards:
             ad.gather(Tensor(np.zeros((3, 2))), np.array([0, 3]))
         with pytest.raises(ValueError, match="integer"):
             ad.gather(Tensor(np.zeros((3, 2))), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            ad.split_heads(Tensor(np.zeros((2, 3, 5))), 2)
-        with pytest.raises(ValueError):
-            ad.merge_heads(Tensor(np.zeros((3, 3, 2))), 2)
         with pytest.raises(ValueError):
             ad.reshape(Tensor(np.zeros(16)), (2, 2, 2, 2))
 
@@ -538,14 +528,6 @@ class TestBroadcastOperands:
 
 
 class TestMaskedSemantics:
-    def test_masked_softmax_matches_softmax_of_the_real_entries(self):
-        x = np.random.default_rng(3).normal(size=(2, 5))
-        mask = np.array([[True, True, True, False, False], [True] * 5])
-        y = ad.softmax_rows(Tensor(x), mask).data
-        assert_allclose(y[0, :3], ad.softmax_rows(Tensor(x[0, :3])).data, rtol=0, atol=0)
-        assert np.all(y[0, 3:] == 0.0)
-        assert_allclose(y[1], ad.softmax_rows(Tensor(x[1])).data, rtol=0, atol=0)
-
     def test_gather_adds_repeated_ids(self):
         table = Tensor(np.arange(6.0).reshape(3, 2))
         with Tape() as tape:

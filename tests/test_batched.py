@@ -9,10 +9,7 @@ from numpy.testing import assert_allclose
 from tinymodel import tiny_setup
 
 import mhcvse.model
-from mhcvse.attention import (
-    MhsaParams, attend_and_pool, attention_scores, attention_weights,
-    head_attention_weights, multi_head, scaled_dot_attention,
-)
+from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import Tape, Tensor, concat, l2_normalize_rows
 from mhcvse.consensus import ConsensusHead, consensus_embed
 from mhcvse.data import InstancePair
@@ -136,14 +133,6 @@ def _single_item_calls():
                         lambda: encode_text(single(np.ones((1, n, 2), dtype=int)), enc)),
         "gru_step": (lambda: gru_step(vec(d), vec(d // 2), enc.gru_forward),
                      lambda: gru_step(seq3(d), seq3(d // 2), enc.gru_forward)),
-        "attention_scores": (lambda: attention_scores(vec(4), vec(4)),
-                             lambda: attention_scores(seq(4), seq(4))),
-        "attention_weights": (lambda: attention_weights(vec(4), vec(4)),
-                              lambda: attention_weights(seq(4), seq(4))),
-        "scaled_dot_attention": (lambda: scaled_dot_attention(vec(4), vec(4), vec(4)),
-                                 lambda: scaled_dot_attention(seq(4), seq(4), seq(4))),
-        "multi_head": (lambda: multi_head(vec(d), attn),
-                       lambda: multi_head(seq(d), attn)),
         "attend_and_pool": (lambda: attend_and_pool(vec(d), attn),
                             lambda: attend_and_pool(seq(d), attn)),
         "head_attention_weights": (

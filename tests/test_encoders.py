@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image, encode_text,
-    gru_step, uniform_init,
+    EncoderParams, GruGates, PaddedBatch, _gru_forward, bi_gru, encode_image,
+    encode_text, gru_step, uniform_init,
 )
 from mhcvse.gradcheck import TOLERANCE, gradient_check
 
@@ -350,6 +350,36 @@ class TestBiGru:
         with np.errstate(over="ignore"), pytest.raises(
                 FloatingPointError, match=f"{gate[-1]} pre-activation"):
             bi_gru(x, np.ones((1, 3), dtype=bool), fwd, bwd)
+
+    def test_states_and_gradients_do_not_depend_on_a_tape(self):
+        # without a tape the per-slot activations only the vjp reads are
+        # not kept; the states are the same bits either way
+        rng = np.random.default_rng(25)
+        fwd, bwd = GruGates.init(rng, 6, 3), GruGates.init(rng, 6, 3)
+        batch = PaddedBatch.of([rng.normal(size=(n, 6)) for n in (4, 1, 3)])
+        probe = Tensor(rng.normal(size=(3, 4, 6)))
+        params = fwd.tensors() + bwd.tensors()
+
+        def taped():
+            x = Tensor(batch.values)
+            with Tape() as tape:
+                out = bi_gru(x, batch.mask, fwd, bwd)
+                grads = tape.backward(ad.sum(ad.mul(out, probe)))
+            return out.data, [grads[t] for t in (x,) + params]
+
+        states, grads = taped()
+        untaped = bi_gru(Tensor(batch.values), batch.mask, fwd, bwd).data
+        assert np.array_equal(untaped, states)
+        again_states, again = taped()
+        assert np.array_equal(again_states, states)
+        assert all(np.array_equal(a, b) for a, b in zip(again, grads))
+        rows = batch.values.transpose(1, 0, 2).reshape(-1, 6)
+        live = batch.mask.T[:, :, None]
+        gates = tuple(t.data for t in fwd.tensors())
+        kept, saved = _gru_forward(rows, live, gates, range(4), True)
+        bare, none = _gru_forward(rows, live, gates, range(4), False)
+        assert none is None and len(saved) == 4
+        assert np.array_equal(kept, bare)
 
     def test_shape_guards(self):
         gates = GruGates.init(np.random.default_rng(23), 4, 2)
