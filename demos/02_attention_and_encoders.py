@@ -17,7 +17,6 @@ import numpy as np
 
 from mhcvse import (EncoderParams, MhsaParams, PaddedBatch, Tensor, attend_and_pool,
                     encode_image, encode_text, head_attention_weights)
-from mhcvse.autodiff import masked_mean
 
 rng = np.random.default_rng(1)
 d = 16
@@ -58,19 +57,20 @@ print(f"padded vs alone gap: {np.abs(pooled_batch.data[1] - alone.data[0]).max()
 #    rows; the text side runs a Bi-GRU and concatenates the forward and
 #    backward states per token. Both land in width d. Items of different
 #    lengths share a batch: they are padded with zeros, and the mask marks
-#    their real rows. The mean of a caption's real token states serves as
-#    its sentence vector here.
+#    their real rows. The mean of a caption's real token states, taken in
+#    numpy over the mask, serves as its sentence vector here.
 enc = EncoderParams.init(rng, vocab_size=30, feature_dim=7, embed_dim=d)
 images = PaddedBatch.of([rng.normal(size=(5, 7)), rng.normal(size=(2, 7))])
 image_seq = encode_image(images, enc)
 captions = PaddedBatch.of([[3, 14, 8, 21], [21, 8, 14, 3], [9, 2]])
 token_seq = encode_text(captions, enc)
-sentence = masked_mean(token_seq, captions.mask)
+real = captions.mask[:, :, None]
+sentence = (token_seq.data * real).sum(axis=1) / real.sum(axis=1)
 print(f"image regions encoded:  {image_seq.shape}, real rows per image: "
       f"{images.mask.sum(axis=1).tolist()}")
 print(f"caption tokens encoded: {token_seq.shape}, pooled sentences: {sentence.shape}")
 
 # 5. The Bi-GRU is direction-aware: the second caption is the first one
 #    reversed, and its sentence vector differs, unlike the order-free image side.
-delta = np.linalg.norm(sentence.data[0] - sentence.data[1])
+delta = np.linalg.norm(sentence[0] - sentence[1])
 print(f"sentence vector moves when the caption is reversed: {delta:.4f}")

@@ -4,16 +4,16 @@ Values are numpy arrays of rank 0..3 (rank 0 is the scalar case used by
 losses). Gradients come from recording every op on a :class:`Tape` during
 the forward pass and replaying the recorded nodes in reverse: define-by-run,
 so the tape is rebuilt on every forward pass and append order is already a
-topological order. The op set is deliberately small -- matrix products
-(batched over a leading axis at rank 3), add/sub/mul with numpy
-broadcasting, elementwise nonlinearities, reductions,
-concatenation/slicing/reshaping, a row gather, a stable softmax, a masked
-mean and row L2 normalization -- and everything downstream is composed
-from it, apart from the fused blocks that record one op with a
-hand-written vjp through :func:`_make`. Variable-length items are padded
-to a common length and carry a boolean mask; the masked mean gives padded
-rows zero weight and zero gradient. Adam with bias correction
-lives here too, since every other module optimizes through this engine.
+topological order. The op set is deliberately small and holds only the
+forms a caller runs -- matrix products (one matrix applied to a rank-3
+batch's rows too), add/sub/mul with numpy broadcasting, division by a
+number, elementwise nonlinearities, a sum, concatenation/slicing/reshaping,
+a row gather, a stable softmax of a vector or of rows and row L2
+normalization -- and everything downstream is composed from it, apart from the fused blocks
+that record one op with a hand-written vjp through :func:`_make`. Tensors
+have no operator methods: every op is called by name. Adam with bias
+correction lives here too, since every other module optimizes through
+this engine.
 
 Non-finite values raise ``FloatingPointError`` at op boundaries while checks
 are enabled (the default; ``python -O`` or :func:`set_finite_checks` turns
@@ -28,7 +28,7 @@ __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
     "matmul", "transpose", "add", "sub", "mul", "div_scalar",
     "tanh", "sigmoid", "relu", "log",
-    "sum", "masked_mean",
+    "sum",
     "concat", "index", "reshape", "gather",
     "softmax_rows", "l2_normalize_rows",
     "diag_part", "rowmax",
@@ -62,7 +62,7 @@ class Tensor:
         arr = np.array(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank-{arr.ndim} tensor not supported (max rank 3)")
-        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
+        if _CHECK_FINITE and not np.isfinite(arr).all():
             raise FloatingPointError("non-finite values in tensor")
         self.data = arr
         self._tape = None
@@ -87,34 +87,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # operator sugar; a number operand stays a constant, never a tape leaf
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__  # exact: float addition and multiplication commute
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not an op; divide by a scalar")
-        return div_scalar(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -227,7 +199,7 @@ def _recording() -> bool:
 
 
 def _make(out_data: np.ndarray, inputs, vjp, op: str) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(out_data)):
+    if _CHECK_FINITE and not np.isfinite(out_data).all():
         raise FloatingPointError(f"non-finite output from {op}")
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -247,44 +219,34 @@ def _check(t, name: str, op: str) -> None:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two matrices or of a batch of them.
+    """Product of two matrices, or one matrix applied to a batch's rows.
 
     (n, k) @ (k, m) is one matrix product. A rank-3 ``a`` is a batch:
-    (B, n, k) @ (k, m) applies one matrix to all B·n rows as a single
-    (B·n, k) @ (k, m) product, and (B, n, k) @ (B, k, m) multiplies the B
-    pairs of matrices. No other rank pair is accepted.
+    (B, n, k) @ (k, m) applies the matrix to all B·n rows as a single
+    (B·n, k) @ (k, m) product. No other rank pair is accepted.
     """
     _check(a, "a", "matmul"); _check(b, "b", "matmul")
     ad, bd = a.data, b.data
-    if (ad.ndim, bd.ndim) not in ((2, 2), (3, 2), (3, 3)):
-        raise ValueError(f"matmul needs ranks (2, 2), (3, 2) or (3, 3), "
+    if (ad.ndim, bd.ndim) not in ((2, 2), (3, 2)):
+        raise ValueError(f"matmul needs ranks (2, 2) or (3, 2), "
                          f"got {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.shape[-1] != bd.shape[0]:
         raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ValueError(f"matmul batch sizes differ: {ad.shape} @ {bd.shape}")
-
-    if ad.ndim == 3 and bd.ndim == 2:
-        a2 = ad.reshape(-1, ad.shape[-1])
-        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
-
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
-        return _make(out, (a, b), vjp, "matmul")
+    a2 = ad.reshape(-1, ad.shape[-1])
+    out = a2 @ bd
 
     def vjp(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
-    return _make(ad @ bd, (a, b), vjp, "matmul")
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
+    return _make(out.reshape(ad.shape[:-1] + bd.shape[-1:]), (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or of each matrix of a batch."""
+    """Swap the two axes of a matrix."""
     _check(a, "a", "transpose")
-    if a.data.ndim not in (2, 3):
-        raise ValueError(f"transpose needs a rank-2 or rank-3 tensor, got rank {a.data.ndim}")
-    return _make(a.data.swapaxes(-1, -2).copy(), (a,),
-                 lambda g: (g.swapaxes(-1, -2),), "transpose")
+    if a.data.ndim != 2:
+        raise ValueError(f"transpose needs a rank-2 tensor, got rank {a.data.ndim}")
+    return _make(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +387,6 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the op name used throughou
                  lambda g: (np.broadcast_to(g, shape),), "sum")
 
 
-def masked_mean(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over the real rows of each padded item: (B, n, d) -> (B, d).
-
-    ``mask`` (B, n) is True on real rows; every item needs at least one.
-    Padded rows get zero weight and zero gradient.
-    """
-    _check(a, "a", "masked_mean")
-    x = a.data
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 3 or mask.shape != x.shape[:2]:
-        raise ValueError(f"masked_mean needs (B, n, d) values and a (B, n) mask, "
-                         f"got {x.shape} and {mask.shape}")
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("masked_mean: an item has no real rows")
-    keep = mask[:, :, None]
-    out = np.where(keep, x, 0.0).sum(axis=1) / counts[:, None]
-
-    def vjp(g):
-        return (np.where(keep, g[:, None, :] / counts[:, None, None], 0.0),)
-    return _make(out, (a,), vjp, "masked_mean")
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -527,11 +466,11 @@ def gather(table: Tensor, ids) -> Tensor:
 # normalizers
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis, max-shifted for stability."""
+    """Softmax of a vector or of each row of a matrix, max-shifted for stability."""
     _check(a, "a", "softmax_rows")
     x = a.data
-    if x.ndim not in (1, 2, 3):
-        raise ValueError(f"softmax_rows needs rank 1 to 3, got rank {x.ndim}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"softmax_rows needs rank 1 or 2, got rank {x.ndim}")
     y = x - x.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
@@ -626,7 +565,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         g = grads.get(p)
         if g is None:
             g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
+        elif not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter '{name}' "

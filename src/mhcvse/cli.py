@@ -2,8 +2,8 @@
 
 Subcommands: ``synth`` (write a synthetic dataset), ``train``, ``eval``,
 ``retrieve``, ``lr-curve``, and ``grad-check``. Exit codes: 0 on success,
-1 when a validation or check fails, 2 for usage errors (argparse's own
-convention), including missing files.
+1 when a validation or check fails or an output path cannot be written,
+2 for usage errors (argparse's own convention), including missing files.
 """
 
 from __future__ import annotations
@@ -102,10 +102,11 @@ def _cmd_train(args) -> int:
                         cfg.concepts, cfg.embed_dim,
                         np.random.default_rng(cfg.seed), STOPWORDS)
     model = Model(cfg, train_ds.vocab, graph)
-    result = fit(model, train_ds, val_ds)
-
+    # an unusable output path fails before the fit, not after it
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = fit(model, train_ds, val_ds)
+
     save_model(out_dir / "checkpoint.mhcv", model)
     write_train_log(out_dir / "train_log.csv", result.history)
     export_concepts_csv(graph, out_dir / "concepts.csv")
@@ -148,6 +149,8 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_lr_curve(args) -> int:
     _require_files(args.config)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     cfg = load_config(args.config)
     eta0 = cfg.eta0 if args.eta0 is None else args.eta0
     eta_min = cfg.eta_min if args.eta_min is None else args.eta_min
@@ -186,7 +189,8 @@ def main(argv=None) -> int:
         print(f"error: no such file: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except (ValueError, RuntimeError, FloatingPointError) as err:
+    except (ValueError, RuntimeError, FloatingPointError, OSError) as err:
+        # an OSError's text names its path, e.g. an --out that is a file
         print(f"error: {err}", file=sys.stderr)
         return CHECK_ERROR
 

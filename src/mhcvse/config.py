@@ -2,7 +2,9 @@
 
 Unknown keys are errors, values round-trip exactly (floats via repr), and
 the ``MHCVSE_SEED`` environment variable overrides the configured seed when
-a config is loaded for a run.
+a config is loaded for a run. A retired key (``gcn_form``) still loads when
+it names the one behaviour left, so older configs and checkpoint sidecars
+keep working; any other value is an error that names the key.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .consensus import GCN_FORMS
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FUSE_TYPES
 from .losses import CONTRASTIVE_MODES
@@ -32,7 +33,6 @@ class TrainConfig:
     contrastive_mode: str = "hardest"
     base_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     invert_dynamic_weight: bool = False
-    gcn_form: str = "paper"
     concepts: int = 32
     eta0: float = 0.006
     eta_min_ratio: float = 0.01
@@ -61,8 +61,6 @@ class TrainConfig:
             raise ValueError("base_weights needs exactly 4 values")
         if not all(0.0 <= w < math.inf for w in self.base_weights):
             raise ValueError(f"base_weights must be finite and >= 0, got {self.base_weights}")
-        if self.gcn_form not in GCN_FORMS:
-            raise ValueError(f"unknown gcn_form '{self.gcn_form}'")
         if self.concepts < 1:
             raise ValueError(f"concepts must be >= 1, got {self.concepts}")
         if not 0.0 <= self.eta0 < math.inf:
@@ -124,6 +122,11 @@ _FIELD_KINDS = {
 }
 
 
+# keys a config no longer has, each with the one value that still loads:
+# the behaviour every remaining code path has
+_RETIRED_KEYS = {"gcn_form": "paper"}
+
+
 def format_config_text(cfg: TrainConfig) -> str:
     lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
              for f in fields(TrainConfig)]
@@ -139,12 +142,19 @@ def parse_config_text(text: str) -> TrainConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key = value, got '{line}'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_KINDS:
-            raise ValueError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key '{key}'")
+        if key in _RETIRED_KEYS:
+            if raw != _RETIRED_KEYS[key]:
+                raise ValueError(f"line {lineno}: key '{key}' was removed and only "
+                                 f"'{_RETIRED_KEYS[key]}' still loads, got '{raw}'")
+            values[key] = None
+            continue
+        if key not in _FIELD_KINDS:
+            raise ValueError(f"line {lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, raw, _FIELD_KINDS[key])
-    return TrainConfig(**values).validate()
+    return TrainConfig(**{k: v for k, v in values.items()
+                          if k not in _RETIRED_KEYS}).validate()
 
 
 def load_config(path=None, apply_env: bool = True, **overrides) -> TrainConfig:

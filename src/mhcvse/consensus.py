@@ -5,13 +5,12 @@ corpus. The adjacency has a self-loop of exactly 1 on the diagonal,
 caption-level co-occurrence counts off the diagonal, and is then row
 normalized; it stays fixed while the concept node features are learned.
 
-Two GCN layer forms are available. The default applies the activation to
-the propagated features before the weight multiply,
+Each of the two GCN layers applies the activation to the propagated
+features before the weight multiply, as the paper writes it,
 
     H_next = relu(A @ H) @ W,
 
-with no activation on the final product. The ``conventional`` form is
-relu(A @ H @ W) for the first layer and A @ H @ W for the last.
+with no activation on the final product.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "ConsensusHead", "consensus_embed",
     "export_concepts_csv", "export_adjacency_csv",
 ]
-
-GCN_FORMS = ("paper", "conventional")
 
 
 class ConceptGraph:
@@ -91,20 +88,16 @@ def build_graph(corpus, k: int, dim: int, rng: np.random.Generator,
 
 
 class GcnParams:
-    """Two layer weight matrices (d, d) and the layer form to apply."""
+    """Two layer weight matrices (d, d)."""
 
-    def __init__(self, w0: Tensor, w1: Tensor, form: str = "paper"):
-        if form not in GCN_FORMS:
-            raise ValueError(f"unknown gcn form '{form}' (one of {GCN_FORMS})")
+    def __init__(self, w0: Tensor, w1: Tensor):
         self.w0 = w0
         self.w1 = w1
-        self.form = form
 
     @classmethod
-    def init(cls, rng: np.random.Generator, dim: int,
-             form: str = "paper") -> "GcnParams":
+    def init(cls, rng: np.random.Generator, dim: int) -> "GcnParams":
         return cls(uniform_init(rng, (dim, dim), dim),
-                   uniform_init(rng, (dim, dim), dim), form)
+                   uniform_init(rng, (dim, dim), dim))
 
     def named_parameters(self, prefix: str = "gcn") -> dict[str, Tensor]:
         return {f"{prefix}.w0": self.w0, f"{prefix}.w1": self.w1}
@@ -113,14 +106,8 @@ class GcnParams:
 def gcn_forward(graph: ConceptGraph, params: GcnParams) -> Tensor:
     """Two propagation layers over the fixed adjacency: (K, d) -> (K, d)."""
     a = Tensor(graph.adjacency)
-    h = graph.concept_embeddings
-    if params.form == "paper":
-        h = matmul(relu(matmul(a, h)), params.w0)
-        h = matmul(relu(matmul(a, h)), params.w1)
-    else:
-        h = relu(matmul(matmul(a, h), params.w0))
-        h = matmul(matmul(a, h), params.w1)
-    return h
+    h = matmul(relu(matmul(a, graph.concept_embeddings)), params.w0)
+    return matmul(relu(matmul(a, h)), params.w1)
 
 
 class ConsensusHead:

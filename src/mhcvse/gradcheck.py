@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tape, Tensor
-from .consensus import GCN_FORMS, ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
+from .consensus import ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
 from .encoders import (EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
                        encode_text, gru_step, uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
@@ -114,11 +114,11 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         lambda: _project(encode_image(regions, enc), proj),
         {"image_proj": enc.image_proj, "image_bias": enc.image_bias})
 
-    # text encoder end to end
+    # text encoder end to end; one projection row weighs every token state
     caption = PaddedBatch.of([rng.integers(0, vocab, size=l)])
-    proj = rng.normal(size=(1, d))
+    proj = rng.normal(size=(1, 1, d))
     results["encode_text"] = gradient_check(
-        lambda: _project(ad.masked_mean(encode_text(caption, enc), caption.mask), proj),
+        lambda: _project(encode_text(caption, enc), proj),
         enc.named_parameters("encoder"))
 
     # multi-head attention pooling of one unpadded sequence; the first row
@@ -142,15 +142,14 @@ def run_suite(seed: int = 0) -> dict[str, float]:
         results[f"fusion_{fuse_type}"] = gradient_check(
             lambda: _project(fuse(va, vb, fp), proj), params)
 
-    # GCN, both layer forms
-    for form in GCN_FORMS:
-        graph = _random_graph(rng, k, d)
-        gcn = GcnParams.init(rng, d, form)
-        proj = rng.normal(size=(k, d))
-        params = {"concept_embeddings": graph.concept_embeddings,
-                  "w0": gcn.w0, "w1": gcn.w1}
-        results[f"gcn_{form}"] = gradient_check(
-            lambda: _project(gcn_forward(graph, gcn), proj), params)
+    # GCN
+    graph = _random_graph(rng, k, d)
+    gcn = GcnParams.init(rng, d)
+    proj = rng.normal(size=(k, d))
+    params = {"concept_embeddings": graph.concept_embeddings,
+              "w0": gcn.w0, "w1": gcn.w1}
+    results["gcn"] = gradient_check(
+        lambda: _project(gcn_forward(graph, gcn), proj), params)
 
     # consensus head
     graph = _random_graph(rng, k, d)
@@ -228,8 +227,8 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     results["attend_and_pool_masked"] = gradient_check(
         lambda: _project(attend_and_pool(xs, attn, mask), proj), params)
 
-    # the batched and masked ops one by one
-    for name, op, shape in _op_cases(mask):
+    # the ops of the batched path one by one
+    for name, op, shape in _OP_CASES:
         t = Tensor(rng.normal(size=shape))
         proj = rng.normal(size=op(t).shape)
         results[f"op_{name}"] = gradient_check(lambda: _project(op(t), proj), {name: t})
@@ -247,20 +246,16 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def _op_cases(mask: np.ndarray):
-    """(name, op of one tensor, input shape) for the ops of the batched path;
-    ``mask`` is a (3, n) padding mask."""
-    n = mask.shape[1]
-    w = np.linspace(-1.0, 1.0, 3 * 4 * 5).reshape(3, 4, 5)
-    return [
-        ("batched_matmul", lambda t: ad.matmul(t, Tensor(w)), (3, 2, 4)),
-        ("shared_matmul", lambda t: ad.matmul(t, Tensor(w[0])), (3, 2, 4)),
-        ("masked_mean", lambda t: ad.masked_mean(t, mask), (3, n, 2)),
-        ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
-        ("broadcast_mul", lambda t: ad.mul(t, Tensor(w[0, :, :1])), (4, 2)),
-        ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
-        ("index", lambda t: ad.index(t, 1), (3, 2, 2)),
-    ]
+_W = np.linspace(-1.0, 1.0, 4 * 5).reshape(4, 5)
+
+# (name, op of one tensor, input shape) for the ops of the batched path
+_OP_CASES = [
+    ("shared_matmul", lambda t: ad.matmul(t, Tensor(_W)), (3, 2, 4)),
+    ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
+    ("broadcast_mul", lambda t: ad.mul(t, Tensor(_W[:, :1])), (4, 2)),
+    ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
+    ("index", lambda t: ad.index(t, 1), (3, 2, 2)),
+]
 
 
 def _random_graph(rng: np.random.Generator, k: int, d: int) -> ConceptGraph:

@@ -93,7 +93,7 @@ class Model:
         self.attn_image = MhsaParams.init(rng, d, config.heads)
         self.attn_text = MhsaParams.init(rng, d, config.heads)
         self.fusion = FusionParams.init(rng, d, config.fuse_type)
-        self.gcn = GcnParams.init(rng, d, config.gcn_form)
+        self.gcn = GcnParams.init(rng, d)
         self.head_image = ConsensusHead.init(rng, d, graph.size)
         self.head_text = ConsensusHead.init(rng, d, graph.size)
 

@@ -53,7 +53,7 @@ def test_1_gradient_suite():
     results = run_suite(seed=0)
     elapsed = time.perf_counter() - start
     worst = max(results.values())
-    expected_blocks = {"gru_step", "attend_and_pool", "attend_and_pool_masked", "gcn_paper",
+    expected_blocks = {"gru_step", "attend_and_pool", "attend_and_pool_masked", "gcn",
                        "loss_contrastive_hardest", "loss_kl", "loss_total"}
     ok = (worst < TOLERANCE and elapsed < 60.0
           and expected_blocks <= results.keys()
@@ -275,7 +275,6 @@ def test_8_default_configuration():
     ok &= cfg.margin == 0.2
     ok &= cfg.contrastive_mode == "hardest"
     ok &= cfg.base_weights == (1.0, 1.0, 1.0, 1.0)
-    ok &= cfg.gcn_form == "paper"
     report(8, "default configuration snapshot", ok)
 
 

@@ -70,28 +70,9 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
 
-    def test_operator_sugar_eager(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([3.0, 4.0])
-        assert_allclose((a + b).data, [4.0, 6.0])
-        assert_allclose((a - b).data, [-2.0, -2.0])
-        assert_allclose((a * b).data, [3.0, 8.0])
-        assert_allclose((a + 1).data, [2.0, 3.0])
-        assert_allclose((1 + a).data, [2.0, 3.0])
-        assert_allclose((a - 1).data, [0.0, 1.0])
-        assert_allclose((1 - a).data, [0.0, -1.0])
-        assert_allclose((2 * a).data, [2.0, 4.0])
-        assert_allclose((a / 2).data, [0.5, 1.0])
-        assert_allclose((-a).data, [-1.0, -2.0])
-
     def test_tensor_by_tensor_division_rejected(self):
-        with pytest.raises(TypeError):
-            Tensor([1.0]) / Tensor([2.0])
-
-    def test_matmul_operator(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert_allclose((a @ b).data, a.data)
+        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
+            ad.div_scalar(Tensor([1.0]), Tensor([2.0]))
 
 
 class TestMatmul:
@@ -137,13 +118,10 @@ class TestMatmul:
         b32 = ad.matmul(Tensor(rng.normal(size=(5, 2, 3))),
                         Tensor(rng.normal(size=(3, 4))))
         assert b32.shape == (5, 2, 4)
-        b33 = ad.matmul(Tensor(rng.normal(size=(5, 2, 3))),
-                        Tensor(rng.normal(size=(5, 3, 4))))
-        assert b33.shape == (5, 2, 4)
         shapes = {0: (), 1: (3,), 2: (3, 3), 3: (2, 3, 3)}
         for ra in range(4):
             for rb in range(4):
-                if (ra, rb) in ((2, 2), (3, 2), (3, 3)):
+                if (ra, rb) in ((2, 2), (3, 2)):
                     continue
                 with pytest.raises(ValueError, match="matmul needs ranks"):
                     ad.matmul(Tensor(np.ones(shapes[ra])), Tensor(np.ones(shapes[rb])))
@@ -194,6 +172,10 @@ class TestSoftmax:
     def test_rank_one_input(self):
         y = ad.softmax_rows(Tensor([0.0, 0.0])).data
         assert_allclose(y, [0.5, 0.5], atol=1e-15)
+
+    def test_rank_three_rejected(self):
+        with pytest.raises(ValueError, match="rank 1 or 2"):
+            ad.softmax_rows(Tensor(np.zeros((2, 3, 4))))
 
 
 class TestBackwardBasics:
@@ -323,7 +305,6 @@ OP_CASES = [
     ("sub_rank0_rhs", lambda t: ad.sub(Tensor(_W[:3, :4]), t), (), None),
     ("mul", lambda t: ad.mul(t, Tensor(_W[:3, :4])), (3, 4), None),
     ("mul_rank0", lambda t: ad.mul(Tensor(_W[:3, :4]), t), (), None),
-    ("neg", lambda t: -t, (3, 4), None),
     ("add_number", lambda t: ad.add(t, 1.7), (3, 4), None),
     ("sub_from_number", lambda t: ad.sub(1.0, t), (3, 4), None),
     ("mul_number", lambda t: ad.mul(t, -2.3), (3, 4), None),
@@ -333,7 +314,6 @@ OP_CASES = [
     ("relu", ad.relu, (3, 4), _keep_off_kinks),
     ("log", ad.log, (3, 4), _keep_positive),
     ("sum", ad.sum, (3, 4), None),
-    ("masked_mean", lambda t: ad.masked_mean(t, _MASK), (3, 4, 2), None),
     ("concat_r2", lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]),
      (3, 4), None),
     ("index", lambda t: ad.index(t, 1), (4,), None),
@@ -341,14 +321,9 @@ OP_CASES = [
     ("index_r3", lambda t: ad.index(t, 0), (2, 3, 4), None),
     ("reshape", lambda t: ad.reshape(t, (3, 2, 2)), (3, 4), None),
     ("gather", lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3), None),
-    ("transpose_r3", ad.transpose, (2, 3, 4), None),
     ("matmul_32", lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4), None),
     ("matmul_32_rhs", lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
      (4, 3), None),
-    ("matmul_33", lambda t: ad.matmul(t, Tensor(_W[:4, :6].reshape(2, 4, 3))),
-     (2, 5, 4), None),
-    ("matmul_33_rhs", lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
-     (2, 4, 3), None),
     ("softmax_r2", ad.softmax_rows, (3, 4), None),
     ("softmax_r1", ad.softmax_rows, (5,), None),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4), _keep_off_kinks),
@@ -370,9 +345,6 @@ OP_CASES = [
 ]
 
 _W = np.random.default_rng(99).normal(size=(6, 6))
-# three padded items of lengths 4, 1 and 3
-_MASK = np.array([[True, True, True, True], [True, False, False, False],
-                  [True, True, True, False]])
 
 
 class TestGradientsVsFiniteDifferences:
@@ -417,6 +389,8 @@ class TestShapeGuards:
     def test_transpose_rank(self):
         with pytest.raises(ValueError):
             ad.transpose(Tensor([1.0, 2.0]))
+        with pytest.raises(ValueError, match="rank-2"):
+            ad.transpose(Tensor(np.zeros((2, 3, 4))))
 
     def test_binary_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -459,18 +433,10 @@ class TestShapeGuards:
             ad.rowmax(Tensor([1.0, 2.0]))
 
     def test_batched_matmul_shapes(self):
-        with pytest.raises(ValueError, match="batch sizes"):
-            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
         with pytest.raises(ValueError, match="inner dims"):
             ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2))))
         with pytest.raises(ValueError, match="rank"):
             ad.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4, 5))))
-
-    def test_masked_op_guards(self):
-        with pytest.raises(ValueError, match="no real rows"):
-            ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.array([[True] * 3, [False] * 3]))
-        with pytest.raises(ValueError, match="mask"):
-            ad.masked_mean(Tensor(np.zeros((2, 3, 1))), np.ones((2, 2), dtype=bool))
 
     def test_gather_and_head_guards(self):
         with pytest.raises(ValueError, match="outside"):
@@ -505,8 +471,6 @@ class TestBroadcastOperands:
                              ids=["true", "false", "numpy_bool", "str", "numpy_int"])
     def test_division_refuses_what_the_other_ops_refuse(self, c):
         with pytest.raises(TypeError, match="div_scalar: c must be a number"):
-            Tensor([1.0]) / c
-        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
             ad.div_scalar(Tensor([1.0]), c)
 
     def test_a_row_gradient_is_one_sum_over_the_leading_rows(self):
@@ -518,13 +482,6 @@ class TestBroadcastOperands:
         with Tape() as tape:
             grads = tape.backward(ad.sum(ad.mul(ad.add(x, bias), Tensor(probe))))
         assert np.array_equal(grads[bias], probe.reshape(-1, 5).sum(axis=0))
-
-    def test_operators_match_the_ops_bit_for_bit(self):
-        x = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
-        assert np.array_equal((-x).data, -x.data)
-        assert np.array_equal((1.0 - x).data, (-x.data) + 1.0)
-        assert np.array_equal((2.0 * x).data, x.data * 2.0)
-        assert np.array_equal((x - 2.0).data, x.data - 2.0)
 
 
 class TestMaskedSemantics:

@@ -11,6 +11,7 @@ import pytest
 
 from tinymodel import rgft_bytes
 
+import mhcvse.cli
 import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
@@ -58,6 +59,13 @@ class TestSynth:
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_out_that_is_a_file_exits_one_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert main(["synth", "--out", str(out), "--pairs", "8"]) == 1
+        assert f"File exists: '{out}'" in capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
+
     def test_impossible_geometry_exits_one(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "x"), "--pairs", "50",
                      "--length", "2", "--vocab", "20",
@@ -85,6 +93,24 @@ class TestTrain:
         assert "encoder.image_proj" in arrays
         assert "consensus.adjacency" in arrays
 
+    def test_out_that_is_a_file_exits_one_before_the_fit(self, workspace, tmp_path,
+                                                         capsys, monkeypatch):
+        data, _, cfg_path = workspace
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran although the output path is unusable")
+
+        monkeypatch.setattr(mhcvse.cli, "fit", no_fit)
+        code = main(["train", "--config", str(cfg_path),
+                     "--train", str(data / "train.manifest.json"),
+                     "--val", str(data / "val.manifest.json"),
+                     "--out", str(out)])
+        assert code == 1
+        assert f"File exists: '{out}'" in capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
+
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         code = main(["train", "--train", str(tmp_path / "none.json"),
                      "--val", str(tmp_path / "none.json"),
@@ -97,7 +123,8 @@ class TestTrain:
 class TestBadConfig:
     @pytest.mark.parametrize("line", [
         "margin = nan", "margin = inf", "eta0 = nan", "eta0 = inf",
-        "base_weights = nan,1,1,1", "base_weights = -1,1,1,1", "bogus = 1"],
+        "base_weights = nan,1,1,1", "base_weights = -1,1,1,1", "bogus = 1",
+        "gcn_form = conventional"],
         ids=lambda line: line.replace(" = ", "="))
     def test_train_exits_one_naming_the_file_and_the_key(self, workspace, tmp_path,
                                                          capsys, line):
@@ -263,6 +290,25 @@ class TestMalformedInputs:
         assert code == 1
         assert str(meta) in err and f"'{key}'" in err
 
+    def test_sidecar_with_retired_gcn_form(self, sidecar, tmp_path, capsys):
+        # sidecars written before gcn_form was removed hold "gcn_form = paper"
+        checkpoint, meta, manifest = sidecar
+        argv = ["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+                "--out", str(tmp_path / "report.csv")]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        raw = json.loads(meta.read_text())
+        assert "gcn_form" not in raw["config"]
+        raw["config"] += "gcn_form = paper\n"
+        meta.write_text(json.dumps(raw))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        raw["config"] = raw["config"].replace("= paper", "= conventional")
+        meta.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(meta) in err and "'gcn_form'" in err
+
     def test_checkpoint_without_adjacency_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, _, manifest = sidecar
         arrays = load_checkpoint(checkpoint)
@@ -357,6 +403,14 @@ class TestLrCurve:
                      "--out", str(out)]) == 0
         first = out.read_text().strip().splitlines()[1]
         assert float(first.split(",")[1]) == TINY_CFG["eta0"]
+
+
+    def test_negative_steps_exits_one_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "lr_curve.csv"
+        code = main(["lr-curve", "--period", "4", "--steps", "-3", "--out", str(out)])
+        assert code == 1
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradCheck:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mhcvse.autodiff import Tape, Tensor, sum as t_sum
+from mhcvse.autodiff import Tape, Tensor, mul, sum as t_sum
 from mhcvse.consensus import (
-    GCN_FORMS,
     ConceptGraph,
     ConsensusHead,
     GcnParams,
@@ -122,8 +121,7 @@ class TestGcnForward:
         for i in range(1, k):
             assert_allclose(out[i], out[0], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("form", GCN_FORMS)
-    def test_small_instance_matches_layerwise_oracle(self, form):
+    def test_small_instance_matches_layerwise_oracle(self):
         rng = np.random.default_rng(21)
         adjacency = rng.uniform(0.1, 1.0, size=(3, 3))
         adjacency /= adjacency.sum(axis=1, keepdims=True)
@@ -131,32 +129,12 @@ class TestGcnForward:
         w0 = rng.normal(size=(2, 2))
         w1 = rng.normal(size=(2, 2))
         graph = ConceptGraph(["a", "b", "c"], [1, 1, 1], adjacency, Tensor(h0))
-        params = GcnParams(Tensor(w0), Tensor(w1), form=form)
-
-        if form == "paper":
-            h1 = relu_np(adjacency @ h0) @ w0
-            h2 = relu_np(adjacency @ h1) @ w1
-        else:
-            h1 = relu_np(adjacency @ h0 @ w0)
-            h2 = adjacency @ h1 @ w1
+        params = GcnParams(Tensor(w0), Tensor(w1))
+        h1 = relu_np(adjacency @ h0) @ w0
+        h2 = relu_np(adjacency @ h1) @ w1
 
         assert_allclose(gcn_forward(graph, params).data, h2,
                         rtol=0, atol=1e-12)
-
-    def test_forms_differ_on_generic_input(self):
-        rng = np.random.default_rng(8)
-        adjacency = np.full((3, 3), 1.0 / 3)
-        h0 = Tensor(rng.normal(size=(3, 4)))
-        graph = ConceptGraph(["a", "b", "c"], [1, 1, 1], adjacency.copy(), h0)
-        w0, w1 = Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 4)))
-        paper = gcn_forward(graph, GcnParams(w0, w1, "paper")).data
-        conv = gcn_forward(graph, GcnParams(w0, w1, "conventional")).data
-        assert np.abs(paper - conv).max() > 1e-6
-
-    def test_unknown_form_rejected(self):
-        t = Tensor(np.eye(2))
-        with pytest.raises(ValueError, match="unknown gcn form"):
-            GcnParams(t, t, form="fancy")
 
     def test_named_parameters(self):
         params = GcnParams.init(np.random.default_rng(0), 4)
@@ -283,7 +261,7 @@ class TestConsensusEmbed:
             out = gcn_forward(graph, GcnParams(leaves["w0"], leaves["w1"]))
             emb, _ = consensus_embed(leaves["instance"], out,
                                      ConsensusHead(leaves["predictor"]))
-            loss = t_sum(emb * Tensor(probe[None]))
+            loss = t_sum(mul(emb, Tensor(probe[None])))
             grads = tape.backward(loss)
 
         arrays = {name: t.data.copy() for name, t in leaves.items()}

@@ -525,9 +525,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2.*unknown key"):
             parse_config_text("embed_dim = 16\nlr = 0.1\n")
 
+    def test_retired_gcn_form_loads_only_as_paper(self):
+        assert parse_config_text("heads = 2\ngcn_form = paper\n") == TrainConfig(heads=2)
+        with pytest.raises(ValueError, match="line 1: key 'gcn_form'.*'conventional'"):
+            parse_config_text("gcn_form = conventional\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate key"):
             parse_config_text("heads = 2\nheads = 4\n")
+        with pytest.raises(ValueError, match="line 2: duplicate key 'gcn_form'"):
+            parse_config_text("gcn_form = paper\ngcn_form = paper\n")
 
     def test_unparseable_value_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):

@@ -35,9 +35,8 @@ def image_one(regions, p):
 
 def text_one(ids, p):
     """encode_text of a batch of one caption: (L, d) states, (d,) mean state."""
-    batch = PaddedBatch.of([ids])
-    states = encode_text(batch, p)
-    return states.data[0], ad.masked_mean(states, batch.mask).data[0]
+    states = encode_text(PaddedBatch.of([ids]), p).data[0]
+    return states, states.mean(axis=0)
 
 
 def step_one(x, h_prev, gates):
@@ -197,10 +196,14 @@ class TestEncodeText:
         assert_allclose(pooled, np.zeros(8), rtol=0, atol=0)
 
     def test_pooled_is_mean_of_states(self):
+        # in a padded batch, the mean over a caption's real rows is the mean
+        # of the states it has alone: padding never leaks into them
         rng = np.random.default_rng(12)
         p = random_params(rng)
-        states, pooled = text_one([1, 5, 7, 2], p)
-        assert_allclose(pooled, states.mean(axis=0), rtol=0, atol=1e-15)
+        _, pooled = text_one([1, 5, 7, 2], p)
+        batch = PaddedBatch.of([[3, 9, 9, 9, 9, 9], [1, 5, 7, 2]])
+        states = encode_text(batch, p).data[1]
+        assert_allclose(pooled, states[batch.mask[1]].mean(axis=0), rtol=0, atol=1e-15)
 
     def test_state_layout_forward_backward_halves(self):
         rng = np.random.default_rng(13)
@@ -253,9 +256,9 @@ class TestEncodeText:
         leaves = p.named_parameters()
 
         def forward():
-            batch = PaddedBatch.of([ids])
-            pooled = ad.masked_mean(encode_text(batch, p), batch.mask)
-            return ad.sum(ad.mul(pooled, Tensor(probe[None])))
+            # the probe weighs the mean of the token states
+            states = encode_text(PaddedBatch.of([ids]), p)
+            return ad.sum(ad.mul(states, Tensor(probe[None, None] / len(ids))))
 
         with Tape() as tape:
             grads = tape.backward(forward())
