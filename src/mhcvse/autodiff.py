@@ -348,12 +348,22 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of an array, without overflow for either sign:
-    1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere.
+
+    The result goes into ``out``, which may be ``x``, and the denominator
+    into ``scratch``; both are arrays of x's shape that a caller in a loop
+    can reuse, and each is made when not given.
+    """
+    positive = x >= 0
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e, out=scratch)
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=positive)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -10,12 +10,15 @@ Both work on a :class:`PaddedBatch`: B items of different lengths padded
 with zeros to the longest, plus a (B, n_max) mask of the real positions.
 The image side is then one (B·M, F) @ (F, d) product. The Bi-GRU is one
 recorded op, :func:`bi_gru`: it projects the inputs of all token slots at
-once, then steps a (B, d/2) state per direction through the padded slots
-in numpy, and a sequence that has ended holds its state, so each backward
-pass starts at its own last token from a zero state. Its vjp is a
-hand-written backpropagation through time. :func:`gru_step` is the same
-step composed from tape ops, kept as the reference. A single image or
-caption is a batch of one.
+once, then one numpy loop of L steps advances both directions, the
+forward one at slot t and the backward one at slot L-1-t, as one
+(2, B, d/2) state. A sequence that has ended holds its state, so each
+backward pass starts at its own last token from a zero state. Its vjp is
+a hand-written backpropagation through time, one reverse loop over both
+directions. Every product and sum is the one a direction alone would
+run, so the states and gradients are the same bits as one direction at
+a time. :func:`gru_step` is the same step composed from tape ops, kept
+as the reference. A single image or caption is a batch of one.
 """
 
 from __future__ import annotations
@@ -165,82 +168,110 @@ def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
     return add(mul(sub(1.0, z), h_prev), mul(z, cand))
 
 
-def _gru_forward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots,
-                 save: bool):
-    """One direction of the masked recurrence in numpy.
+def _each(a: np.ndarray, u: tuple, out: np.ndarray) -> np.ndarray:
+    """a[i] @ u[i] for each direction i into ``out`` (2, B, k): the same
+    (B, k) @ (k, k) product as one direction alone. ``np.dot`` runs the
+    BLAS call of ``@`` with less overhead per call."""
+    np.dot(a[0], u[0], out=out[0])
+    np.dot(a[1], u[1], out=out[1])
+    return out
 
-    ``rows`` (L·B, d_in) holds the inputs time-major, ``live`` (L, B, 1) is
-    True on real positions, ``gates`` the nine gate arrays in
-    :attr:`GruGates.NAMES` order and ``slots`` the order of the steps. Each
-    step is :func:`gru_step`'s arithmetic in the same order. Returns the
-    state after each slot (L, B, k) and, if ``save``, per slot the state
-    before it and the z, r and candidate activations, which the backward
-    pass reads (None otherwise).
+
+def _non_finite(a: np.ndarray, gates: str, slots: tuple) -> FloatingPointError:
+    """The error naming the first non-finite pre-activation in ``a``
+    (gate, direction, B, k), which holds the gates named in ``gates``, and
+    its direction's slot in ``slots``."""
+    gate, i = next((gate, i) for i in range(2) for gate, a_gate in zip(gates, a[:, i])
+                   if not np.isfinite(a_gate).all())
+    return FloatingPointError(f"non-finite {gate} pre-activation in bi_gru at slot "
+                              f"{slots[i]} ({('forward', 'backward')[i]} direction)")
+
+
+def _recurrence(proj: np.ndarray, live: np.ndarray, u_z, u_r, u_h, bias_zr: np.ndarray,
+                bias_h: np.ndarray, save: bool):
+    """Both directions stepped together through the slots, in numpy.
+
+    Step t is slot t of the forward direction and slot L-1-t of the
+    backward one. ``proj`` (gate, direction, L, B, k) holds the input
+    projections in step order, ``live`` (L, 2, B, 1) the real rows of each
+    step, ``u_*`` (forward, backward) pairs and ``bias_*`` the biases
+    stacked as (gate, direction, 1, k) and (direction, 1, k). Each step
+    writes the two new states into the z-gate projections it has just
+    read, so on return ``proj[0]`` (direction, L, B, k) holds each
+    direction's state after each step. Returns, if ``save``, the z and r
+    activations (L, gate, 2, B, k) and the candidates (L, 2, B, k) of each
+    step, which the backward pass reads (None otherwise).
     """
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
-    length, b, _ = live.shape
-    k = u_z.shape[0]
-    xz, xr, xh = ((rows @ w).reshape(length, b, k) for w in (w_z, w_r, w_h))
-    states = np.empty((length, b, k))
-    saved = tuple(np.empty((length, b, k)) for _ in range(4)) if save else None
-    full = live.all(axis=(1, 2))
+    _, _, length, b, k = proj.shape
+    full = live.all(axis=(1, 2, 3))
+    # the state before the step and the one it makes, in turn
+    states = np.zeros((2, 2, b, k))
+    kept = length if save else 1
+    zr = np.empty((kept, 2, 2, b, k))
+    cand = np.empty((kept, 2, b, k))
+    scratch = np.empty((2, 2, b, k))
     check = finite_checks_enabled()
-    h = np.zeros((b, k))
-    for t in slots:
-        a_z = (xz[t] + h @ u_z) + b_z
-        a_r = (xr[t] + h @ u_r) + b_r
-        r_t = _sigmoid(a_r)
-        a_h = (xh[t] + (r_t * h) @ u_h) + b_h
-        if check:
-            for gate, a in (("z", a_z), ("r", a_r), ("h", a_h)):
-                if not np.isfinite(a).all():
-                    raise FloatingPointError(
-                        f"non-finite {gate} pre-activation in bi_gru at slot {t}")
-        z_t, c_t = _sigmoid(a_z), np.tanh(a_h)
-        h_next = (1.0 - z_t) * h + z_t * c_t
-        if save:
-            for arr, value in zip(saved, (h, z_t, r_t, c_t)):
-                arr[t] = value
-        h = h_next if full[t] else np.where(live[t], h_next, h)
-        states[t] = h
-    return states, saved
+    for t in range(length):
+        slots = t, length - 1 - t
+        h, h_next = states[t % 2], states[(t + 1) % 2]
+        # z then r, (gate, direction, B, k); the sigmoid runs in place
+        a_zr = zr[t % kept]
+        _each(h, u_z, a_zr[0])
+        _each(h, u_r, a_zr[1])
+        a_zr += proj[:2, :, t]
+        a_zr += bias_zr
+        if check and not np.isfinite(a_zr).all():
+            raise _non_finite(a_zr, "zr", slots)
+        z_t, r_t = _sigmoid(a_zr, a_zr, scratch)
+        a_h = _each(np.multiply(r_t, h, out=scratch[0]), u_h, cand[t % kept])
+        a_h += proj[2, :, t]
+        a_h += bias_h
+        if check and not np.isfinite(a_h).all():
+            raise _non_finite(a_h[None], "h", slots)
+        c_t = np.tanh(a_h, out=a_h)
+        keep = np.subtract(1.0, z_t, out=scratch[0])
+        keep *= h
+        np.add(keep, np.multiply(z_t, c_t, out=scratch[1]), out=h_next)
+        if not full[t]:
+            np.copyto(h_next, h, where=~live[t])
+        proj[0, :, t] = h_next
+    return (zr, cand) if save else None
 
 
-def _gru_backward(rows: np.ndarray, live: np.ndarray, gates: tuple, slots,
-                  saved: tuple, g: np.ndarray):
-    """Backpropagation through time for one direction of :func:`_gru_forward`.
+def _bptt(g: np.ndarray, hs: np.ndarray, zr: np.ndarray, cand: np.ndarray,
+          live: np.ndarray, u_z, u_r, u_h) -> list[np.ndarray]:
+    """Backpropagation through time for :func:`_recurrence`, both directions
+    in one reverse loop.
 
-    ``g`` (L, B, k) is the gradient of each slot's state. One reverse pass
-    collects the gate pre-activation gradients of every slot; each weight
-    gradient is then one product or sum over all slots. Rows past their
-    end pass their gradient straight to the state before. Returns the
-    gradient of ``rows`` and the nine gate gradients in ``gates`` order.
+    ``g`` (B, L, 2k) is the gradient of the token states. Returns per
+    direction the gate pre-activation gradients of every slot, in slot
+    order, as (L, B, 3k): z, r and h side by side. Rows past their end
+    pass their gradient straight to the state before.
     """
-    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = gates
-    before, z, r, cand = saved
-    length, b, k = z.shape
-    da_z, da_r, da_h = (np.empty((length, b, k)) for _ in range(3))
-    full = live.all(axis=(1, 2))
-    carry = np.zeros((b, k))
-    for t in reversed(slots):
-        dh = carry + g[t]
+    length, _, b, k = cand.shape
+    full = live.all(axis=(1, 2, 3))
+    u_zt, u_rt, u_ht = ((u[0].T, u[1].T) for u in (u_z, u_r, u_h))
+    da = [np.empty((length, b, 3 * k)) for _ in range(2)]
+    step = np.empty((2, b, 3 * k))
+    dh = np.empty((2, b, k))
+    products = np.empty((3, 2, b, k))
+    carry = np.zeros((2, b, k))
+    for t in range(length - 1, -1, -1):
+        s = length - 1 - t
+        np.add(carry[0], g[:, t, :k], out=dh[0])
+        np.add(carry[1], g[:, s, k:], out=dh[1])
         gh = dh if full[t] else np.where(live[t], dh, 0.0)
-        h, z_t, r_t, c_t = before[t], z[t], r[t], cand[t]
-        dah = gh * z_t * (1.0 - c_t * c_t)
-        drh = dah @ u_h.T
-        daz = gh * (c_t - h) * z_t * (1.0 - z_t)
-        dar = drh * h * r_t * (1.0 - r_t)
-        dh_before = gh * (1.0 - z_t) + drh * r_t + daz @ u_z.T + dar @ u_r.T
+        h, (z_t, r_t), c_t = hs[t], zr[t], cand[t]
+        dah = np.multiply(gh * z_t, 1.0 - c_t * c_t, out=step[..., 2 * k:])
+        drh = _each(dah, u_ht, products[0])
+        daz = np.multiply(gh * (c_t - h) * z_t, 1.0 - z_t, out=step[..., :k])
+        dar = np.multiply(drh * h * r_t, 1.0 - r_t, out=step[..., k:2 * k])
+        dh_before = (gh * (1.0 - z_t) + drh * r_t + _each(daz, u_zt, products[1])
+                     + _each(dar, u_rt, products[2]))
         carry = dh_before if full[t] else np.where(live[t], dh_before, dh)
-        da_z[t], da_r[t], da_h[t] = daz, dar, dah
-    flat = (length * b, k)
-    da_z, da_r, da_h = da_z.reshape(flat), da_r.reshape(flat), da_h.reshape(flat)
-    h_before = before.reshape(flat)
-    d_rows = da_z @ w_z.T + da_r @ w_r.T + da_h @ w_h.T
-    return d_rows, (rows.T @ da_z, h_before.T @ da_z, da_z.sum(axis=0),
-                    rows.T @ da_r, h_before.T @ da_r, da_r.sum(axis=0),
-                    rows.T @ da_h, (r.reshape(flat) * h_before).T @ da_h,
-                    da_h.sum(axis=0))
+        da[0][t] = step[0]
+        da[1][s] = step[1]
+    return da
 
 
 def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -> Tensor:
@@ -254,6 +285,14 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
     each item alone; the vjp gives the gradients of ``x`` and of all
     eighteen gate tensors. While finite checks are on, a non-finite gate
     pre-activation raises ``FloatingPointError``.
+
+    One loop of L steps advances both directions (:func:`_recurrence`), so
+    the state is (2, B, k) and one sigmoid and one tanh serve both. The
+    products stay :func:`gru_step`'s own, one (B, k) @ (k, k) product per
+    gate and direction; every sum keeps the form and order (x·w + h·u) + b,
+    and the vjp keeps the order of a backpropagation through time per
+    direction. So states and gradients are the same bits as one direction
+    at a time.
     """
     if not isinstance(x, Tensor):
         raise TypeError(f"bi_gru: x must be a Tensor, got {type(x).__name__}")
@@ -262,23 +301,61 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
         raise ValueError(f"bi_gru needs (B, L, d) inputs and a (B, L) mask, "
                          f"got {x.shape} and {mask.shape}")
     b, length, d_in = x.shape
-    rows = x.data.transpose(1, 0, 2).reshape(length * b, d_in)
-    live = mask.T[:, :, None]
     params = forward.tensors() + backward.tensors()
-    fwd = tuple(p.data for p in params[:9]), range(length)
-    bwd = tuple(p.data for p in params[9:]), range(length - 1, -1, -1)
-    # only a recorded op's vjp reads the per-slot activations
-    save = _recording()
-    states_f, saved_f = _gru_forward(rows, live, *fwd, save)
-    states_b, saved_b = _gru_forward(rows, live, *bwd, save)
-    out = np.concatenate([states_f.transpose(1, 0, 2), states_b.transpose(1, 0, 2)], axis=2)
-    k = states_f.shape[2]
+    # each gate array as a (forward, backward) pair
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = zip(
+        *(tuple(p.data for p in half) for half in (params[:9], params[9:])))
+    k = u_z[0].shape[0]
+    # the input projections in step order, (gate, direction, L, B, k): per
+    # direction and gate one product over all L·B rows, time-major and, for
+    # the backward direction, from the last slot back
+    proj = np.empty((3, 2, length * b, k))
+    for i, order in enumerate((slice(None), slice(None, None, -1))):
+        rows = x.data[:, order].transpose(1, 0, 2).reshape(length * b, d_in)
+        for j, w in enumerate((w_z, w_r, w_h)):
+            np.matmul(rows, w[i], out=proj[j, i])
+        del rows
+    # step t's real rows, (L, 2, B, 1): slot t forward, slot L-1-t backward
+    live = np.stack((mask.T, mask.T[::-1]), axis=1)[..., None]
+    proj = proj.reshape(3, 2, length, b, k)
+    saved = _recurrence(proj, live, u_z, u_r, u_h, np.stack((b_z, b_r))[:, :, None],
+                        np.stack(b_h)[:, None], _recording())
+    out = np.empty((b, length, 2 * k))
+    out[:, :, :k] = proj[0, 0].transpose(1, 0, 2)
+    out[:, :, k:] = proj[0, 1, ::-1].transpose(1, 0, 2)
+    del proj
+    # the vjp takes the saved arrays out of the list, so that it can drop
+    # them once the weight gradients no longer need them
+    held = [saved] if saved else []
+    del saved
 
     def vjp(g):
-        g = g.transpose(1, 0, 2)
-        d_f, grads_f = _gru_backward(rows, live, *fwd, saved_f, g[:, :, :k])
-        d_b, grads_b = _gru_backward(rows, live, *bwd, saved_b, g[:, :, k:])
-        return ((d_f + d_b).reshape(length, b, d_in).transpose(1, 0, 2),) + grads_f + grads_b
+        zr, cand = held.pop()
+        # the state before each step, (L, 2, B, k), from the token states
+        hs = np.zeros((length, 2, b, k))
+        hs[1:, 0] = out[:, :-1, :k].transpose(1, 0, 2)
+        hs[1:, 1] = out[:, :0:-1, k:].transpose(1, 0, 2)
+        da = _bptt(g, hs, zr, cand, live, u_z, u_r, u_h)
+        # each weight gradient is one product or sum over all slots in slot
+        # order, as one direction alone forms it; the backward direction's
+        # slot s is step L-1-s
+        flat = (length * b, k)
+        before = [hs[:, 0].reshape(flat), hs[::-1, 1].reshape(flat)]
+        r_before = [np.multiply(r, h.reshape(length, b, k), out=np.empty((length, b, k)))
+                    .reshape(flat) for r, h in zip((zr[:, 1, 0], zr[::-1, 1, 1]), before)]
+        del hs, zr, cand
+        rows = x.data.transpose(1, 0, 2).reshape(length * b, d_in)
+        d_rows, grads = [], ()
+        for i in range(2):
+            da_z, da_r, da_h = np.split(da[i].reshape(length * b, 3 * k), 3, axis=1)
+            d_rows.append(da_z @ w_z[i].T + da_r @ w_r[i].T + da_h @ w_h[i].T)
+            grads += (rows.T @ da_z, before[i].T @ da_z, da_z.sum(axis=0),
+                      rows.T @ da_r, before[i].T @ da_r, da_r.sum(axis=0),
+                      rows.T @ da_h, r_before[i].T @ da_h, da_h.sum(axis=0))
+            # free this direction's arrays before the next one's products
+            da[i] = before[i] = r_before[i] = da_z = da_r = da_h = None
+        d_x = (d_rows[0] + d_rows[1]).reshape(length, b, d_in).transpose(1, 0, 2)
+        return (d_x,) + grads
     return _make(out, (x,) + params, vjp, "bi_gru")
 
 

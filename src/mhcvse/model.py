@@ -191,7 +191,9 @@ class Model:
         """Rows for region arrays and token-id lists, in the order given.
 
         Returns (image rows (len(images), d'), caption rows
-        (len(captions), d')) at ``level`` (the config's if None).
+        (len(captions), d')) at ``level`` (the config's if None), where d'
+        is the level's width: 2d for fused ``concat`` rows, d otherwise. An
+        empty side gives (0, d') rows.
         """
         level = level if level is not None else self.config.retrieval_level
         if level not in RETRIEVAL_LEVELS:
@@ -202,16 +204,16 @@ class Model:
                 self._embed_rows(self._text_levels, captions, level, gcn_out))
 
     def _embed_rows(self, levels_of, items: list, level: str, gcn_out: Tensor) -> np.ndarray:
-        rows = None
-        for chunk in _chunks([len(item) for item in items], self.config.embed_dim,
-                             self.config.heads):
+        cfg = self.config
+        # fused concat rows are [instance; consensus], 2d wide
+        width = cfg.embed_dim * (2 if level == "fused" and cfg.fuse_type == "concat" else 1)
+        rows = np.empty((len(items), width))
+        for chunk in _chunks([len(item) for item in items], cfg.embed_dim, cfg.heads):
             v, c, f, _ = levels_of([items[i] for i in chunk], gcn_out)
             out = l2_normalize_rows(v) if level == "instance" else (
                 f if level == "fused" else c)
-            if rows is None:
-                rows = np.empty((len(items), out.shape[1]))
             rows[chunk] = out.data
-        return rows if rows is not None else np.empty((0, 0))
+        return rows
 
     def embed_dataset(self, dataset: Dataset, level: str | None = None):
         """Embeddings for every image and caption of a split.

@@ -570,6 +570,23 @@ class TestSpecialValues:
             grads = tape.backward(ad.sum(ad.rowmax(x)))
         assert_allclose(grads[x], [[1.0, 0.0, 0.0]], rtol=0, atol=0)
 
+    def test_sigmoid_into_reused_buffers_gives_the_same_bits(self):
+        # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) elsewhere, without
+        # overflow at either end, whether it allocates or writes in place
+        x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308],
+                            np.random.default_rng(30).normal(scale=20.0, size=200)])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(ad._sigmoid(x), want)
+        out, scratch = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        assert ad._sigmoid(x, out, scratch) is out
+        assert np.array_equal(out, want)
+        inplace = x.copy()
+        assert ad._sigmoid(inplace, inplace, scratch) is inplace
+        assert np.array_equal(inplace, want)
+        scalar = ad.sigmoid(Tensor(-3.0)).data
+        assert scalar.shape == () and scalar == np.exp(-3.0) / (1.0 + np.exp(-3.0))
+
     def test_finite_check_toggle(self):
         assert ad.finite_checks_enabled()
         with pytest.raises(FloatingPointError):

@@ -1,5 +1,7 @@
 """Encoder tests: image projection, GRU step semantics, Bi-GRU text encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    EncoderParams, GruGates, PaddedBatch, _gru_forward, bi_gru, encode_image,
+    EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
     encode_text, gru_step, uniform_init,
 )
 from mhcvse.gradcheck import TOLERANCE, gradient_check
@@ -295,7 +297,110 @@ def gru_loop(x, gates, reverse):
     return np.array(out)
 
 
+def logistic(x):
+    """The logistic function as the library computes it, without overflow."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def per_direction_bi_gru(x, mask, forward, backward, g):
+    """bi_gru in plain numpy, one direction after the other: its states and
+    the gradients of x and of the eighteen gate arrays for an output
+    gradient ``g``.
+
+    Each direction projects the time-major input rows once per gate, steps
+    its (B, k) state through its slots, then runs its own reverse loop; its
+    weight gradients are one product or sum over all slots in slot order,
+    and the two input gradients add as forward + backward. The stacked
+    loop of bi_gru must give the same bits.
+    """
+    b, length, d_in = x.shape
+    rows = x.transpose(1, 0, 2).reshape(length * b, d_in)
+    live = mask.T[:, :, None]
+    full = live.all(axis=(1, 2))
+    g = g.transpose(1, 0, 2)
+
+    def direction(gates, slots, g_dir):
+        w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gates
+        k = u_z.shape[0]
+        xz, xr, xh = ((rows @ w).reshape(length, b, k) for w in (w_z, w_r, w_h))
+        states, before, z, r, cand = (np.empty((length, b, k)) for _ in range(5))
+        h = np.zeros((b, k))
+        for t in slots:
+            a_z = (xz[t] + h @ u_z) + b_z
+            a_r = (xr[t] + h @ u_r) + b_r
+            r[t] = logistic(a_r)
+            a_h = (xh[t] + (r[t] * h) @ u_h) + b_h
+            z[t], cand[t] = logistic(a_z), np.tanh(a_h)
+            h_next = (1.0 - z[t]) * h + z[t] * cand[t]
+            before[t] = h
+            h = h_next if full[t] else np.where(live[t], h_next, h)
+            states[t] = h
+        da_z, da_r, da_h = (np.empty((length, b, k)) for _ in range(3))
+        carry = np.zeros((b, k))
+        for t in reversed(slots):
+            dh = carry + g_dir[t]
+            gh = dh if full[t] else np.where(live[t], dh, 0.0)
+            h, z_t, r_t, c_t = before[t], z[t], r[t], cand[t]
+            da_h[t] = gh * z_t * (1.0 - c_t * c_t)
+            drh = da_h[t] @ u_h.T
+            da_z[t] = gh * (c_t - h) * z_t * (1.0 - z_t)
+            da_r[t] = drh * h * r_t * (1.0 - r_t)
+            dh_before = gh * (1.0 - z_t) + drh * r_t + da_z[t] @ u_z.T + da_r[t] @ u_r.T
+            carry = dh_before if full[t] else np.where(live[t], dh_before, dh)
+        flat = (length * b, k)
+        da_z, da_r, da_h, before = (a.reshape(flat) for a in (da_z, da_r, da_h, before))
+        d_rows = da_z @ w_z.T + da_r @ w_r.T + da_h @ w_h.T
+        return states, d_rows, [
+            rows.T @ da_z, before.T @ da_z, da_z.sum(axis=0),
+            rows.T @ da_r, before.T @ da_r, da_r.sum(axis=0),
+            rows.T @ da_h, (r.reshape(flat) * before).T @ da_h, da_h.sum(axis=0)]
+
+    k = forward[1].shape[0]
+    states_f, d_f, grads_f = direction(forward, list(range(length)), g[:, :, :k])
+    states_b, d_b, grads_b = direction(backward, list(range(length - 1, -1, -1)),
+                                       g[:, :, k:])
+    states = np.concatenate([states_f, states_b], axis=2).transpose(1, 0, 2)
+    d_x = (d_f + d_b).reshape(length, b, d_in).transpose(1, 0, 2)
+    return states, [d_x] + grads_f + grads_b
+
+
 class TestBiGru:
+    @pytest.mark.parametrize("lengths, d, k, tied", [
+        ((7,), 8, 4, False),             # a single caption, B = 1
+        ((1,), 6, 3, False),
+        ((4, 4, 4), 8, 4, False),        # equal lengths: no step is masked
+        ((1, 5, 3, 1, 4), 6, 3, False),  # mixed lengths, some of 1
+        ((2, 6, 1, 6), 8, 4, True),      # one gate set for both directions
+    ])
+    def test_is_bit_identical_to_one_direction_at_a_time(self, lengths, d, k, tied):
+        rng = np.random.default_rng(len(lengths) + d + 10 * k)
+        fwd = GruGates.init(rng, d, k)
+        bwd = fwd if tied else GruGates.init(rng, d, k)
+        for gates in {id(fwd): fwd, id(bwd): bwd}.values():
+            gates.b_z, gates.b_r, gates.b_h = (Tensor(rng.normal(size=k)) for _ in range(3))
+        batch = PaddedBatch.of([rng.normal(size=(n, d)) for n in lengths])
+        probe = rng.normal(size=batch.values.shape[:2] + (2 * k,))
+        x = Tensor(batch.values)
+        untaped = bi_gru(x, batch.mask, fwd, bwd).data
+        with Tape() as tape:
+            out = bi_gru(x, batch.mask, fwd, bwd)
+            grads = tape.backward(ad.sum(ad.mul(out, Tensor(probe))))
+        leaves = (x,) + fwd.tensors() + (() if tied else bwd.tensors())
+        got = [grads[t] for t in leaves]
+        states, want = per_direction_bi_gru(
+            batch.values, batch.mask, tuple(t.data for t in fwd.tensors()),
+            tuple(t.data for t in bwd.tensors()), probe)
+        if tied:
+            # the tape adds a tied gate's two gradients, forward first
+            want = want[:1] + [f + b for f, b in zip(want[1:10], want[10:])]
+        assert len(got) == len(want) == (10 if tied else 19)
+        assert np.array_equal(untaped, states)
+        assert np.array_equal(out.data, states)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape and np.array_equal(a, b), f"gradient {i}"
+
     @pytest.mark.parametrize("lengths", [(1, 5, 3, 1, 4), (4, 4, 4), (1,), (6, 2)])
     def test_matches_a_gru_step_loop_over_each_item_alone(self, lengths):
         rng = np.random.default_rng(sum(lengths))
@@ -342,21 +447,27 @@ class TestBiGru:
             gates.named_parameters("gru"))
         assert worst < TOLERANCE
 
-    @pytest.mark.parametrize("gate", ["w_z", "w_r", "w_h"])
-    def test_a_huge_weight_raises_at_any_gate(self, gate):
+    @pytest.mark.parametrize("gate, direction", [
+        pytest.param(gate, direction, id=gate if direction == "forward" else f"{gate}-backward")
+        for direction in ("forward", "backward") for gate in ("w_z", "w_r", "w_h")])
+    def test_a_huge_weight_raises_at_any_gate(self, gate, direction):
         # the reset gate saturates to 1 and leaves the states finite, so only
-        # a check of each pre-activation sees its overflow
+        # a check of each pre-activation sees its overflow; only slot 1's
+        # inputs overflow, which the backward direction reaches at step 2
         rng = np.random.default_rng(22)
-        fwd, bwd = GruGates.init(rng, 4, 2), GruGates.init(rng, 4, 2)
-        setattr(fwd, gate, Tensor(np.full((4, 2), 1e300)))
-        x = Tensor(np.full((1, 3, 4), 1e10))
+        gates = {"forward": GruGates.init(rng, 4, 2), "backward": GruGates.init(rng, 4, 2)}
+        setattr(gates[direction], gate, Tensor(np.full((4, 2), 1e300)))
+        x = np.ones((1, 4, 4))
+        x[0, 1] = 1e10
         with np.errstate(over="ignore"), pytest.raises(
-                FloatingPointError, match=f"{gate[-1]} pre-activation"):
-            bi_gru(x, np.ones((1, 3), dtype=bool), fwd, bwd)
+                FloatingPointError,
+                match=rf"{gate[-1]} pre-activation in bi_gru at slot 1 \({direction} direction\)"):
+            bi_gru(Tensor(x), np.ones((1, 4), dtype=bool), gates["forward"], gates["backward"])
 
     def test_states_and_gradients_do_not_depend_on_a_tape(self):
-        # without a tape the per-slot activations only the vjp reads are
-        # not kept; the states are the same bits either way
+        # without a tape the per-step activations only the vjp reads are
+        # not kept; the states are the same bits either way, and a second
+        # taped pass gives the same bits again
         rng = np.random.default_rng(25)
         fwd, bwd = GruGates.init(rng, 6, 3), GruGates.init(rng, 6, 3)
         batch = PaddedBatch.of([rng.normal(size=(n, 6)) for n in (4, 1, 3)])
@@ -375,14 +486,46 @@ class TestBiGru:
         assert np.array_equal(untaped, states)
         again_states, again = taped()
         assert np.array_equal(again_states, states)
+        assert len(again) == len(grads) == 19
         assert all(np.array_equal(a, b) for a, b in zip(again, grads))
-        rows = batch.values.transpose(1, 0, 2).reshape(-1, 6)
-        live = batch.mask.T[:, :, None]
-        gates = tuple(t.data for t in fwd.tensors())
-        kept, saved = _gru_forward(rows, live, gates, range(4), True)
-        bare, none = _gru_forward(rows, live, gates, range(4), False)
-        assert none is None and len(saved) == 4
-        assert np.array_equal(kept, bare)
+
+    def test_memory_peaks_stay_within_the_arrays_the_op_needs(self):
+        # the canonical text batch: 32 captions of 6 tokens, d = 128, k = 64;
+        # one (L, B, k) array of float64 is 98 KB
+        b, length, d, k = 32, 6, 128, 64
+        unit = length * b * k * 8
+        rng = np.random.default_rng(26)
+        fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
+        x = Tensor(rng.normal(size=(b, length, d)))
+        mask = np.ones((b, length), dtype=bool)
+        probe = Tensor(rng.normal(size=(b, length, 2 * k)))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return (tracemalloc.get_traced_memory()[1] - start) / unit
+            finally:
+                tracemalloc.stop()
+
+        def taped():
+            with Tape() as tape:
+                loss = ad.sum(ad.mul(bi_gru(x, mask, fwd, bwd), probe))
+            tape.backward(loss)
+
+        # untaped: the six input projections (6 units), the output (2) and
+        # the step buffers. The op needs no copy of the input, which alone
+        # is 2 units: a reordered copy of it, or of the projections, fails
+        assert peak(lambda: bi_gru(x, mask, fwd, bwd)) < 10
+        # taped forward and backward, with the probe's product and sum: the
+        # step keeps z, r and the candidates (6 units), and the backward
+        # pass makes the per-slot gate gradients (6), the state before each
+        # step and the input's time-major rows (2 each). A per-direction
+        # op that kept the input rows and the states before each slot
+        # peaked near 29 units; a reordered copy of the input, the states
+        # or any saved array (at least 2 units) crosses 26
+        assert peak(taped) < 26
 
     def test_shape_guards(self):
         gates = GruGates.init(np.random.default_rng(23), 4, 2)

@@ -9,6 +9,7 @@ from tinymodel import snapshot, states_equal, tiny_setup
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import Vocabulary
+from mhcvse.evaluation import similarity_matrix
 from mhcvse.model import Model, load_checkpoint, load_model, save_model
 
 
@@ -103,6 +104,21 @@ class TestForward:
             for vec in (fused, inst, cons):
                 assert_allclose(np.linalg.norm(vec), 1.0, rtol=0, atol=1e-12)
             assert not np.allclose(inst, cons)
+
+    @pytest.mark.parametrize("fuse_type, level, width", [
+        ("weight_sum", "fused", 1), ("concat", "fused", 2), ("concat", "instance", 1),
+        ("concat", "consensus", 1)])
+    def test_an_empty_side_has_the_level_width(self, fuse_type, level, width):
+        # a query scored against no rows gets an empty score row, not a
+        # width mismatch
+        model, train, _ = tiny_setup(fuse_type=fuse_type)
+        d = width * model.config.embed_dim
+        pair = train.pairs[0]
+        img, txt = model.embed([pair.regions], [], level)
+        assert img.shape == (1, d) and txt.shape == (0, d)
+        img, txt = model.embed([], [pair.token_ids], level)
+        assert img.shape == (0, d) and txt.shape == (1, d)
+        assert similarity_matrix(txt, img).shape == (1, 0)
 
     def test_unknown_level_rejected(self):
         model, train, _ = tiny_setup()
