@@ -15,8 +15,9 @@ encoders agree on the output width.
 
 import numpy as np
 
-from mhcvse import (EncoderParams, MhsaParams, PaddedBatch, Tensor, attend_and_pool,
+from mhcvse import (GruGates, MhsaParams, PaddedBatch, Tensor, attend_and_pool,
                     encode_image, encode_text, head_attention_weights)
+from mhcvse.encoders import uniform_init
 
 rng = np.random.default_rng(1)
 d = 16
@@ -58,12 +59,16 @@ print(f"padded vs alone gap: {np.abs(pooled_batch.data[1] - alone.data[0]).max()
 #    backward states per token. Both land in width d. Items of different
 #    lengths share a batch: they are padded with zeros, and the mask marks
 #    their real rows. The mean of a caption's real token states, taken in
-#    numpy over the mask, serves as its sentence vector here.
-enc = EncoderParams.init(rng, vocab_size=30, feature_dim=7, embed_dim=d)
+#    numpy over the mask, serves as its sentence vector here. Each encoder
+#    takes the tensors it uses: 30 word embeddings and the gates of both
+#    GRU directions (width d/2 each), and a (7, d) projection and its bias.
+embedding = uniform_init(rng, (30, d), d)
+forward, backward = GruGates.init(rng, d, d // 2), GruGates.init(rng, d, d // 2)
+proj, bias = uniform_init(rng, (7, d), 7), Tensor(np.zeros(d))
 images = PaddedBatch.of([rng.normal(size=(5, 7)), rng.normal(size=(2, 7))])
-image_seq = encode_image(images, enc)
+image_seq = encode_image(images, proj, bias)
 captions = PaddedBatch.of([[3, 14, 8, 21], [21, 8, 14, 3], [9, 2]])
-token_seq = encode_text(captions, enc)
+token_seq = encode_text(captions, embedding, forward, backward)
 real = captions.mask[:, :, None]
 sentence = (token_seq.data * real).sum(axis=1) / real.sum(axis=1)
 print(f"image regions encoded:  {image_seq.shape}, real rows per image: "

@@ -12,8 +12,8 @@ consensus-level views of the same thing into one vector.
 
 import numpy as np
 
-from mhcvse import FusionParams, GcnParams, Tensor, build_graph, consensus_embed, fuse, gcn_forward
-from mhcvse.consensus import ConsensusHead
+from mhcvse import FusionParams, Tensor, build_graph, consensus_embed, fuse, gcn_forward
+from mhcvse.encoders import uniform_init
 from mhcvse.fusion import fusion_weights
 
 rng = np.random.default_rng(2)
@@ -40,21 +40,21 @@ print("dog row of the adjacency (who dog co-occurs with):")
 for tok, w in zip(graph.concepts, graph.adjacency[dog]):
     print(f"  {tok:8s} {w:.3f}")
 
-# 2. Two GCN layers propagate the concept embeddings along those edges.
-gcn = GcnParams.init(rng, d)
-nodes = gcn_forward(graph, gcn)
+# 2. Two GCN layers, with (d, d) weights w0 and w1, propagate the concept
+#    embeddings along those edges.
+w0, w1 = uniform_init(rng, (d, d), d), uniform_init(rng, (d, d), d)
+nodes = gcn_forward(graph, w0, w1)
 print(f"gcn output: {nodes.shape} (one row per concept)")
 
-# 3. Consensus embedding of an instance: predict a distribution over the
-#    concepts, mix the GCN rows with it, L2-normalize. Training shapes the
-#    predictor; here we set it to score instances against the concept
-#    embeddings directly, so an instance sitting on "dog" puts its mass
-#    there.
-head = ConsensusHead.init(rng, d, k)
-head.predictor.data[:] = graph.concept_embeddings.data.T * 8.0
+# 3. Consensus embedding of an instance: a (d, k) predictor gives a
+#    distribution over the concepts, which mixes the GCN rows, and the mix
+#    is L2-normalized. Training shapes the predictor; here we set it to
+#    score instances against the concept embeddings directly, so an
+#    instance sitting on "dog" puts its mass there.
+predictor = Tensor(graph.concept_embeddings.data.T * 8.0)
 #    Instances come as (B, d) rows; this is a batch of one.
 instance = Tensor(graph.concept_embeddings.data[dog][None] * 3.0)
-embedding, dist = consensus_embed(instance, nodes, head)
+embedding, dist = consensus_embed(instance, nodes, predictor)
 embedding, dist = embedding.data[0], dist.data[0]
 print(f"concept distribution sums to one: {abs(dist.sum() - 1.0) < 1e-12}")
 print(f"consensus embedding is unit norm:  "

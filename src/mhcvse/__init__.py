@@ -10,9 +10,9 @@ R@K evaluation.
 from .autodiff import AdamState, Tape, Tensor, adam_step
 from .attention import MhsaParams, attend_and_pool, head_attention_weights
 from .config import TrainConfig, load_config, save_config
-from .consensus import ConceptGraph, ConsensusHead, GcnParams, build_graph, consensus_embed, gcn_forward
+from .consensus import ConceptGraph, build_graph, consensus_embed, gcn_forward
 from .data import Dataset, DatasetManifest, InstancePair, Vocabulary, generate_synthetic, load_dataset
-from .encoders import EncoderParams, PaddedBatch, encode_image, encode_text, gru_step
+from .encoders import GruGates, PaddedBatch, encode_image, encode_text, gru_step
 from .evaluation import RetrievalResult, evaluate, recall_at_k, similarity_matrix
 from .fusion import FusionParams, fuse
 from .gradcheck import gradient_check, run_suite
@@ -26,11 +26,10 @@ __all__ = [
     "AdamState", "Tape", "Tensor", "adam_step",
     "MhsaParams", "attend_and_pool", "head_attention_weights",
     "TrainConfig", "load_config", "save_config",
-    "ConceptGraph", "ConsensusHead", "GcnParams", "build_graph",
-    "consensus_embed", "gcn_forward",
+    "ConceptGraph", "build_graph", "consensus_embed", "gcn_forward",
     "Dataset", "DatasetManifest", "InstancePair", "Vocabulary",
     "generate_synthetic", "load_dataset",
-    "EncoderParams", "PaddedBatch", "encode_image", "encode_text", "gru_step",
+    "GruGates", "PaddedBatch", "encode_image", "encode_text", "gru_step",
     "RetrievalResult", "evaluate", "recall_at_k", "similarity_matrix",
     "FusionParams", "fuse",
     "gradient_check", "run_suite",

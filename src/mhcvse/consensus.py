@@ -10,7 +10,12 @@ features before the weight multiply, as the paper writes it,
 
     H_next = relu(A @ H) @ W,
 
-with no activation on the final product.
+with no activation on the final product. A consensus head is a (d, K)
+predictor matrix: softmax(v @ predictor) is an instance row v's concept
+distribution, which mixes the GCN node outputs into v's consensus
+embedding. :func:`gcn_forward` and :func:`consensus_embed` take these
+tensors as arguments; the model owns them and names them in its
+checkpoint.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from .autodiff import Tensor, l2_normalize_rows, matmul, relu, softmax_rows
 from .encoders import uniform_init
 
 __all__ = [
-    "ConceptGraph", "build_graph", "GcnParams", "gcn_forward",
-    "ConsensusHead", "consensus_embed",
+    "ConceptGraph", "build_graph", "gcn_forward", "consensus_embed",
     "export_concepts_csv", "export_adjacency_csv",
 ]
 
@@ -87,54 +91,26 @@ def build_graph(corpus, k: int, dim: int, rng: np.random.Generator,
     return ConceptGraph(concepts, frequencies, adjacency, embeddings)
 
 
-class GcnParams:
-    """Two layer weight matrices (d, d)."""
-
-    def __init__(self, w0: Tensor, w1: Tensor):
-        self.w0 = w0
-        self.w1 = w1
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dim: int) -> "GcnParams":
-        return cls(uniform_init(rng, (dim, dim), dim),
-                   uniform_init(rng, (dim, dim), dim))
-
-    def named_parameters(self, prefix: str = "gcn") -> dict[str, Tensor]:
-        return {f"{prefix}.w0": self.w0, f"{prefix}.w1": self.w1}
-
-
-def gcn_forward(graph: ConceptGraph, params: GcnParams) -> Tensor:
-    """Two propagation layers over the fixed adjacency: (K, d) -> (K, d)."""
+def gcn_forward(graph: ConceptGraph, w0: Tensor, w1: Tensor) -> Tensor:
+    """Two propagation layers over the fixed adjacency, with (d, d) layer
+    weights ``w0`` and ``w1``: (K, d) -> (K, d)."""
     a = Tensor(graph.adjacency)
-    h = matmul(relu(matmul(a, graph.concept_embeddings)), params.w0)
-    return matmul(relu(matmul(a, h)), params.w1)
-
-
-class ConsensusHead:
-    """Linear map (d, K) predicting concept logits from an instance embedding."""
-
-    def __init__(self, predictor: Tensor):
-        self.predictor = predictor
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, dim: int, k: int) -> "ConsensusHead":
-        return cls(uniform_init(rng, (dim, k), dim))
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.predictor": self.predictor}
+    h = matmul(relu(matmul(a, graph.concept_embeddings)), w0)
+    return matmul(relu(matmul(a, h)), w1)
 
 
 def consensus_embed(instance: Tensor, gcn_output: Tensor,
-                    head: ConsensusHead) -> tuple[Tensor, Tensor]:
+                    predictor: Tensor) -> tuple[Tensor, Tensor]:
     """Consensus embeddings and concept distributions for a batch of instances.
 
-    The head turns each instance row into concept logits; their softmax
-    weights the GCN node outputs, and the mixture is L2-normalized.
-    Returns (embeddings (B, d), concept_dists (B, K)) for (B, d) rows.
+    The (d, K) ``predictor`` turns each instance row into concept logits;
+    their softmax weights the GCN node outputs, and the mixture is
+    L2-normalized. Returns (embeddings (B, d), concept_dists (B, K)) for
+    (B, d) rows.
     """
     if instance.ndim != 2:
         raise ValueError(f"instance embeddings must be (B, d) rows, got {instance.shape}")
-    dist = softmax_rows(matmul(instance, head.predictor))
+    dist = softmax_rows(matmul(instance, predictor))
     embedding = l2_normalize_rows(matmul(dist, gcn_output))
     return embedding, dist
 

@@ -19,6 +19,11 @@ directions. Every product and sum is the one a direction alone would
 run, so the states and gradients are the same bits as one direction at
 a time. :func:`gru_step` is the same step composed from tape ops, kept
 as the reference. A single image or caption is a batch of one.
+
+Each encoder takes the tensors it uses: :func:`encode_image` the (F, d)
+projection and its bias, :func:`encode_text` the word embeddings and the
+two directions' :class:`GruGates`. The model owns them and names them in
+its checkpoint.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .autodiff import (
 )
 
 __all__ = [
-    "PaddedBatch", "GruGates", "EncoderParams",
+    "PaddedBatch", "GruGates",
     "encode_image", "gru_step", "bi_gru", "encode_text", "uniform_init",
 ]
 
@@ -106,52 +111,19 @@ class GruGates:
         return {f"{prefix}.{name}": t for name, t in zip(self.NAMES, self.tensors())}
 
 
-class EncoderParams:
-    """All encoder weights: word embeddings, both GRU directions, image projection."""
-
-    def __init__(self, word_embedding: Tensor, gru_forward: GruGates,
-                 gru_backward: GruGates, image_proj: Tensor, image_bias: Tensor):
-        self.word_embedding = word_embedding
-        self.gru_forward = gru_forward
-        self.gru_backward = gru_backward
-        self.image_proj = image_proj
-        self.image_bias = image_bias
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, vocab_size: int, feature_dim: int,
-             embed_dim: int) -> "EncoderParams":
-        if embed_dim % 2 != 0:
-            raise ValueError(f"embed_dim must be even for a Bi-GRU, got {embed_dim}")
-        d_hidden = embed_dim // 2
-        return cls(
-            word_embedding=uniform_init(rng, (vocab_size, embed_dim), embed_dim),
-            gru_forward=GruGates.init(rng, embed_dim, d_hidden),
-            gru_backward=GruGates.init(rng, embed_dim, d_hidden),
-            image_proj=uniform_init(rng, (feature_dim, embed_dim), feature_dim),
-            image_bias=Tensor(np.zeros(embed_dim)),
-        )
-
-    def named_parameters(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out = {f"{prefix}.word_embedding": self.word_embedding}
-        out.update(self.gru_forward.named_parameters(f"{prefix}.gru_forward"))
-        out.update(self.gru_backward.named_parameters(f"{prefix}.gru_backward"))
-        out[f"{prefix}.image_proj"] = self.image_proj
-        out[f"{prefix}.image_bias"] = self.image_bias
-        return out
-
-
-def encode_image(features: PaddedBatch, params: EncoderParams) -> Tensor:
+def encode_image(features: PaddedBatch, proj: Tensor, bias: Tensor) -> Tensor:
     """Project region features into the embedding space.
 
-    A padded batch (B, M, F) gives (B, M, d), as one (B·M, F) @ (F, d)
-    product. Padded rows come out as the bias alone and are left to the
-    caller's mask.
+    A padded batch (B, M, F) gives (B, M, d) rows ``features @ proj +
+    bias`` for a (F, d) ``proj`` and a (d,) ``bias``, as one (B·M, F) @
+    (F, d) product. Padded rows come out as the bias alone and are left to
+    the caller's mask.
     """
     regions = features.values
-    if regions.ndim != 3 or regions.shape[2] != params.image_proj.shape[0]:
-        raise ValueError(f"region batch must be (B, M, {params.image_proj.shape[0]}), "
+    if regions.ndim != 3 or regions.shape[2] != proj.shape[0]:
+        raise ValueError(f"region batch must be (B, M, {proj.shape[0]}), "
                          f"got {regions.shape}")
-    return add(matmul(Tensor(regions), params.image_proj), params.image_bias)
+    return add(matmul(Tensor(regions), proj), bias)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, gates: GruGates) -> Tensor:
@@ -359,10 +331,13 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
     return _make(out, (x,) + params, vjp, "bi_gru")
 
 
-def encode_text(caption: PaddedBatch, params: EncoderParams) -> Tensor:
+def encode_text(caption: PaddedBatch, word_embedding: Tensor, forward: GruGates,
+                backward: GruGates) -> Tensor:
     """Bi-GRU over token ids.
 
-    For a padded batch of ids (B, L) returns the per-token states (B, L, d).
+    For a padded batch of ids (B, L) returns the per-token states (B, L, d):
+    each id looks up its row of the (V, d) ``word_embedding``, and
+    :func:`bi_gru` runs the ``forward`` and ``backward`` gates over them.
     Each token state is the concatenation of the forward state at t and the
     backward state at t; the states at padded slots are left to the
     caller's mask.
@@ -370,10 +345,9 @@ def encode_text(caption: PaddedBatch, params: EncoderParams) -> Tensor:
     ids, mask = caption.values, caption.mask
     if ids.ndim != 2:
         raise ValueError(f"token batch must be (B, L) ids, got {ids.shape}")
-    vocab_size = params.word_embedding.shape[0]
+    vocab_size = word_embedding.shape[0]
     bad = (ids < 0) | (ids >= vocab_size)
     if np.any(bad & mask):
         raise ValueError(f"token id {ids[bad & mask][0]} outside vocabulary "
                          f"of {vocab_size}")
-    return bi_gru(gather(params.word_embedding, ids), mask,
-                  params.gru_forward, params.gru_backward)
+    return bi_gru(gather(word_embedding, ids), mask, forward, backward)

@@ -18,9 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tape, Tensor
-from .consensus import ConceptGraph, ConsensusHead, GcnParams, consensus_embed, gcn_forward
-from .encoders import (EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
-                       encode_text, gru_step, uniform_init)
+from .consensus import ConceptGraph, consensus_embed, gcn_forward
+from .encoders import (GruGates, PaddedBatch, bi_gru, encode_image, encode_text, gru_step,
+                       uniform_init)
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -106,20 +106,25 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     results["gru_step"] = gradient_check(
         lambda: _project(gru_step(x_t, h_prev, gates), proj), params)
 
+    # the encoders' tensors, drawn in the model's order
+    embedding = uniform_init(rng, (vocab, d), d)
+    gru_fwd, gru_bwd = GruGates.init(rng, d, d // 2), GruGates.init(rng, d, d // 2)
+    text = {"word_embedding": embedding, **gru_fwd.named_parameters("gru_forward"),
+            **gru_bwd.named_parameters("gru_backward")}
+    image_proj, image_bias = uniform_init(rng, (f_dim, d), f_dim), Tensor(np.zeros(d))
+
     # image encoder
-    enc = EncoderParams.init(rng, vocab, f_dim, d)
     regions = PaddedBatch.of([rng.normal(size=(m, f_dim))])
     proj = rng.normal(size=(1, m, d))
     results["encode_image"] = gradient_check(
-        lambda: _project(encode_image(regions, enc), proj),
-        {"image_proj": enc.image_proj, "image_bias": enc.image_bias})
+        lambda: _project(encode_image(regions, image_proj, image_bias), proj),
+        {"image_proj": image_proj, "image_bias": image_bias})
 
     # text encoder end to end; one projection row weighs every token state
     caption = PaddedBatch.of([rng.integers(0, vocab, size=l)])
     proj = rng.normal(size=(1, 1, d))
     results["encode_text"] = gradient_check(
-        lambda: _project(encode_text(caption, enc), proj),
-        enc.named_parameters("encoder"))
+        lambda: _project(encode_text(caption, embedding, gru_fwd, gru_bwd), proj), text)
 
     # multi-head attention pooling of one unpadded sequence; the first row
     # of a (1, m, d) draw weighs the pool, which keeps the random inputs of
@@ -144,24 +149,22 @@ def run_suite(seed: int = 0) -> dict[str, float]:
 
     # GCN
     graph = _random_graph(rng, k, d)
-    gcn = GcnParams.init(rng, d)
+    w0, w1 = uniform_init(rng, (d, d), d), uniform_init(rng, (d, d), d)
     proj = rng.normal(size=(k, d))
-    params = {"concept_embeddings": graph.concept_embeddings,
-              "w0": gcn.w0, "w1": gcn.w1}
+    params = {"concept_embeddings": graph.concept_embeddings, "w0": w0, "w1": w1}
     results["gcn"] = gradient_check(
-        lambda: _project(gcn_forward(graph, gcn), proj), params)
+        lambda: _project(gcn_forward(graph, w0, w1), proj), params)
 
     # consensus head
     graph = _random_graph(rng, k, d)
-    gcn = GcnParams.init(rng, d)
-    head = ConsensusHead.init(rng, d, k)
+    w0, w1 = uniform_init(rng, (d, d), d), uniform_init(rng, (d, d), d)
+    predictor = uniform_init(rng, (d, k), d)
     inst = Tensor(rng.normal(size=(1, d)))
     proj = rng.normal(size=(1, d))
-    params = {"predictor": head.predictor, "instance": inst,
-              "concept_embeddings": graph.concept_embeddings,
-              "w0": gcn.w0, "w1": gcn.w1}
+    params = {"predictor": predictor, "instance": inst,
+              "concept_embeddings": graph.concept_embeddings, "w0": w0, "w1": w1}
     results["consensus_embed"] = gradient_check(
-        lambda: _project(consensus_embed(inst, gcn_forward(graph, gcn), head)[0],
+        lambda: _project(consensus_embed(inst, gcn_forward(graph, w0, w1), predictor)[0],
                          proj), params)
 
     # the four loss terms: three ranking losses (both modes) on raw
@@ -216,8 +219,8 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     ids = PaddedBatch.of([[3], list(rng.integers(0, vocab, size=l)), [5, 1]])
     proj = rng.normal(size=(3, l, d))
     results["encode_text_padded"] = gradient_check(
-        lambda: _project(encode_text(ids, enc), proj * ids.mask[:, :, None]),
-        enc.named_parameters("encoder"))
+        lambda: _project(encode_text(ids, embedding, gru_fwd, gru_bwd),
+                         proj * ids.mask[:, :, None]), text)
 
     # masked attention pooling over a padded batch: lengths m, 1 and 2
     xs = Tensor(rng.normal(size=(3, m, d)))

@@ -34,10 +34,9 @@ import numpy as np
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tensor, l2_normalize_rows, matmul, transpose
 from .config import TrainConfig, format_config_text, parse_config_text
-from .consensus import (ConceptGraph, ConsensusHead, GcnParams, consensus_embed,
-                        gcn_forward)
+from .consensus import ConceptGraph, consensus_embed, gcn_forward
 from .data import BinaryReader, Dataset, InstancePair, Vocabulary
-from .encoders import EncoderParams, PaddedBatch, encode_image, encode_text
+from .encoders import GruGates, PaddedBatch, encode_image, encode_text, uniform_init
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
@@ -76,7 +75,11 @@ class BatchEmbeddings:
 
 
 class Model:
-    """Bundles config, vocabulary, concept graph, and every learnable tensor."""
+    """Bundles config, vocabulary, concept graph, and every learnable tensor.
+
+    :meth:`named_parameters` gives each tensor its checkpoint name, in the
+    order a checkpoint stores them.
+    """
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary, graph: ConceptGraph,
                  rng: np.random.Generator | None = None):
@@ -85,28 +88,41 @@ class Model:
             raise ValueError(f"graph embeds dim {graph.concept_embeddings.shape[1]} "
                              f"!= embed_dim {config.embed_dim}")
         rng = rng if rng is not None else np.random.default_rng(config.seed)
-        d = config.embed_dim
+        d, f, k = config.embed_dim, config.feature_dim, graph.size
         self.config = config
         self.vocab = vocab
         self.graph = graph
-        self.encoder = EncoderParams.init(rng, len(vocab), config.feature_dim, d)
+        # the draw order is fixed: a seed always gives the same model
+        self.word_embedding = uniform_init(rng, (len(vocab), d), d)
+        self.gru_forward = GruGates.init(rng, d, d // 2)
+        self.gru_backward = GruGates.init(rng, d, d // 2)
+        self.image_proj = uniform_init(rng, (f, d), f)
+        self.image_bias = Tensor(np.zeros(d))
         self.attn_image = MhsaParams.init(rng, d, config.heads)
         self.attn_text = MhsaParams.init(rng, d, config.heads)
         self.fusion = FusionParams.init(rng, d, config.fuse_type)
-        self.gcn = GcnParams.init(rng, d)
-        self.head_image = ConsensusHead.init(rng, d, graph.size)
-        self.head_text = ConsensusHead.init(rng, d, graph.size)
+        self.gcn_w0 = uniform_init(rng, (d, d), d)
+        self.gcn_w1 = uniform_init(rng, (d, d), d)
+        # (d, K) concept predictors of the consensus heads
+        self.predictor_image = uniform_init(rng, (d, k), d)
+        self.predictor_text = uniform_init(rng, (d, k), d)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = self.encoder.named_parameters("encoder")
-        out.update(self.attn_image.named_parameters("attention_image"))
-        out.update(self.attn_text.named_parameters("attention_text"))
-        out.update(self.fusion.named_parameters("fusion"))
-        out["consensus.concept_embeddings"] = self.graph.concept_embeddings
-        out.update(self.gcn.named_parameters("consensus.gcn"))
-        out.update(self.head_image.named_parameters("consensus.head_image"))
-        out.update(self.head_text.named_parameters("consensus.head_text"))
-        return out
+        return {
+            "encoder.word_embedding": self.word_embedding,
+            **self.gru_forward.named_parameters("encoder.gru_forward"),
+            **self.gru_backward.named_parameters("encoder.gru_backward"),
+            "encoder.image_proj": self.image_proj,
+            "encoder.image_bias": self.image_bias,
+            **self.attn_image.named_parameters("attention_image"),
+            **self.attn_text.named_parameters("attention_text"),
+            **self.fusion.named_parameters("fusion"),
+            "consensus.concept_embeddings": self.graph.concept_embeddings,
+            "consensus.gcn.w0": self.gcn_w0,
+            "consensus.gcn.w1": self.gcn_w1,
+            "consensus.head_image.predictor": self.predictor_image,
+            "consensus.head_text.predictor": self.predictor_text,
+        }
 
     def state_tensors(self) -> dict[str, Tensor]:
         """Everything a checkpoint stores: parameters plus the fixed adjacency."""
@@ -139,24 +155,24 @@ class Model:
 
     def _image_levels(self, regions: list[np.ndarray], gcn_out: Tensor):
         batch = PaddedBatch.of(regions)
-        seq = encode_image(batch, self.encoder)
-        return self._levels(seq, batch.mask, self.attn_image, self.head_image, gcn_out)
+        seq = encode_image(batch, self.image_proj, self.image_bias)
+        return self._levels(seq, batch.mask, self.attn_image, self.predictor_image, gcn_out)
 
     def _text_levels(self, token_ids: list[list[int]], gcn_out: Tensor):
         batch = PaddedBatch.of(token_ids)
-        seq = encode_text(batch, self.encoder)
-        return self._levels(seq, batch.mask, self.attn_text, self.head_text, gcn_out)
+        seq = encode_text(batch, self.word_embedding, self.gru_forward, self.gru_backward)
+        return self._levels(seq, batch.mask, self.attn_text, self.predictor_text, gcn_out)
 
     def _levels(self, seq: Tensor, mask: np.ndarray, attn: MhsaParams,
-                head: ConsensusHead, gcn_out: Tensor):
+                predictor: Tensor, gcn_out: Tensor):
         v = attend_and_pool(seq, attn, mask)
-        c, p = consensus_embed(v, gcn_out, head)
+        c, p = consensus_embed(v, gcn_out, predictor)
         f = fuse(v, c, self.fusion)
         return v, c, f, p
 
     def batch_forward(self, pairs: list[InstancePair]) -> BatchEmbeddings:
         """All three embedding levels for a batch, ready for the losses."""
-        gcn_out = gcn_forward(self.graph, self.gcn)
+        gcn_out = gcn_forward(self.graph, self.gcn_w0, self.gcn_w1)
         vi, ci, fi, pi = self._image_levels([p.regions for p in pairs], gcn_out)
         vt, ct, ft, pt = self._text_levels([p.token_ids for p in pairs], gcn_out)
         return BatchEmbeddings(v_image=vi, v_text=vt, c_image=ci, c_text=ct,
@@ -199,7 +215,7 @@ class Model:
         if level not in RETRIEVAL_LEVELS:
             raise ValueError(f"unknown retrieval level '{level}' "
                              f"(one of {RETRIEVAL_LEVELS})")
-        gcn_out = gcn_forward(self.graph, self.gcn)
+        gcn_out = gcn_forward(self.graph, self.gcn_w0, self.gcn_w1)
         return (self._embed_rows(self._image_levels, images, level, gcn_out),
                 self._embed_rows(self._text_levels, captions, level, gcn_out))
 
@@ -267,18 +283,33 @@ def save_checkpoint(path, tensors: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read the MHCV layout back; values are bit-exact float64 arrays."""
+    """Read the MHCV layout back; values are bit-exact float64 arrays.
+
+    A file is outside input, so a name that is not UTF-8 or comes twice
+    and a value that is not finite are refused, naming the file and the
+    tensor, whether finite checks are on or not.
+    """
     reader = BinaryReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     out: dict[str, np.ndarray] = {}
     while reader.left:
         if reader.left < 4:
             raise reader.error("truncated record header")
         (name_len,) = reader.unpack("<I", "name length")
-        name = bytes(reader.take(name_len, "name")).decode("utf-8")
+        raw_name = bytes(reader.take(name_len, "name"))
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise reader.error(f"the name of tensor {len(out) + 1} is not "
+                               "valid UTF-8") from None
+        if name in out:
+            raise reader.error(f"tensor '{name}' appears twice")
         (rank,) = reader.unpack("<I", f"rank of '{name}'")
         shape = reader.unpack(f"<{rank}Q", f"dims of '{name}'")
         raw = reader.take(8 * math.prod(shape), f"values of '{name}'")
-        out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise reader.error(f"tensor '{name}' has non-finite values")
+        out[name] = values.reshape(shape).copy()
     return out
 
 

@@ -11,9 +11,10 @@ from tinymodel import tiny_setup
 import mhcvse.model
 from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import Tape, Tensor, concat, l2_normalize_rows
-from mhcvse.consensus import ConsensusHead, consensus_embed
+from mhcvse.consensus import consensus_embed
 from mhcvse.data import InstancePair
-from mhcvse.encoders import EncoderParams, PaddedBatch, encode_image, encode_text, gru_step
+from mhcvse.encoders import (GruGates, PaddedBatch, encode_image, encode_text, gru_step,
+                              uniform_init)
 from mhcvse.evaluation import RETRIEVAL_LEVELS
 from mhcvse.fusion import FusionParams, fuse
 from mhcvse.losses import kl_loss
@@ -59,21 +60,21 @@ class TestPaddedBatch:
 class TestPaddedEqualsSingle:
     def test_encoders_and_attention(self, mixed):
         model, regions, captions = mixed
-        enc = model.encoder
         images = PaddedBatch.of(regions)
-        seq = encode_image(images, enc)
+        seq = encode_image(images, model.image_proj, model.image_bias)
         pooled = attend_and_pool(seq, model.attn_image, images.mask)
         for i, r in enumerate(regions):
-            one = encode_image(PaddedBatch.of([r]), enc)
+            one = encode_image(PaddedBatch.of([r]), model.image_proj, model.image_bias)
             assert_allclose(seq.data[i, :len(r)], one.data[0], rtol=0, atol=TOL)
             assert_allclose(pooled.data[i], attend_and_pool(one, model.attn_image).data[0],
                             rtol=0, atol=TOL)
 
+        gru = model.word_embedding, model.gru_forward, model.gru_backward
         texts = PaddedBatch.of(captions)
-        states = encode_text(texts, enc)
+        states = encode_text(texts, *gru)
         pooled = attend_and_pool(states, model.attn_text, texts.mask)
         for i, ids in enumerate(captions):
-            one_states = encode_text(PaddedBatch.of([ids]), enc)
+            one_states = encode_text(PaddedBatch.of([ids]), *gru)
             assert_allclose(states.data[i, :len(ids)], one_states.data[0], rtol=0, atol=TOL)
             assert_allclose(pooled.data[i],
                             attend_and_pool(one_states, model.attn_text).data[0],
@@ -107,9 +108,11 @@ def _single_item_calls():
     where it takes (B, ·) rows."""
     rng = np.random.default_rng(3)
     d, f, k, n = 8, 6, 5, 3
-    enc = EncoderParams.init(rng, 12, f, d)
+    embedding = uniform_init(rng, (12, d), d)
+    gates = GruGates.init(rng, d, d // 2)
+    proj, bias = uniform_init(rng, (f, d), f), Tensor(np.zeros(d))
     attn = MhsaParams.init(rng, d, 2)
-    head = ConsensusHead.init(rng, d, k)
+    predictor = uniform_init(rng, (d, k), d)
     fusion = FusionParams.init(rng, d, "weight_sum")
     gcn_out = Tensor(rng.normal(size=(k, d)))
     dist = np.full(k, 1.0 / k)
@@ -127,19 +130,21 @@ def _single_item_calls():
         return PaddedBatch(values, np.ones(values.shape[:1], dtype=bool))
 
     return {
-        "encode_image": (lambda: encode_image(single(rng.normal(size=f)), enc),
-                         lambda: encode_image(single(rng.normal(size=(n, f))), enc)),
-        "encode_text": (lambda: encode_text(single(np.array([1, 2, 3])), enc),
-                        lambda: encode_text(single(np.ones((1, n, 2), dtype=int)), enc)),
-        "gru_step": (lambda: gru_step(vec(d), vec(d // 2), enc.gru_forward),
-                     lambda: gru_step(seq3(d), seq3(d // 2), enc.gru_forward)),
+        "encode_image": (lambda: encode_image(single(rng.normal(size=f)), proj, bias),
+                         lambda: encode_image(single(rng.normal(size=(n, f))), proj, bias)),
+        "encode_text": (
+            lambda: encode_text(single(np.array([1, 2, 3])), embedding, gates, gates),
+            lambda: encode_text(single(np.ones((1, n, 2), dtype=int)), embedding, gates,
+                                gates)),
+        "gru_step": (lambda: gru_step(vec(d), vec(d // 2), gates),
+                     lambda: gru_step(seq3(d), seq3(d // 2), gates)),
         "attend_and_pool": (lambda: attend_and_pool(vec(d), attn),
                             lambda: attend_and_pool(seq(d), attn)),
         "head_attention_weights": (
             lambda: head_attention_weights(seq(d), attn),
             lambda: head_attention_weights(Tensor(rng.normal(size=(2, n, d))), attn)),
-        "consensus_embed": (lambda: consensus_embed(vec(d), gcn_out, head),
-                            lambda: consensus_embed(seq3(d), gcn_out, head)),
+        "consensus_embed": (lambda: consensus_embed(vec(d), gcn_out, predictor),
+                            lambda: consensus_embed(seq3(d), gcn_out, predictor)),
         "kl_loss": (lambda: kl_loss(Tensor(dist), Tensor(dist)),
                     lambda: kl_loss(Tensor(dist[None, None]), Tensor(dist[None, None]))),
         "fuse": (lambda: fuse(vec(d), vec(d), fusion),
@@ -199,7 +204,8 @@ class TestEmbedOrder:
         seen = []
         real = mhcvse.model.encode_image
         monkeypatch.setattr(mhcvse.model, "encode_image",
-                            lambda batch, enc: (seen.append(len(batch)), real(batch, enc))[1])
+                            lambda batch, *tensors: (seen.append(len(batch)),
+                                                     real(batch, *tensors))[1])
         img, txt = model.embed(regions, captions, "fused")
         assert sorted(seen) == [1, 3]
         for i, r in enumerate(regions):

@@ -1,0 +1,50 @@
+"""The benchmark's contract with the package: its self-tests pass, every
+parameter it differentiates exists, and every function and method its
+tracer wraps resolves. Each check runs in a fresh interpreter, so the
+bench's imports and path setup never touch this test process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# prints the GRAD_PARAMS the model does not name and the tracer targets
+# that do not resolve, as one JSON object
+PROBE = """
+import importlib, json
+import numpy as np
+from mhcvse import Model, TrainConfig, build_graph
+from mhcvse.data import Vocabulary
+import tracer, workloads
+
+cfg = TrainConfig()
+graph = build_graph([[f"c{i}" for i in range(cfg.concepts)]], cfg.concepts,
+                    cfg.embed_dim, np.random.default_rng(0))
+names = Model(cfg, Vocabulary(["a"]), graph).named_parameters()
+print(json.dumps({
+    "params": [n for n in workloads.GRAD_PARAMS if n not in names],
+    "functions": [f"{m}.{a}" for m, a, _ in tracer.FUNCTIONS
+                  if not hasattr(importlib.import_module(m), a)],
+    "methods": [f"{c.__name__}.{a}" for c, a, _ in tracer.METHODS if not hasattr(c, a)],
+}))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_bench_selftest_passes():
+    proc = _python("bench/selftest.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_name_the_bench_uses_resolves():
+    proc = _python("-c", PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"params": [], "functions": [], "methods": []}

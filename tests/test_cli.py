@@ -13,6 +13,7 @@ from tinymodel import rgft_bytes
 
 import mhcvse.cli
 import mhcvse.model
+from mhcvse.autodiff import set_finite_checks
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset, read_features
@@ -184,6 +185,13 @@ class TestEval:
                      "--manifest", str(data / "val.manifest.json")]) == 2
 
 
+def _record(name: bytes, values) -> bytes:
+    """One checkpoint record, written without ``save_checkpoint``'s checks."""
+    arr = np.asarray(values, "<f8")
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", arr.ndim)
+            + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes())
+
+
 def _eval_exit(checkpoint, manifest, tmp_path, capsys):
     """Exit code and stderr of ``mhcvse eval``."""
     code = main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
@@ -318,6 +326,39 @@ class TestMalformedInputs:
         assert code == 1
         assert str(checkpoint) in err and "consensus.adjacency" in err
 
+    def test_a_repeated_tensor_name_exits_one(self, sidecar, tmp_path, capsys):
+        # a second record of a name must not silently replace the first
+        checkpoint, _, manifest = sidecar
+        bias = load_checkpoint(checkpoint)["encoder.image_bias"]
+        checkpoint.write_bytes(checkpoint.read_bytes()
+                               + _record(b"encoder.image_bias", np.zeros_like(bias)))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(checkpoint) in err and "'encoder.image_bias' appears twice" in err
+
+    @pytest.mark.parametrize("checks", [True, False], ids=["checks-on", "checks-off"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_a_non_finite_value_exits_one_whatever_the_finite_checks(
+            self, sidecar, tmp_path, capsys, checks, value):
+        checkpoint, _, manifest = sidecar
+        arrays = load_checkpoint(checkpoint)
+        arrays["encoder.image_bias"][1] = value
+        mhcvse.model.save_checkpoint(checkpoint, arrays)
+        set_finite_checks(checks)
+        try:
+            code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        finally:
+            set_finite_checks(True)
+        assert code == 1
+        assert str(checkpoint) in err and "'encoder.image_bias' has non-finite" in err
+
+    def test_a_tensor_name_that_is_not_utf8_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, _, manifest = sidecar
+        checkpoint.write_bytes(checkpoint.read_bytes() + _record(b"\xffbias", np.zeros(2)))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(checkpoint) in err and "not valid UTF-8" in err
+
     def test_truncated_sidecar_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, meta, manifest = sidecar
         meta.write_text(meta.read_text()[:12])
@@ -349,8 +390,8 @@ class TestRetrieve:
         embedded = []
         real = mhcvse.model.encode_image
         monkeypatch.setattr(mhcvse.model, "encode_image",
-                            lambda batch, enc: (embedded.append(len(batch)),
-                                                real(batch, enc))[1])
+                            lambda batch, proj, bias: (embedded.append(len(batch)),
+                                                       real(batch, proj, bias))[1])
         train_ds = load_dataset(data / "train.manifest.json")
         assert len(train_ds.image_ids) > 1
         assert main(["retrieve", "--checkpoint", str(run / "checkpoint.mhcv"),

@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mhcvse.autodiff import Tape, Tensor, mul, sum as t_sum
+from mhcvse.encoders import uniform_init
 from mhcvse.consensus import (
     ConceptGraph,
-    ConsensusHead,
-    GcnParams,
     build_graph,
     consensus_embed,
     export_adjacency_csv,
@@ -106,8 +105,7 @@ class TestGcnForward:
         h0 = np.abs(rng.normal(size=(4, 5)))
         graph = ConceptGraph([f"c{i}" for i in range(4)], [1] * 4,
                              np.eye(4), Tensor(h0))
-        params = GcnParams(Tensor(np.eye(5)), Tensor(np.eye(5)))
-        out = gcn_forward(graph, params)
+        out = gcn_forward(graph, Tensor(np.eye(5)), Tensor(np.eye(5)))
         assert_allclose(out.data, h0, rtol=0, atol=0)
 
     def test_uniform_adjacency_collapses_rows(self):
@@ -116,8 +114,8 @@ class TestGcnForward:
         graph = ConceptGraph([f"c{i}" for i in range(k)], [1] * k,
                              np.full((k, k), 1.0 / k),
                              Tensor(rng.normal(size=(k, 3))))
-        params = GcnParams.init(rng, 3)
-        out = gcn_forward(graph, params).data
+        w0, w1 = uniform_init(rng, (3, 3), 3), uniform_init(rng, (3, 3), 3)
+        out = gcn_forward(graph, w0, w1).data
         for i in range(1, k):
             assert_allclose(out[i], out[0], rtol=0, atol=1e-12)
 
@@ -129,27 +127,20 @@ class TestGcnForward:
         w0 = rng.normal(size=(2, 2))
         w1 = rng.normal(size=(2, 2))
         graph = ConceptGraph(["a", "b", "c"], [1, 1, 1], adjacency, Tensor(h0))
-        params = GcnParams(Tensor(w0), Tensor(w1))
         h1 = relu_np(adjacency @ h0) @ w0
         h2 = relu_np(adjacency @ h1) @ w1
 
-        assert_allclose(gcn_forward(graph, params).data, h2,
+        assert_allclose(gcn_forward(graph, Tensor(w0), Tensor(w1)).data, h2,
                         rtol=0, atol=1e-12)
-
-    def test_named_parameters(self):
-        params = GcnParams.init(np.random.default_rng(0), 4)
-        named = params.named_parameters()
-        assert set(named) == {"gcn.w0", "gcn.w1"}
-        assert named["gcn.w0"] is params.w0
 
 
 class TestConsensusEmbed:
     def _setup(self, seed=5, k=4, d=6):
         rng = np.random.default_rng(seed)
         gcn_out = Tensor(rng.normal(size=(k, d)))
-        head = ConsensusHead.init(rng, d, k)
+        predictor = uniform_init(rng, (d, k), d)
         instance = Tensor(rng.normal(size=(1, d)))
-        return instance, gcn_out, head
+        return instance, gcn_out, predictor
 
     def test_one_hot_distribution_selects_gcn_row(self):
         rng = np.random.default_rng(6)
@@ -159,7 +150,7 @@ class TestConsensusEmbed:
         # force huge logit mass on concept 2
         predictor = np.zeros((d, k))
         predictor[:, 2] = 200.0
-        emb, dist = consensus_embed(instance, gcn_out, ConsensusHead(Tensor(predictor)))
+        emb, dist = consensus_embed(instance, gcn_out, Tensor(predictor))
         assert_allclose(dist.data[0], np.eye(k)[2], rtol=0, atol=1e-12)
         row = gcn_out.data[2]
         assert_allclose(emb.data[0], row / np.linalg.norm(row), rtol=0, atol=1e-12)
@@ -169,39 +160,38 @@ class TestConsensusEmbed:
         k, d = 5, 4
         gcn_out = Tensor(rng.normal(size=(k, d)))
         instance = Tensor(rng.normal(size=(1, d)))
-        emb, dist = consensus_embed(instance, gcn_out,
-                                    ConsensusHead(Tensor(np.zeros((d, k)))))
+        emb, dist = consensus_embed(instance, gcn_out, Tensor(np.zeros((d, k))))
         assert_allclose(dist.data[0], np.full(k, 1.0 / k), rtol=0, atol=1e-15)
         mean = gcn_out.data.mean(axis=0)
         assert_allclose(emb.data[0], mean / np.linalg.norm(mean), rtol=0, atol=1e-12)
 
     def test_distribution_sums_to_one_and_is_positive(self):
         for seed in range(20):
-            instance, gcn_out, head = self._setup(seed=seed)
-            _, dist = consensus_embed(instance, gcn_out, head)
+            instance, gcn_out, predictor = self._setup(seed=seed)
+            _, dist = consensus_embed(instance, gcn_out, predictor)
             assert abs(dist.data.sum() - 1.0) <= 1e-12
             assert (dist.data > 0).all()
 
     def test_embedding_is_unit_norm(self):
-        instance, gcn_out, head = self._setup(seed=9)
-        emb, _ = consensus_embed(instance, gcn_out, head)
+        instance, gcn_out, predictor = self._setup(seed=9)
+        emb, _ = consensus_embed(instance, gcn_out, predictor)
         assert abs(np.linalg.norm(emb.data) - 1.0) <= 1e-12
 
     def test_rank3_instance_rejected(self):
         rng = np.random.default_rng(10)
         gcn_out = Tensor(rng.normal(size=(3, 4)))
-        head = ConsensusHead.init(rng, 4, 3)
+        predictor = uniform_init(rng, (4, 3), 4)
         with pytest.raises(ValueError, match=r"\(B, d\) rows"):
-            consensus_embed(Tensor(rng.normal(size=(2, 2, 4))), gcn_out, head)
+            consensus_embed(Tensor(rng.normal(size=(2, 2, 4))), gcn_out, predictor)
 
     def test_rows_match_one_instance_at_a_time(self):
         rng = np.random.default_rng(11)
         gcn_out = Tensor(rng.normal(size=(3, 4)))
-        head = ConsensusHead.init(rng, 4, 3)
+        predictor = uniform_init(rng, (4, 3), 4)
         rows = rng.normal(size=(5, 4))
-        emb, dist = consensus_embed(Tensor(rows), gcn_out, head)
+        emb, dist = consensus_embed(Tensor(rows), gcn_out, predictor)
         for i, r in enumerate(rows):
-            e1, d1 = consensus_embed(Tensor(r[None]), gcn_out, head)
+            e1, d1 = consensus_embed(Tensor(r[None]), gcn_out, predictor)
             assert_allclose(emb.data[i], e1.data[0], rtol=0, atol=1e-12)
             assert_allclose(dist.data[i], d1.data[0], rtol=0, atol=1e-12)
 
@@ -221,9 +211,8 @@ class TestConsensusEmbed:
         def run(adj, feats, pred):
             graph = ConceptGraph([f"c{i}" for i in range(k)], [1] * k,
                                  adj, Tensor(feats))
-            out = gcn_forward(graph, GcnParams(Tensor(w0), Tensor(w1)))
-            emb, dist = consensus_embed(instance, out,
-                                        ConsensusHead(Tensor(pred)))
+            out = gcn_forward(graph, Tensor(w0), Tensor(w1))
+            emb, dist = consensus_embed(instance, out, Tensor(pred))
             return emb.data[0], dist.data[0]
 
         base_emb, base_dist = run(adjacency, h0, predictor)
@@ -258,9 +247,8 @@ class TestConsensusEmbed:
         graph = ConceptGraph(["a", "b", "c"], [1] * k, adjacency,
                              leaves["feats"])
         with Tape() as tape:
-            out = gcn_forward(graph, GcnParams(leaves["w0"], leaves["w1"]))
-            emb, _ = consensus_embed(leaves["instance"], out,
-                                     ConsensusHead(leaves["predictor"]))
+            out = gcn_forward(graph, leaves["w0"], leaves["w1"])
+            emb, _ = consensus_embed(leaves["instance"], out, leaves["predictor"])
             loss = t_sum(mul(emb, Tensor(probe[None])))
             grads = tape.backward(loss)
 

@@ -1,6 +1,7 @@
 """Encoder tests: image projection, GRU step semantics, Bi-GRU text encoding."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    EncoderParams, GruGates, PaddedBatch, bi_gru, encode_image,
-    encode_text, gru_step, uniform_init,
+    GruGates, PaddedBatch, bi_gru, encode_image, encode_text, gru_step, uniform_init,
 )
 from mhcvse.gradcheck import TOLERANCE, gradient_check
 
@@ -27,17 +27,31 @@ def zero_gates(d_in, d_hidden):
 
 
 def random_params(rng, vocab=12, feature_dim=8, embed_dim=8):
-    return EncoderParams.init(rng, vocab, feature_dim, embed_dim)
+    """The encoders' tensors, drawn as the model draws them."""
+    return SimpleNamespace(
+        word_embedding=uniform_init(rng, (vocab, embed_dim), embed_dim),
+        gru_forward=GruGates.init(rng, embed_dim, embed_dim // 2),
+        gru_backward=GruGates.init(rng, embed_dim, embed_dim // 2),
+        image_proj=uniform_init(rng, (feature_dim, embed_dim), feature_dim),
+        image_bias=Tensor(np.zeros(embed_dim)))
+
+
+def image(batch, p):
+    return encode_image(batch, p.image_proj, p.image_bias)
+
+
+def text(batch, p):
+    return encode_text(batch, p.word_embedding, p.gru_forward, p.gru_backward)
 
 
 def image_one(regions, p):
     """encode_image of a batch of one image, as its (M, d) rows."""
-    return encode_image(PaddedBatch.of([regions]), p).data[0]
+    return image(PaddedBatch.of([regions]), p).data[0]
 
 
 def text_one(ids, p):
     """encode_text of a batch of one caption: (L, d) states, (d,) mean state."""
-    states = encode_text(PaddedBatch.of([ids]), p).data[0]
+    states = text(PaddedBatch.of([ids]), p).data[0]
     return states, states.mean(axis=0)
 
 
@@ -57,35 +71,6 @@ class TestUniformInit:
         assert t.data.min() < -0.8 * bound
 
 
-class TestEncoderParamsInit:
-    def test_odd_embed_dim_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderParams.init(np.random.default_rng(0), 10, 8, 7)
-
-    def test_shapes(self):
-        p = random_params(np.random.default_rng(0), vocab=11, feature_dim=6,
-                          embed_dim=10)
-        assert p.word_embedding.shape == (11, 10)
-        assert p.image_proj.shape == (6, 10)
-        assert p.image_bias.shape == (10,)
-        assert p.gru_forward.w_z.shape == (10, 5)
-        assert p.gru_forward.u_h.shape == (5, 5)
-        assert np.array_equal(p.image_bias.data, np.zeros(10))
-        assert np.array_equal(p.gru_backward.b_r.data, np.zeros(5))
-
-    def test_named_parameters_complete(self):
-        p = random_params(np.random.default_rng(0))
-        names = set(p.named_parameters().keys())
-        assert "encoder.word_embedding" in names
-        assert "encoder.image_proj" in names
-        assert "encoder.image_bias" in names
-        for direction in ("gru_forward", "gru_backward"):
-            for gate in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r",
-                         "w_h", "u_h", "b_h"):
-                assert f"encoder.{direction}.{gate}" in names
-        assert len(names) == 3 + 18
-
-
 class TestEncodeImage:
     def test_identity_projection(self):
         rng = np.random.default_rng(1)
@@ -99,7 +84,7 @@ class TestEncodeImage:
     def test_single_region_shape(self):
         rng = np.random.default_rng(2)
         p = random_params(rng, feature_dim=8, embed_dim=6)
-        out = encode_image(PaddedBatch.of([rng.normal(size=(1, 8))]), p)
+        out = image(PaddedBatch.of([rng.normal(size=(1, 8))]), p)
         assert out.shape == (1, 1, 6)
 
     def test_matches_matmul_oracle_with_bias(self):
@@ -124,7 +109,7 @@ class TestEncodeImage:
     def test_feature_width_mismatch(self):
         p = random_params(np.random.default_rng(5), feature_dim=8)
         with pytest.raises(ValueError):
-            encode_image(PaddedBatch.of([np.zeros((2, 5))]), p)
+            image(PaddedBatch.of([np.zeros((2, 5))]), p)
 
 
 class TestGruStep:
@@ -204,7 +189,7 @@ class TestEncodeText:
         p = random_params(rng)
         _, pooled = text_one([1, 5, 7, 2], p)
         batch = PaddedBatch.of([[3, 9, 9, 9, 9, 9], [1, 5, 7, 2]])
-        states = encode_text(batch, p).data[1]
+        states = text(batch, p).data[1]
         assert_allclose(pooled, states[batch.mask[1]].mean(axis=0), rtol=0, atol=1e-15)
 
     def test_state_layout_forward_backward_halves(self):
@@ -226,8 +211,8 @@ class TestEncodeText:
         p = random_params(rng)
         ids = [1, 4, 2, 9, 6]
         _, pooled = text_one(ids, p)
-        swapped = EncoderParams(p.word_embedding, p.gru_backward,
-                                p.gru_forward, p.image_proj, p.image_bias)
+        swapped = SimpleNamespace(word_embedding=p.word_embedding,
+                                  gru_forward=p.gru_backward, gru_backward=p.gru_forward)
         _, pooled_rev = text_one(ids[::-1], swapped)
         fwd_half, bwd_half = pooled[:4], pooled[4:]
         rev_fwd, rev_bwd = pooled_rev[:4], pooled_rev[4:]
@@ -246,20 +231,22 @@ class TestEncodeText:
     def test_token_id_out_of_range(self):
         p = random_params(np.random.default_rng(16), vocab=12)
         with pytest.raises(ValueError):
-            encode_text(PaddedBatch.of([[0, 12]]), p)
+            text(PaddedBatch.of([[0, 12]]), p)
         with pytest.raises(ValueError):
-            encode_text(PaddedBatch.of([[-1]]), p)
+            text(PaddedBatch.of([[-1]]), p)
 
     def test_gradient_check_full_text_encoder(self):
         rng = np.random.default_rng(17)
         p = random_params(rng, vocab=9, embed_dim=8)
         ids = [2, 7, 4]
         probe = rng.normal(size=8)
-        leaves = p.named_parameters()
+        leaves = {"word_embedding": p.word_embedding,
+                  **p.gru_forward.named_parameters("gru_forward"),
+                  **p.gru_backward.named_parameters("gru_backward")}
 
         def forward():
             # the probe weighs the mean of the token states
-            states = encode_text(PaddedBatch.of([ids]), p)
+            states = text(PaddedBatch.of([ids]), p)
             return ad.sum(ad.mul(states, Tensor(probe[None, None] / len(ids))))
 
         with Tape() as tape:
@@ -539,7 +526,7 @@ class TestBiGru:
         counts = []
         for length in (1, 3, 9):
             with Tape() as tape:
-                encode_text(PaddedBatch.of([[1] * length, [2, 3]]), p)
+                text(PaddedBatch.of([[1] * length, [2, 3]]), p)
             counts.append(len(tape))
         # the word-embedding leaf, gather, the eighteen gate leaves and bi_gru
         assert counts == [21, 21, 21]

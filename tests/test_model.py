@@ -18,6 +18,14 @@ def small_graph(dim, k=4, seed=1):
     return build_graph(corpus, k, dim, np.random.default_rng(seed))
 
 
+def layout_model(seed=0):
+    """A small model whose sizes differ where they can: vocabulary 3,
+    features 6, embed_dim 8, GRU width 4, 4 heads of width 2, 5 concepts."""
+    cfg = TrainConfig(embed_dim=8, heads=4, feature_dim=6, concepts=5)
+    return Model(cfg, Vocabulary(["a", "b"]), small_graph(dim=8, k=5),
+                 np.random.default_rng(seed))
+
+
 class TestConstruction:
     def test_graph_width_must_match_embed_dim(self):
         cfg = TrainConfig(embed_dim=8, heads=2, feature_dim=5)
@@ -39,17 +47,65 @@ class TestConstruction:
         assert states_equal(snapshot(a), snapshot(b))
 
     def test_parameter_registry_names(self):
-        model, _, _ = tiny_setup()
-        names = set(model.named_parameters())
-        assert "encoder.image_proj" in names
-        assert "attention_image.head0.w_q" in names
-        assert "attention_text.w_out" in names
-        assert "consensus.concept_embeddings" in names
-        assert "consensus.gcn.w0" in names
-        assert "consensus.head_image.predictor" in names
-        assert "consensus.head_text.predictor" in names
-        assert any(n.startswith("fusion.") for n in names)
-        assert "consensus.adjacency" not in names
+        # the checkpoint layout: every record's name and shape, in order
+        def gru(direction):
+            return [(f"encoder.{direction}.{kind}_{gate}", shape) for gate in "zrh"
+                    for kind, shape in (("w", (8, 4)), ("u", (4, 4)), ("b", (4,)))]
+
+        def attention(modality):
+            return [(f"attention_{modality}.head{i}.{role}", (8, 2)) for i in range(4)
+                    for role in ("w_q", "w_k", "w_v")] + [(f"attention_{modality}.w_out",
+                                                           (8, 8))]
+
+        layout = ([("encoder.word_embedding", (3, 8))] + gru("gru_forward")
+                  + gru("gru_backward")
+                  + [("encoder.image_proj", (6, 8)), ("encoder.image_bias", (8,))]
+                  + attention("image") + attention("text")
+                  + [("fusion.alpha_raw", ()), ("fusion.weight_net", (16, 2)),
+                     ("fusion.global_logits", (2,)),
+                     ("consensus.concept_embeddings", (5, 8)),
+                     ("consensus.gcn.w0", (8, 8)), ("consensus.gcn.w1", (8, 8)),
+                     ("consensus.head_image.predictor", (8, 5)),
+                     ("consensus.head_text.predictor", (8, 5)),
+                     ("consensus.adjacency", (5, 5))])
+        state = layout_model().state_tensors()
+        assert [(name, t.shape) for name, t in state.items()] == layout
+
+    def test_a_seed_draws_every_tensor_in_a_fixed_order(self):
+        # the model's init restated draw by draw; a reordered draw fails
+        model = layout_model(seed=5)
+        rng = np.random.default_rng(5)
+
+        def uniform(shape, fan_in):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape)
+
+        want = {"encoder.word_embedding": uniform((3, 8), 8)}
+        for direction in ("gru_forward", "gru_backward"):
+            for gate in "zrh":
+                want[f"encoder.{direction}.w_{gate}"] = uniform((8, 4), 8)
+                want[f"encoder.{direction}.u_{gate}"] = uniform((4, 4), 4)
+                want[f"encoder.{direction}.b_{gate}"] = np.zeros(4)
+        want["encoder.image_proj"] = uniform((6, 8), 6)
+        want["encoder.image_bias"] = np.zeros(8)
+        for modality in ("image", "text"):
+            for i in range(4):
+                for role in ("w_q", "w_k", "w_v"):
+                    want[f"attention_{modality}.head{i}.{role}"] = uniform((8, 2), 8)
+            want[f"attention_{modality}.w_out"] = uniform((8, 8), 8)
+        want["fusion.alpha_raw"] = np.array(0.0)
+        want["fusion.weight_net"] = uniform((16, 2), 16)
+        want["fusion.global_logits"] = np.zeros(2)
+        # the graph draws its node features from its own generator
+        want["consensus.concept_embeddings"] = model.graph.concept_embeddings.data
+        want["consensus.gcn.w0"] = uniform((8, 8), 8)
+        want["consensus.gcn.w1"] = uniform((8, 8), 8)
+        want["consensus.head_image.predictor"] = uniform((8, 5), 8)
+        want["consensus.head_text.predictor"] = uniform((8, 5), 8)
+        got = model.named_parameters()
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert np.array_equal(got[name].data, values), name
 
     def test_state_tensors_add_the_fixed_adjacency(self):
         model, _, _ = tiny_setup()

@@ -147,7 +147,7 @@ class TestTrainEpoch:
     def test_nonfinite_loss_aborts_with_batch_indices(self):
         model, train, _ = tiny_setup()
         set_finite_checks(False)  # let the NaN reach the loss value
-        model.encoder.image_proj.data[0, 0] = np.nan
+        model.image_proj.data[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="pair indices"):
             train_epoch(model, train.pairs, AdamState(),
                         LrSchedule(0.01, 0.0, 10),
