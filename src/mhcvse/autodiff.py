@@ -6,14 +6,14 @@ the forward pass and replaying the recorded nodes in reverse: define-by-run,
 so the tape is rebuilt on every forward pass and append order is already a
 topological order. The op set is deliberately small and holds only the
 forms a caller runs -- matrix products (one matrix applied to a rank-3
-batch's rows too), add/sub/mul with numpy broadcasting, division by a
-number, elementwise nonlinearities, a sum, concatenation/slicing/reshaping,
-a row gather, a stable softmax of a vector or of rows and row L2
-normalization -- and everything downstream is composed from it, apart from the fused blocks
-that record one op with a hand-written vjp through :func:`_make`. Tensors
-have no operator methods: every op is called by name. Adam with bias
-correction lives here too, since every other module optimizes through
-this engine.
+batch's rows too), add/sub/mul with numpy broadcasting, elementwise
+nonlinearities, a sum, concatenation/slicing/reshaping, a row gather, a
+stable softmax of a vector or of rows and row L2 normalization -- and
+everything downstream is composed from it, apart from the fused blocks
+(the Bi-GRU, attention and the losses) that record one op with a
+hand-written vjp through :func:`_make`. Tensors have no operator methods:
+every op is called by name. Adam with bias correction lives here too,
+since every other module optimizes through this engine.
 
 Non-finite values raise ``FloatingPointError`` at op boundaries while checks
 are enabled (the default; ``python -O`` or :func:`set_finite_checks` turns
@@ -26,12 +26,11 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
-    "matmul", "transpose", "add", "sub", "mul", "div_scalar",
-    "tanh", "sigmoid", "relu", "log",
+    "matmul", "transpose", "add", "sub", "mul",
+    "tanh", "sigmoid", "relu",
     "sum",
     "concat", "index", "reshape", "gather",
     "softmax_rows", "l2_normalize_rows",
-    "diag_part", "rowmax",
     "set_finite_checks", "finite_checks_enabled",
 ]
 
@@ -254,17 +253,12 @@ def transpose(a: Tensor) -> Tensor:
 
 def _operand(x, name: str, op: str):
     """The value of one operand of add/sub/mul: a Tensor's array, or a plain
-    number as a float constant."""
+    int or float as a float constant; a bool or anything else is refused."""
     if isinstance(x, Tensor):
         return x.data
-    return _number(x, name, op, "a Tensor or a number")
-
-
-def _number(x, name: str, op: str, kind: str = "a number") -> float:
-    """A plain int or float as a float; a bool or anything else is refused."""
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return float(x)
-    raise TypeError(f"{op}: {name} must be {kind}, got {type(x).__name__}")
+    raise TypeError(f"{op}: {name} must be a Tensor or a number, got {type(x).__name__}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -330,15 +324,6 @@ def mul(a, b) -> Tensor:
                       lambda g: g * bd, lambda g: g * ad)
 
 
-def div_scalar(a: Tensor, c: float) -> Tensor:
-    """a / c for a nonzero number c."""
-    _check(a, "a", "div_scalar")
-    c = _number(c, "c", "div_scalar")
-    if c == 0.0:
-        raise ZeroDivisionError("div_scalar by zero")
-    return _make(a.data / c, (a,), lambda g: (g / c,), "div_scalar")
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -376,14 +361,6 @@ def relu(a: Tensor) -> Tensor:
     _check(a, "a", "relu")
     x = a.data
     return _make(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0.0),), "relu")
-
-
-def log(a: Tensor) -> Tensor:
-    _check(a, "a", "log")
-    x = a.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(x)
-    return _make(y, (a,), lambda g: (g / x,), "log")
 
 
 # ---------------------------------------------------------------------------
@@ -505,40 +482,6 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - y * dot) / safe,)
     return _make(y, (a,), vjp, "l2_normalize_rows")
-
-
-# ---------------------------------------------------------------------------
-# helpers for the ranking losses
-
-def diag_part(a: Tensor) -> Tensor:
-    """Diagonal of a square (n, n) matrix as an (n, 1) column."""
-    _check(a, "a", "diag_part")
-    x = a.data
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"diag_part needs a square matrix, got {x.shape}")
-    n = x.shape[0]
-
-    def vjp(g):
-        z = np.zeros((n, n))
-        np.fill_diagonal(z, g[:, 0])
-        return (z,)
-    return _make(np.diag(x)[:, None].copy(), (a,), vjp, "diag_part")
-
-
-def rowmax(a: Tensor) -> Tensor:
-    """Maximum of each row; gradient routes to the first argmax per row."""
-    _check(a, "a", "rowmax")
-    x = a.data
-    if x.ndim != 2:
-        raise ValueError(f"rowmax needs a rank-2 tensor, got rank {x.ndim}")
-    idx = x.argmax(axis=1)
-    m, n = x.shape
-
-    def vjp(g):
-        z = np.zeros((m, n))
-        z[np.arange(m), idx] = g
-        return (z,)
-    return _make(x.max(axis=1), (a,), vjp, "rowmax")
 
 
 # ---------------------------------------------------------------------------

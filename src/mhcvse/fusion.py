@@ -65,9 +65,9 @@ class FusionParams:
         }
 
 
-def fusion_weights(v_image: Tensor, v_text: Tensor,
+def fusion_weights(instance: Tensor, consensus: Tensor,
                    params: FusionParams) -> np.ndarray | None:
-    """The (w_image, w_text) pair as plain values, for inspection; None for concat.
+    """The (w_instance, w_consensus) pair as plain values; None for concat.
 
     weight_sum gives one pair per row of (B, d) operands.
     """
@@ -75,37 +75,37 @@ def fusion_weights(v_image: Tensor, v_text: Tensor,
         a = sigmoid(params.alpha_raw).item()
         return np.array([a, 1.0 - a])
     if params.fuse_type == "weight_sum":
-        logits = matmul(concat([v_image, v_text]), params.weight_net)
+        logits = matmul(concat([instance, consensus]), params.weight_net)
         return softmax_rows(logits).data
     if params.fuse_type == "global_weight_sum":
         return softmax_rows(params.global_logits).data
     return None
 
 
-def fuse(v_image: Tensor, v_text: Tensor, params: FusionParams) -> Tensor:
-    """Combine two (B, d) batches row by row per the configured strategy.
+def fuse(instance: Tensor, consensus: Tensor, params: FusionParams) -> Tensor:
+    """Combine one modality's (B, d) instance and consensus rows row by row.
 
     Returns L2-normalized rows: width 2d for concat, d otherwise.
     """
-    if v_image.ndim != 2 or v_text.ndim != 2:
+    if instance.ndim != 2 or consensus.ndim != 2:
         raise ValueError(f"fuse operands must both be (B, d) rows, got "
-                         f"{v_image.shape} and {v_text.shape}")
-    if v_image.shape != v_text.shape:
-        raise ValueError(f"fuse width mismatch {v_image.shape} vs {v_text.shape}")
+                         f"{instance.shape} and {consensus.shape}")
+    if instance.shape != consensus.shape:
+        raise ValueError(f"fuse width mismatch {instance.shape} vs {consensus.shape}")
     ft = params.fuse_type
     if ft == "concat":
-        vec = concat([v_image, v_text])
+        vec = concat([instance, consensus])
     elif ft == "adap_sum":
         a = sigmoid(params.alpha_raw)
-        vec = add(mul(v_image, a), mul(v_text, sub(1.0, a)))
+        vec = add(mul(instance, a), mul(consensus, sub(1.0, a)))
     elif ft == "weight_sum":
-        logits = matmul(concat([v_image, v_text]), params.weight_net)
+        logits = matmul(concat([instance, consensus]), params.weight_net)
         # (2, B, 1): slab i holds each row's weight for operand i as a column
         w = reshape(transpose(softmax_rows(logits)), (2, -1, 1))
-        vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))
+        vec = add(mul(instance, index(w, 0)), mul(consensus, index(w, 1)))
     elif ft == "global_weight_sum":
         w = softmax_rows(params.global_logits)
-        vec = add(mul(v_image, index(w, 0)), mul(v_text, index(w, 1)))
+        vec = add(mul(instance, index(w, 0)), mul(consensus, index(w, 1)))
     else:  # unreachable: constructor validates
         raise ValueError(f"unknown fuse_type '{ft}'")
     return l2_normalize_rows(vec)

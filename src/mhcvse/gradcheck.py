@@ -139,13 +139,13 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     # each fusion mode
     for fuse_type in FUSE_TYPES:
         fp = FusionParams.init(rng, d, fuse_type)
-        va = Tensor(rng.normal(size=(1, d)))
-        vb = Tensor(rng.normal(size=(1, d)))
+        inst = Tensor(rng.normal(size=(1, d)))
+        cons = Tensor(rng.normal(size=(1, d)))
         width = 2 * d if fuse_type == "concat" else d
         proj = rng.normal(size=(1, width))
-        params = dict(fp.named_parameters("fusion"), v_image=va, v_text=vb)
+        params = dict(fp.named_parameters("fusion"), instance=inst, consensus=cons)
         results[f"fusion_{fuse_type}"] = gradient_check(
-            lambda: _project(fuse(va, vb, fp), proj), params)
+            lambda: _project(fuse(inst, cons, fp), proj), params)
 
     # GCN
     graph = _random_graph(rng, k, d)

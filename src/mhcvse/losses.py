@@ -2,11 +2,12 @@
 
 Three bidirectional max-margin ranking losses (instance, consensus, fusion
 levels, identical machinery on different similarity matrices) plus a KL
-term aligning the text concept distribution to the image one. Each term's
-contribution to the total is scaled by w * sigmoid(loss_value); the scale
-is computed from the plain float value, so it is a constant to the
-backward pass. ``invert_dynamic_weight`` flips the sigmoid argument for
-the opposite scheme (high loss, low weight).
+term aligning the text concept distribution to the image one. Each term
+is one recorded op with a hand-written vjp, and its contribution to the
+total is scaled by w * sigmoid(loss_value); the scale is computed from
+the plain float value, so it is a constant to the backward pass.
+``invert_dynamic_weight`` flips the sigmoid argument for the opposite
+scheme (high loss, low weight).
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, add, diag_part, div_scalar, finite_checks_enabled, log, mul,
-    relu, rowmax, sub, sum as tsum, transpose,
-)
+from .autodiff import Tensor, _make, add, finite_checks_enabled, mul
 
 __all__ = [
     "CONTRASTIVE_MODES", "contrastive_loss", "kl_loss",
@@ -30,15 +28,18 @@ CONTRASTIVE_MODES = ("sum", "hardest")
 
 
 def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Tensor:
-    """Bidirectional hinge ranking loss on a (B, B) similarity matrix.
+    """Bidirectional hinge ranking loss on a (B, B) similarity matrix, one op.
 
     Row i / column i hold the matched pair. Per query the violation is
     [margin - s(i,i) + s(i,j)]_+ over the negatives j != i; ``sum`` averages
-    them, ``hardest`` keeps the worst one. Both directions are added and
-    the result is averaged over the batch.
+    them, ``hardest`` keeps the worst one (VSE++). Both directions are added
+    and the result is averaged over the batch. A hardest negative that ties
+    with another takes the whole gradient at the first index.
     """
     if mode not in CONTRASTIVE_MODES:
         raise ValueError(f"unknown contrastive mode '{mode}' (one of {CONTRASTIVE_MODES})")
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
+        raise TypeError(f"margin must be a number, got {type(margin).__name__}")
     if not 0.0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -47,21 +48,45 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
     if b < 2:
         raise ValueError(f"contrastive loss needs a batch of >= 2, got {b}")
 
-    diag = diag_part(scores)  # (B, 1): each row's matched score
-    off_diag = Tensor(1.0 - np.eye(b))
+    # the numpy operations and the vjp's gradient sums run in a fixed order
+    # that checkpoints depend on bit for bit; the transpose is copied so its
+    # sum runs in row order
+    x = scores.data
+    diag = np.diag(x)[:, None].copy()  # (B, 1): each row's matched score
+    off_diag = 1.0 - np.eye(b)
     # image -> text: row i against its caption's column
-    viol_t = mul(relu(add(sub(scores, diag), margin)), off_diag)
+    hinge_t = (x - diag) + margin
     # text -> image: column i against its image's row
-    viol_i = mul(relu(add(sub(transpose(scores), diag), margin)), off_diag)
+    hinge_i = (x.T.copy() - diag) + margin
+    viol_t = np.maximum(hinge_t, 0.0) * off_diag
+    viol_i = np.maximum(hinge_i, 0.0) * off_diag
     if mode == "sum":
-        total = add(tsum(viol_t), tsum(viol_i))
-        return div_scalar(total, float(b * (b - 1)))
-    total = add(tsum(rowmax(viol_t)), tsum(rowmax(viol_i)))
-    return div_scalar(total, float(b))
+        n = float(b * (b - 1))
+        total = viol_t.sum() + viol_i.sum()
+    else:
+        n = float(b)
+        first_t, first_i = viol_t.argmax(axis=1), viol_i.argmax(axis=1)
+        total = viol_t.max(axis=1).sum() + viol_i.max(axis=1).sum()
+
+    def vjp(g):
+        g = g / n
+        g_t = g_i = g
+        if mode == "hardest":
+            rows = np.arange(b)
+            g_t, g_i = np.zeros((b, b)), np.zeros((b, b))
+            g_t[rows, first_t] = g
+            g_i[rows, first_i] = g
+        g_t = g_t * off_diag * (hinge_t > 0.0)
+        g_i = g_i * off_diag * (hinge_i > 0.0)
+        # each negative's score, then each matched score, which both
+        # directions' hinges subtract
+        matched = (-g_i).sum(axis=1) + (-g_t).sum(axis=1)
+        return (g_i.T + g_t + np.diag(matched),)
+    return _make(np.asarray(total / n), (scores,), vjp, "contrastive_loss")
 
 
 def kl_loss(p_text: Tensor, p_image: Tensor) -> Tensor:
-    """KL(p_text || p_image) of (B, K) rows, averaged over the batch.
+    """KL(p_text || p_image) of (B, K) rows, averaged over the batch, one op.
 
     Inputs must be strictly positive distributions (softmax range); that is
     checked while debug checks are enabled.
@@ -77,8 +102,16 @@ def kl_loss(p_text: Tensor, p_image: Tensor) -> Tensor:
                 raise ValueError(f"{name} is not strictly positive")
             if not np.allclose(d.sum(axis=-1), 1.0, atol=1e-6):
                 raise ValueError(f"{name} rows do not sum to 1")
-    per_element = mul(p_text, sub(log(p_text), log(p_image)))
-    return div_scalar(tsum(per_element), float(p_text.shape[0]))
+    pt, pi = p_text.data, p_image.data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(pt) - np.log(pi)
+    n = float(pt.shape[0])
+
+    def vjp(g):
+        g = g / n
+        g_log = g * pt
+        return g * log_ratio + g_log / pt, -g_log / pi
+    return _make(np.asarray((pt * log_ratio).sum() / n), (p_text, p_image), vjp, "kl_loss")
 
 
 def dynamic_weight(w: float, loss_value: float, invert: bool = False) -> float:

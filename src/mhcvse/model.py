@@ -314,9 +314,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def save_model(checkpoint_path, model: Model) -> None:
-    """Binary checkpoint plus a JSON sidecar with vocab, concepts, config."""
+    """Binary checkpoint plus a JSON sidecar with vocab, concepts, config.
+
+    A tensor with a non-finite value, which ``load_checkpoint`` would
+    refuse, raises ``ValueError`` naming it before either file is opened.
+    """
     checkpoint_path = Path(checkpoint_path)
-    save_checkpoint(checkpoint_path, model.state_tensors())
+    tensors = model.state_tensors()
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor.data).all():
+            raise ValueError(f"cannot save checkpoint {checkpoint_path}: "
+                             f"tensor '{name}' has non-finite values")
+    save_checkpoint(checkpoint_path, tensors)
     sidecar = {
         "config": format_config_text(model.config),
         "vocab": model.vocab.tokens,

@@ -337,26 +337,33 @@ class TestFusedOp:
             out = attend_and_pool(x, p)
         assert not np.all(np.isfinite(out.data))
 
-    def test_a_canonical_step_records_193_tape_nodes(self, tmp_path, monkeypatch):
+    def test_a_canonical_step_records_140_tape_nodes(self, tmp_path, monkeypatch):
         generate_synthetic(tmp_path)
         train = load_dataset(tmp_path / "train.manifest.json")
         cfg = TrainConfig()
         graph = build_graph((tokens for _, _, tokens in train.captions), cfg.concepts,
                             cfg.embed_dim, np.random.default_rng(cfg.seed), STOPWORDS)
         model = Model(cfg, train.vocab, graph)
-        added = []
-        real = mhcvse.model.attend_and_pool
+        added = {}
 
-        def counted(x, params, mask):
-            before = len(tape)
-            out = real(x, params, mask)
-            added.append(len(tape) - before)
-            return out
+        def counted(name):
+            real = getattr(mhcvse.model, name)
 
-        monkeypatch.setattr(mhcvse.model, "attend_and_pool", counted)
+            def call(*args):
+                before = len(tape)
+                out = real(*args)
+                added.setdefault(name, []).append(len(tape) - before)
+                return out
+            monkeypatch.setattr(mhcvse.model, name, call)
+
+        for name in ("attend_and_pool", "contrastive_loss", "kl_loss"):
+            counted(name)
         with Tape() as tape:
             model.loss_terms(train.pairs[:cfg.batch_size])
         assert cfg.batch_size == 32
         # per modality: 3·8 head tensors and W_out as leaves, and the op
-        assert added == [26, 26]
-        assert len(tape) == 193
+        assert added["attend_and_pool"] == [26, 26]
+        # each loss term is one op over tensors already on the tape
+        assert added["contrastive_loss"] == [1, 1, 1]
+        assert added["kl_loss"] == [1]
+        assert len(tape) == 140

@@ -1,7 +1,9 @@
 """Tensor engine tests: op semantics, gradients vs finite differences, Adam."""
 
+import ast
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +15,9 @@ from mhcvse.autodiff import AdamState, Tape, Tensor, adam_step
 
 GRAD_TOL = 1e-4
 FD_H = 1e-5
+# the names of ad.__all__ that are not recorded ops
+NOT_OPS = {"Tensor", "Tape", "AdamState", "adam_step",
+           "set_finite_checks", "finite_checks_enabled"}
 
 
 @pytest.fixture(autouse=True)
@@ -69,10 +74,6 @@ class TestTensorBasics:
     def test_item_requires_single_element(self):
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
-
-    def test_tensor_by_tensor_division_rejected(self):
-        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
-            ad.div_scalar(Tensor([1.0]), Tensor([2.0]))
 
 
 class TestMatmul:
@@ -286,12 +287,8 @@ class TestTapeMechanics:
         assert len(tape) == 0
 
 
-def _keep_positive(x):
-    return np.abs(x) + 0.5
-
-
 def _keep_off_kinks(x):
-    # keep relu inputs away from 0 and rowmax rows free of near-ties
+    # keep relu inputs away from 0
     return x + np.sign(x) * 0.2
 
 
@@ -308,11 +305,9 @@ OP_CASES = [
     ("add_number", lambda t: ad.add(t, 1.7), (3, 4), None),
     ("sub_from_number", lambda t: ad.sub(1.0, t), (3, 4), None),
     ("mul_number", lambda t: ad.mul(t, -2.3), (3, 4), None),
-    ("div_scalar", lambda t: ad.div_scalar(t, 3.1), (3, 4), None),
     ("tanh", ad.tanh, (3, 4), None),
     ("sigmoid", ad.sigmoid, (3, 4), None),
     ("relu", ad.relu, (3, 4), _keep_off_kinks),
-    ("log", ad.log, (3, 4), _keep_positive),
     ("sum", ad.sum, (3, 4), None),
     ("concat_r2", lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]),
      (3, 4), None),
@@ -327,7 +322,6 @@ OP_CASES = [
     ("softmax_r2", ad.softmax_rows, (3, 4), None),
     ("softmax_r1", ad.softmax_rows, (5,), None),
     ("l2_normalize", ad.l2_normalize_rows, (3, 4), _keep_off_kinks),
-    ("diag_part", ad.diag_part, (4, 4), None),
     ("add_row", lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4), None),
     ("add_row_v", lambda t: ad.add(Tensor(_W[:3, :4]), t), (4,), None),
     ("add_row_r3", lambda t: ad.add(t, Tensor(_W[0, :4])), (2, 3, 4), None),
@@ -341,7 +335,6 @@ OP_CASES = [
     ("mul_outer_v", lambda t: ad.mul(Tensor(_W[:3, :1]), t), (1, 4), None),
     ("mul_mid_r3", lambda t: ad.mul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
      (2, 1, 4), None),
-    ("rowmax", ad.rowmax, (3, 4), _keep_off_kinks),
 ]
 
 _W = np.random.default_rng(99).normal(size=(6, 6))
@@ -380,9 +373,31 @@ class TestGradientsVsFiniteDifferences:
         for _, op, shape, prep in OP_CASES:
             x = np.random.default_rng(0).normal(size=shape)
             op(Tensor(x if prep is None else prep(x)))
-        not_ops = {"Tensor", "Tape", "AdamState", "adam_step",
-                   "set_finite_checks", "finite_checks_enabled"}
-        assert sorted(set(ad.__all__) - not_ops - seen) == []
+        assert sorted(set(ad.__all__) - NOT_OPS - seen) == []
+
+    def test_every_op_has_a_caller_outside_the_engine(self):
+        # an op counts as used where another module of the package imports
+        # it from .autodiff and names it, or calls it as <module alias>.<op>
+        used = set()
+        for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+            if path.name == "autodiff.py":
+                continue
+            tree = ast.parse(path.read_text())
+            local, aliases = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for a in node.names:
+                        if node.module == "autodiff":
+                            local[a.asname or a.name] = a.name
+                        elif node.module is None and a.name == "autodiff":
+                            aliases.add(a.asname or a.name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and node.id in local:
+                    used.add(local[node.id])
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    used.add(node.attr)
+        assert sorted(set(ad.__all__) - NOT_OPS - used) == []
 
 
 class TestShapeGuards:
@@ -397,10 +412,6 @@ class TestShapeGuards:
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError, match=r"mul: shapes \(3,\) and \(4,\)"):
             ad.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-    def test_div_scalar_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ad.div_scalar(Tensor([1.0]), 0.0)
 
     def test_concat_errors(self):
         with pytest.raises(ValueError):
@@ -418,19 +429,11 @@ class TestShapeGuards:
         with pytest.raises(ValueError):
             ad.index(Tensor(0.0), 0)
 
-    def test_diag_part_square_only(self):
-        with pytest.raises(ValueError):
-            ad.diag_part(Tensor(np.zeros((2, 3))))
-
     def test_rowvec_colvec_shapes(self):
         with pytest.raises(ValueError, match=r"add: shapes \(2, 3\) and \(2,\)"):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
         with pytest.raises(ValueError, match=r"sub: shapes \(2, 3\) and \(3, 1\)"):
             ad.sub(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 1))))
-
-    def test_rowmax_rank(self):
-        with pytest.raises(ValueError):
-            ad.rowmax(Tensor([1.0, 2.0]))
 
     def test_batched_matmul_shapes(self):
         with pytest.raises(ValueError, match="inner dims"):
@@ -466,12 +469,6 @@ class TestBroadcastOperands:
         for op in (ad.add, ad.sub, ad.mul):
             with pytest.raises(TypeError):
                 op(a, b)
-
-    @pytest.mark.parametrize("c", [True, False, np.True_, "2", np.int64(2)],
-                             ids=["true", "false", "numpy_bool", "str", "numpy_int"])
-    def test_division_refuses_what_the_other_ops_refuse(self, c):
-        with pytest.raises(TypeError, match="div_scalar: c must be a number"):
-            ad.div_scalar(Tensor([1.0]), c)
 
     def test_a_row_gradient_is_one_sum_over_the_leading_rows(self):
         # the reduction a bias row's gradient has always had, bit for bit
@@ -564,12 +561,6 @@ class TestSpecialValues:
             grads = tape.backward(ad.sum(ad.l2_normalize_rows(x)))
         assert np.all(np.isfinite(grads[x]))
 
-    def test_rowmax_tie_routes_to_first(self):
-        x = Tensor(np.array([[2.0, 2.0, 1.0]]))
-        with Tape() as tape:
-            grads = tape.backward(ad.sum(ad.rowmax(x)))
-        assert_allclose(grads[x], [[1.0, 0.0, 0.0]], rtol=0, atol=0)
-
     def test_sigmoid_into_reused_buffers_gives_the_same_bits(self):
         # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) elsewhere, without
         # overflow at either end, whether it allocates or writes in place
@@ -589,12 +580,13 @@ class TestSpecialValues:
 
     def test_finite_check_toggle(self):
         assert ad.finite_checks_enabled()
-        with pytest.raises(FloatingPointError):
-            ad.log(Tensor([0.0]))
-        ad.set_finite_checks(False)
-        assert not ad.finite_checks_enabled()
-        y = ad.log(Tensor([0.0]))
-        assert np.isneginf(y.data[0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="from mul"):
+                ad.mul(Tensor([1e200]), 1e200)
+            ad.set_finite_checks(False)
+            assert not ad.finite_checks_enabled()
+            y = ad.mul(Tensor([1e200]), 1e200)
+        assert np.isposinf(y.data[0])
         ad.set_finite_checks(True)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             ad.mul(Tensor([1e200]), 1e200)

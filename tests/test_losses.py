@@ -45,7 +45,64 @@ def hinge_oracle(s, margin, mode):
     return (sum(map(max, t_rows)) + sum(map(max, i_rows))) / b
 
 
+def hinge_grad_oracle(s, margin, mode):
+    """Gradient of ``hinge_oracle`` by the same double loop: each active
+    hinge adds 1/n at its negative's score and takes 1/n from the matched
+    score; ``hardest`` keeps each query's first worst negative only."""
+    b = s.shape[0]
+    n = b * (b - 1) if mode == "sum" else b
+    grad = np.zeros_like(s)
+    for i in range(b):
+        others = [j for j in range(b) if j != i]
+        for cells in ([(i, j) for j in others], [(j, i) for j in others]):
+            hinges = [(margin - s[i, i] + s[cell], cell) for cell in cells]
+            active = [cell for v, cell in hinges if v > 0.0]
+            if mode == "hardest" and active:
+                worst = max(v for v, _ in hinges)
+                active = [next(cell for v, cell in hinges if v == worst)]
+            for cell in active:
+                grad[cell] += 1.0 / n
+                grad[i, i] -= 1.0 / n
+    return grad
+
+
+def loss_and_grad(loss_fn, *arrays):
+    leaves = [Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        loss = loss_fn(*leaves)
+        grads = tape.backward(loss)
+    assert len(tape) == len(leaves) + 1  # the leaves and one op
+    return loss.item(), [grads[t] for t in leaves]
+
+
 class TestContrastiveLoss:
+    @pytest.mark.parametrize("mode", CONTRASTIVE_MODES)
+    def test_value_and_gradient_match_the_pair_loop(self, mode):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            b = int(rng.integers(2, 9))
+            s = rng.normal(scale=0.3, size=(b, b))
+            value, (grad,) = loss_and_grad(
+                lambda t: contrastive_loss(t, margin=0.2, mode=mode), s)
+            assert_allclose(value, hinge_oracle(s, 0.2, mode), rtol=0, atol=1e-15)
+            assert_allclose(grad, hinge_grad_oracle(s, 0.2, mode), rtol=0, atol=1e-15)
+
+    def test_tied_hardest_negatives_route_to_the_first_index(self):
+        # row 0's negatives 1 and 2 tie, and so do column 0's rows 1 and 2;
+        # each tie sends the whole gradient to index 1. Every hinge is
+        # 0.125 or -0.25, exact in binary.
+        s = np.array([[1.0, 0.875, 0.875],
+                      [0.875, 1.0, 0.5],
+                      [0.875, 0.5, 1.0]])
+        value, (grad,) = loss_and_grad(
+            lambda t: contrastive_loss(t, margin=0.25, mode="hardest"), s)
+        assert value == 6 * 0.125 / 3
+        want = np.array([[-2.0, 2.0, 1.0],
+                         [2.0, -2.0, 0.0],
+                         [1.0, 0.0, -2.0]]) / 3
+        assert np.array_equal(grad, want)
+        assert np.array_equal(grad, hinge_grad_oracle(s, 0.25, "hardest"))
+
     @pytest.mark.parametrize("mode", CONTRASTIVE_MODES)
     def test_identity_similarity_is_separated(self, mode):
         loss = contrastive_loss(Tensor(np.eye(4)), margin=0.2, mode=mode)
@@ -97,6 +154,12 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match=f"margin must be positive and finite, got {margin}"):
             contrastive_loss(Tensor(np.eye(3)), margin=margin)
 
+    @pytest.mark.parametrize("margin", [True, np.int64(1), "0.2"],
+                             ids=["bool", "numpy_int", "str"])
+    def test_a_margin_that_is_not_a_plain_number_rejected(self, margin):
+        with pytest.raises(TypeError):
+            contrastive_loss(Tensor(np.eye(3)), margin=margin)
+
     def test_rectangular_scores_rejected(self):
         with pytest.raises(ValueError, match="square"):
             contrastive_loss(Tensor(np.ones((3, 4))), margin=0.2)
@@ -128,6 +191,16 @@ class TestContrastiveLoss:
 
 
 class TestKlLoss:
+    def test_gradient_matches_the_closed_form(self):
+        # d/dp = (log(p / q) + 1) / B and d/dq = -(p / q) / B
+        rng = np.random.default_rng(59)
+        p = rng.dirichlet(np.ones(7), size=5)
+        q = rng.dirichlet(np.ones(7), size=5)
+        value, (grad_p, grad_q) = loss_and_grad(kl_loss, p, q)
+        assert_allclose(value, np.sum(p * np.log(p / q)) / 5, rtol=1e-15, atol=0)
+        assert_allclose(grad_p, (np.log(p / q) + 1.0) / 5, rtol=0, atol=1e-15)
+        assert_allclose(grad_q, -(p / q) / 5, rtol=1e-15, atol=0)
+
     def test_identical_distributions_give_zero(self):
         p = Tensor(np.array([[0.2, 0.3, 0.5]]))
         assert kl_loss(p, Tensor(p.data.copy())).item() == 0.0

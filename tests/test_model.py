@@ -281,6 +281,21 @@ class TestSaveLoadModel:
         loaded = load_model(path)
         assert states_equal(snapshot(loaded), snapshot(model))
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_a_non_finite_parameter_is_refused_before_anything_is_written(
+            self, tmp_path, value):
+        # load_checkpoint refuses such a file, so save_model must not write
+        # one, nor truncate the checkpoint already there
+        model, _, _ = tiny_setup()
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        model.image_bias.data[1] = value
+        with pytest.raises(ValueError, match="'encoder.image_bias' has non-finite") as err:
+            save_model(path, model)
+        assert str(path) in str(err.value)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     def test_missing_sidecar_rejected(self, tmp_path):
         model, _, _ = tiny_setup()
         path = tmp_path / "model.mhcv"
