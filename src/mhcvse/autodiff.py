@@ -487,16 +487,14 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's moment decay rates and the floor of its update's denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adam moment buffers, keyed by parameter name."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+    def __init__(self):
         self.step = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -511,7 +509,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
     if lr < 0.0:
         raise ValueError(f"negative learning rate {lr}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -531,4 +529,4 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
             v = state.v[name] = np.zeros_like(p.data)
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)

@@ -157,8 +157,8 @@ def parse_config_text(text: str) -> TrainConfig:
                           if k not in _RETIRED_KEYS}).validate()
 
 
-def load_config(path=None, apply_env: bool = True, **overrides) -> TrainConfig:
-    """Config from an optional file, keyword overrides, then the env seed."""
+def load_config(path=None) -> TrainConfig:
+    """Config from an optional file, then the env seed."""
     if path is None:
         cfg = TrainConfig()
     else:
@@ -168,9 +168,7 @@ def load_config(path=None, apply_env: bool = True, **overrides) -> TrainConfig:
             cfg = parse_config_text(text)
         except ValueError as err:
             raise ValueError(f"config {path}: {err}") from None
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if apply_env and SEED_ENV_VAR in os.environ:
+    if SEED_ENV_VAR in os.environ:
         raw = os.environ[SEED_ENV_VAR]
         try:
             cfg = replace(cfg, seed=int(raw))

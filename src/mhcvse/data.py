@@ -119,15 +119,12 @@ class DatasetManifest:
             if not isinstance(raw[key], str):
                 raise ValueError(f"manifest {path}: key '{key}' must be a string, "
                                  f"got {raw[key]!r}")
-        counts = {}
         for key in ("images", "captions_per_image"):
-            try:
-                counts[key] = int(raw[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"manifest {path}: key '{key}' must be an integer, "
-                                 f"got {raw[key]!r}") from None
+            if isinstance(raw[key], bool) or not isinstance(raw[key], int):
+                raise ValueError(f"manifest {path}: key '{key}' must be a JSON integer, "
+                                 f"got {raw[key]!r}")
         return cls(raw["split"], raw["features"], raw["captions"],
-                   counts["images"], counts["captions_per_image"])
+                   raw["images"], raw["captions_per_image"])
 
 
 class Dataset:
@@ -288,10 +285,10 @@ def load_dataset(manifest, vocab: Vocabulary | None = None) -> Dataset:
     (pass the training vocabulary when loading val/test splits)."""
     if not isinstance(manifest, DatasetManifest):
         manifest_path = Path(manifest)
-        base = manifest_path.parent
+        base, label = manifest_path.parent, f"manifest {manifest_path}"
         manifest = DatasetManifest.load(manifest_path)
     else:
-        base = Path(".")
+        base, label = Path("."), f"manifest of split {manifest.split}"
     features = read_features(base / manifest.features)
     captions = read_captions_jsonl(base / manifest.captions)
     caption_images = {img for _, img, _ in captions}
@@ -303,6 +300,15 @@ def load_dataset(manifest, vocab: Vocabulary | None = None) -> Dataset:
     if uncaptioned:
         raise ValueError(f"split {manifest.split}: images without captions: "
                          f"{sorted(uncaptioned)[:5]}")
+    if len(features) != manifest.images:
+        raise ValueError(f"{label}: key 'images' is {manifest.images} but "
+                         f"{manifest.features} holds {len(features)} images")
+    per_image = Counter(img for _, img, _ in captions)
+    uneven = sorted(img for img, n in per_image.items() if n != manifest.captions_per_image)
+    if uneven:
+        raise ValueError(f"{label}: key 'captions_per_image' is "
+                         f"{manifest.captions_per_image} but image {uneven[0]} has "
+                         f"{per_image[uneven[0]]} captions in {manifest.captions}")
     if vocab is None:
         vocab = Vocabulary.build(tokens for _, _, tokens in captions)
     return Dataset(manifest.split, features, captions, vocab)

@@ -38,7 +38,7 @@ from .consensus import ConceptGraph, consensus_embed, gcn_forward
 from .data import BinaryReader, Dataset, InstancePair, Vocabulary
 from .encoders import GruGates, PaddedBatch, encode_image, encode_text, uniform_init
 from .evaluation import RETRIEVAL_LEVELS
-from .fusion import FusionParams, fuse
+from .fusion import TENSOR_NAMES, FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
 
 __all__ = ["Model", "BatchEmbeddings", "save_model", "load_model",
@@ -136,7 +136,8 @@ class Model:
         missing = own.keys() - arrays.keys()
         if missing:
             raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-        extra = arrays.keys() - own.keys()
+        # older checkpoints also hold the fusion strategies' unused tensors
+        extra = arrays.keys() - own.keys() - {f"fusion.{n}" for n in TENSOR_NAMES.values()}
         if extra:
             raise ValueError(f"checkpoint has unknown tensors: {sorted(extra)[:5]}")
         for name, tensor in self.named_parameters().items():

@@ -267,6 +267,18 @@ class TestMalformedInputs:
         assert code == 1
         assert str(manifest) in err and "'images'" in err
 
+    @pytest.mark.parametrize("key", ["images", "captions_per_image"])
+    def test_manifest_count_that_misstates_the_files_exits_one(self, split, tmp_path,
+                                                               capsys, key):
+        data, checkpoint = split
+        manifest = data / "test.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw[key] += 1
+        manifest.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(manifest) in err and f"key '{key}' is {raw[key]}" in err
+
     @pytest.fixture
     def sidecar(self, workspace, tmp_path):
         data, run, _ = workspace

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -246,6 +247,15 @@ class TestManifestAndLoading:
         with pytest.raises(ValueError, match=r"m\.json: key 'features' must be a string"):
             DatasetManifest.load(path)
 
+    @pytest.mark.parametrize("count", [64.9, "64", True])
+    def test_manifest_count_must_be_a_json_integer(self, tmp_path, count):
+        # 64.9 used to load as 64 and true as 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"split": "t", "features": "f", "captions": "c",
+                                    "images": count, "captions_per_image": 1}))
+        with pytest.raises(ValueError, match=r"m\.json: key 'images' must be a JSON integer"):
+            DatasetManifest.load(path)
+
     def test_manifest_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope")
@@ -265,6 +275,31 @@ class TestManifestAndLoading:
         manifest_path = self._write_split(tmp_path, captions, features)
         with pytest.raises(ValueError, match="without captions"):
             load_dataset(manifest_path)
+
+    def test_manifest_image_count_must_match_the_features(self, tmp_path):
+        # a manifest saying 1 image used to load a 2-image feature file
+        features = {0: np.ones((2, 3)), 1: np.ones((2, 3))}
+        captions = [(0, 0, ["x"]), (1, 1, ["y"])]
+        write_features(tmp_path / "f.rgft", features)
+        write_captions_jsonl(tmp_path / "c.jsonl", captions)
+        path = tmp_path / "train.manifest.json"
+        DatasetManifest("train", "f.rgft", "c.jsonl", 1, 1).save(path)
+        with pytest.raises(ValueError, match=r"train\.manifest\.json: key 'images' "
+                           r"is 1 but f\.rgft holds 2 images"):
+            load_dataset(path)
+
+    def test_manifest_captions_per_image_must_match_the_captions(self, tmp_path):
+        features = {0: np.ones((2, 3)), 1: np.ones((2, 3))}
+        captions = [(0, 0, ["x"]), (1, 0, ["y"]), (2, 1, ["z"]), (3, 1, ["w"]),
+                    (4, 1, ["v"])]
+        write_features(tmp_path / "f.rgft", features)
+        write_captions_jsonl(tmp_path / "c.jsonl", captions)
+        path = tmp_path / "train.manifest.json"
+        DatasetManifest("train", "f.rgft", "c.jsonl", 2, 2).save(path)
+        with pytest.raises(ValueError, match=r"train\.manifest\.json: key "
+                           r"'captions_per_image' is 2 but image 1 has 3 captions "
+                           r"in c\.jsonl"):
+            load_dataset(path)
 
     def test_supplied_vocabulary_is_used_verbatim(self, tmp_path):
         features = {0: np.ones((2, 3))}
@@ -510,11 +545,12 @@ class TestConfig:
                           invert_dynamic_weight=True, fuse_type="concat")
         assert parse_config_text(format_config_text(cfg)) == cfg
 
-    def test_save_and_load(self, tmp_path):
+    def test_save_and_load(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         cfg = TrainConfig(embed_dim=16, heads=2, seed=9)
         path = tmp_path / "cfg.txt"
         save_config(cfg, path)
-        assert load_config(path, apply_env=False) == cfg
+        assert load_config(path) == cfg
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# a comment\n\nembed_dim = 16  # trailing\nheads = 2\n")
@@ -559,9 +595,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=SEED_ENV_VAR):
             load_config()
 
-    def test_keyword_overrides_apply_before_validation(self):
-        cfg = load_config(None, apply_env=False, embed_dim=32, heads=4)
-        assert cfg.embed_dim == 32
+    def test_replaced_fields_are_validated(self, monkeypatch):
+        # a caller overrides a loaded config with dataclasses.replace
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        cfg = replace(load_config(), embed_dim=32, heads=4).validate()
+        assert (cfg.embed_dim, cfg.heads) == (32, 4)
+        with pytest.raises(ValueError, match="heads"):
+            replace(cfg, heads=5).validate()
 
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="heads"):

@@ -10,7 +10,8 @@ from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import Vocabulary
 from mhcvse.evaluation import similarity_matrix
-from mhcvse.model import Model, load_checkpoint, load_model, save_model
+from mhcvse.fusion import FUSE_TYPES
+from mhcvse.model import Model, load_checkpoint, load_model, save_checkpoint, save_model
 
 
 def small_graph(dim, k=4, seed=1):
@@ -61,8 +62,7 @@ class TestConstruction:
                   + gru("gru_backward")
                   + [("encoder.image_proj", (6, 8)), ("encoder.image_bias", (8,))]
                   + attention("image") + attention("text")
-                  + [("fusion.alpha_raw", ()), ("fusion.weight_net", (16, 2)),
-                     ("fusion.global_logits", (2,)),
+                  + [("fusion.weight_net", (16, 2)),
                      ("consensus.concept_embeddings", (5, 8)),
                      ("consensus.gcn.w0", (8, 8)), ("consensus.gcn.w1", (8, 8)),
                      ("consensus.head_image.predictor", (8, 5)),
@@ -93,15 +93,32 @@ class TestConstruction:
                 for role in ("w_q", "w_k", "w_v"):
                     want[f"attention_{modality}.head{i}.{role}"] = uniform((8, 2), 8)
             want[f"attention_{modality}.w_out"] = uniform((8, 8), 8)
-        want["fusion.alpha_raw"] = np.array(0.0)
         want["fusion.weight_net"] = uniform((16, 2), 16)
-        want["fusion.global_logits"] = np.zeros(2)
         # the graph draws its node features from its own generator
         want["consensus.concept_embeddings"] = model.graph.concept_embeddings.data
         want["consensus.gcn.w0"] = uniform((8, 8), 8)
         want["consensus.gcn.w1"] = uniform((8, 8), 8)
         want["consensus.head_image.predictor"] = uniform((8, 5), 8)
         want["consensus.head_text.predictor"] = uniform((8, 5), 8)
+        got = model.named_parameters()
+        assert list(got) == list(want)
+        for name, values in want.items():
+            assert np.array_equal(got[name].data, values), name
+
+    @pytest.mark.parametrize("fuse_type", ["concat", "adap_sum", "global_weight_sum"])
+    def test_each_strategy_holds_its_tensor_and_draws_the_rest_alike(self, fuse_type):
+        # every strategy draws the weight_sum map and keeps only its own
+        # tensor, so the tensors drawn after fusion match weight_sum's
+        base = layout_model(seed=5).named_parameters()
+        cfg = TrainConfig(embed_dim=8, heads=4, feature_dim=6, concepts=5,
+                          fuse_type=fuse_type)
+        model = Model(cfg, Vocabulary(["a", "b"]), small_graph(dim=8, k=5),
+                      np.random.default_rng(5))
+        own = {"concat": {}, "adap_sum": {"fusion.alpha_raw": np.array(0.0)},
+               "global_weight_sum": {"fusion.global_logits": np.zeros(2)}}[fuse_type]
+        want = {}
+        for name, tensor in base.items():
+            want.update(own if name == "fusion.weight_net" else {name: tensor.data})
         got = model.named_parameters()
         assert list(got) == list(want)
         for name, values in want.items():
@@ -266,6 +283,47 @@ class TestSaveLoadModel:
             got = state[name].data
             assert (got.dtype, got.shape) == (arr.dtype, arr.shape), name
             assert got.tobytes() == arr.tobytes(), name
+
+    @staticmethod
+    def _with_every_fusion_record(model):
+        """The model's records as checkpoints once stored them, with all
+        three strategies' fusion tensors in their old place and order."""
+        d = model.config.embed_dim
+        every = {"fusion.alpha_raw": np.array(0.25),
+                 "fusion.weight_net": np.full((2 * d, 2), 0.125),
+                 "fusion.global_logits": np.array([0.5, -0.5])}
+        every.update({n: t.data for n, t in model.fusion.named_parameters().items()})
+        out = {}
+        for name, tensor in model.state_tensors().items():
+            if name == "consensus.concept_embeddings":
+                out.update(every)
+            if not name.startswith("fusion."):
+                out[name] = tensor.data
+        return out
+
+    @pytest.mark.parametrize("fuse_type", FUSE_TYPES)
+    def test_a_checkpoint_with_every_fusion_record_loads(self, tmp_path, fuse_type):
+        model, train, _ = tiny_setup(fuse_type=fuse_type)
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+        save_checkpoint(path, self._with_every_fusion_record(model))
+        loaded = load_model(path)
+        assert list(loaded.named_parameters()) == list(model.named_parameters())
+        for level in ("fused", "instance", "consensus"):
+            want = model.embed_dataset(train, level)
+            got = loaded.embed_dataset(train, level)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("fuse_type", FUSE_TYPES)
+    def test_only_fusion_records_are_skipped(self, tmp_path, fuse_type):
+        model, _, _ = tiny_setup(fuse_type=fuse_type)
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+        save_checkpoint(path, {**self._with_every_fusion_record(model),
+                               "consensus.mystery": np.zeros(3)})
+        with pytest.raises(ValueError, match=r"unknown tensors: \['consensus.mystery'\]"):
+            load_model(path)
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         # the checkpoint overwrites every parameter, so an init drawn

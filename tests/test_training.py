@@ -12,6 +12,7 @@ from tinymodel import snapshot, states_equal, tiny_setup
 
 import mhcvse.training
 from mhcvse.autodiff import AdamState, Tape, set_finite_checks
+from mhcvse.fusion import FUSE_TYPES
 from mhcvse.model import load_checkpoint, save_checkpoint
 from mhcvse.training import (
     EpochStats,
@@ -143,6 +144,16 @@ class TestTrainEpoch:
         totals_b, params_b = run()
         assert totals_a == totals_b
         assert states_equal(params_a, params_b)
+
+    @pytest.mark.parametrize("fuse_type", FUSE_TYPES)
+    def test_one_step_gives_every_parameter_a_gradient(self, fuse_type):
+        # a parameter without a gradient is state that Adam and every
+        # checkpoint carry for nothing
+        model, train, _ = tiny_setup(fuse_type=fuse_type)
+        with Tape() as tape:
+            terms = model.loss_terms(train.pairs[:4])
+        grads = tape.backward(terms.total)
+        assert [n for n, p in model.named_parameters().items() if p not in grads] == []
 
     def test_nonfinite_loss_aborts_with_batch_indices(self):
         model, train, _ = tiny_setup()
