@@ -7,12 +7,14 @@ permutation equivariant and the pooled vector is permutation invariant.
 
 Everything runs on padded batches (B, n, d) with a (B, n) mask of real
 rows. :func:`attend_and_pool` is one recorded op from the input to the
-pooled rows. Its forward is plain numpy: per role, one (B·n, d) @ (d, h·d_k)
-product against the h per-head matrices side by side; the heads are
-folded into the batch axis, (B·h, n, d_k), so scores and values are two
-batched products; padded rows are masked out as keys and left out of the
-mean pool. Its vjp is hand-written. A single (n, d) sequence is a batch of
-one, (1, n, d).
+pooled rows. Its forward is plain numpy: queries and keys are one
+(B·n, d) @ (d, h·d_k) product each, against the h per-head matrices side
+by side, with the heads folded into the batch axis, (B·h, n, d_k), so the
+scores are one batched product; padded rows are masked out as keys. As
+W_v and W_out are linear, the mean pool is taken over each head's
+attention weights, so values and W_out run on one row per item, not one
+per sequence row, and padded rows get no share of the mean. Its vjp is
+hand-written. A single (n, d) sequence is a batch of one, (1, n, d).
 """
 
 from __future__ import annotations
@@ -90,16 +92,28 @@ def _check_input(x: Tensor, params: MhsaParams, mask) -> np.ndarray:
     return mask
 
 
+def _head_means(weights: np.ndarray, x: np.ndarray, params: MhsaParams):
+    """Each head's mean input row z (B, h, d) under its mean weight row
+    (B, h, n), the value maps stacked (h, d, d_k), and each head's mean
+    output row z_h @ W_v,h, (h, B, d_k)."""
+    w_v = np.stack([head[2].data for head in params.heads])
+    z = weights @ x
+    return z, w_v, z.swapaxes(0, 1) @ w_v
+
+
 def _attend(x: np.ndarray, params: MhsaParams, mask: np.ndarray, save: bool):
     """The forward in numpy: pooled rows (B, d), the attention weights
     (B·h, n, n) with head i of item b at batch entry b·h + i, and, if
     ``save``, the arrays the vjp reads (None otherwise).
 
-    The products and their order are fixed: they are the ones existing
-    checkpoints were trained with, so rows and training runs reproduce bit
-    for bit. Each role's projection and heads are made where they are
-    first used, and an array only the vjp reads is dropped at once when
-    nothing records, which keeps the peak of inference low.
+    W_v and W_out are linear, so the mean over an item's real rows is taken
+    over the attention weights before they apply: each head's mean weight
+    row mixes the input rows into one (d,) row, and the values and W_out
+    run once per item instead of once per row. Only the float summation
+    order differs from averaging the attended rows. The query and key
+    heads are made where they are first used, and an array only the vjp
+    reads is dropped at once when nothing records, which keeps the peak of
+    inference low.
     """
     b, n, d = x.shape
     h, k = params.head_count, params.head_dim
@@ -126,16 +140,14 @@ def _attend(x: np.ndarray, params: MhsaParams, mask: np.ndarray, save: bool):
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    v = heads_of(2)
-    merged = (probs @ v).reshape(b, h, n, k).transpose(0, 2, 1, 3).reshape(b * n, h * k)
-    keep = mask[:, :, None]
-    counts = mask.sum(axis=1)
+    # (b·h, 1, n): 1 / count at an item's real query rows, 0 at its padding;
+    # a batched product, not a masked sum, averages the weight rows
+    share = np.repeat(mask / mask.sum(axis=1, keepdims=True), h, axis=0)[:, None, :]
+    weights = (share @ probs).reshape(b, h, n)
     if save:
-        saved += (v, merged, keep, counts)
-    del v
-    pooled = (np.where(keep, (merged @ params.w_out.data).reshape(b, n, d), 0.0)
-              .sum(axis=1) / counts[:, None])
-    return pooled, probs, saved
+        saved += (share, weights)
+    _, _, mixed = _head_means(weights, x, params)
+    return mixed.swapaxes(0, 1).reshape(b, h * k) @ params.w_out.data, probs, saved
 
 
 def attend_and_pool(x: Tensor, params: MhsaParams,
@@ -159,38 +171,37 @@ def attend_and_pool(x: Tensor, params: MhsaParams,
     # each one after its last use
     held = [(probs, saved)]
 
-    def split(g):
-        # (b, n, width) columns -> (b·h, n, k) heads
-        return g.reshape(b, n, h, k).transpose(0, 2, 1, 3).reshape(b * h, n, k)
-
-    def merge(g):
-        # (b·h, n, k) heads -> (b·n, width) columns
-        return g.reshape(b, h, n, k).transpose(0, 2, 1, 3).reshape(b * n, width)
-
     def vjp(g):
-        probs, (x2, scale, scaled, key_t, v, merged, keep, counts) = held.pop()
-        w_out = params.w_out.data
+        probs, (x2, scale, scaled, key_t, share, weights) = held.pop()
+        x = x2.reshape(b, n, d)
 
         def role(r, g_heads):
             # one role's share of the input's gradient, and its per-head
             # tensors' column slices of the role's weight gradient
-            g_cols = merge(g_heads)
+            g_cols = g_heads.reshape(b, h, n, k).transpose(0, 2, 1, 3).reshape(b * n, width)
             return (g_cols @ params.role_projection(r).T,
                     np.split(x2.T @ g_cols, h, axis=1))
 
-        # each gradient replaces the one it came from, so the pass holds
-        # about one (B·n, d) gradient at a time
-        g = np.where(keep, g[:, None, :] / counts[:, None, None], 0.0).reshape(-1, d)
-        g_w_out = merged.T @ g
-        g = split(g @ w_out.T)
-        g_x, g_wv = role(2, probs.swapaxes(-1, -2) @ g)
-        g = g @ v.swapaxes(-1, -2)
-        g = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
-        del probs, v, merged
-        # the input's role gradients add up as (v + k) + q, the order
-        # existing checkpoints were trained with
+        # the mean rows are formed again, not saved, to keep the peak low
+        z, w_v, mixed = _head_means(weights, x, params)
+        g_w_out = mixed.swapaxes(0, 1).reshape(b, width).T @ g
+        del mixed
+        g = (g @ params.w_out.data.T).reshape(b, h, k).swapaxes(0, 1)
+        g_wv = list(z.swapaxes(0, 1).swapaxes(-1, -2) @ g)
+        del z
+        g = (g @ w_v.swapaxes(-1, -2)).swapaxes(0, 1)
+        g_x = (weights.swapaxes(-1, -2) @ g).reshape(-1, d)
+        del weights
+        g = (g @ x.swapaxes(-1, -2)).reshape(b * h, 1, n)
+        # the softmax vjp of the rank-one upstream share^T g: score row r
+        # gets share_r · p_r ⊙ (g - p_r · g)
+        g = g - probs @ g.swapaxes(-1, -2)
+        g *= probs
+        g *= share.swapaxes(-1, -2)
+        del probs
         g_xk, g_wk = role(1, (scaled.swapaxes(-1, -2) @ g).swapaxes(-1, -2))
         g_x += g_xk
+        del g_xk
         g_xq, g_wq = role(0, (g @ key_t.swapaxes(-1, -2)) / scale)
         g_x += g_xq
         return (g_x.reshape(b, n, d),) + tuple(g_wq + g_wk + g_wv) + (g_w_out,)

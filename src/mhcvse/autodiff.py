@@ -338,17 +338,19 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
     """Logistic function of an array, without overflow for either sign:
     1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere.
 
-    The result goes into ``out``, which may be ``x``, and the denominator
+    The result goes into ``out``, which may be ``x``, and the numerator
     into ``scratch``; both are arrays of x's shape that a caller in a loop
-    can reuse, and each is made when not given.
+    can reuse, and each is made when not given. With e = e^-|x| <= 1 the
+    numerator max(e, x >= 0) is 1 or e, so one unmasked divide gives both
+    branches with the same bits as choosing between them.
     """
-    positive = x >= 0
+    num = np.greater_equal(x, 0, out=np.empty_like(x) if scratch is None else scratch)
     e = np.abs(x, out=np.empty_like(x) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    d = np.add(1.0, e, out=scratch)
-    np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=e, where=positive)
+    np.maximum(e, num, out=num)
+    d = np.add(1.0, e, out=e)
+    return np.divide(num, d, out=d)
 
 
 def sigmoid(a: Tensor) -> Tensor:

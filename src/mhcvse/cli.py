@@ -94,8 +94,8 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     _require_files(args.config, args.train, args.val)
     cfg = load_config(args.config)
-    train_ds = load_dataset(args.train)
-    val_ds = load_dataset(args.val, vocab=train_ds.vocab)
+    train_ds = load_dataset(args.train, feature_dim=cfg.feature_dim)
+    val_ds = load_dataset(args.val, vocab=train_ds.vocab, feature_dim=cfg.feature_dim)
     # graph and model are seeded independently so concept-vocabulary changes
     # do not reshuffle the encoder initialization
     graph = build_graph((tokens for _, _, tokens in train_ds.captions),
@@ -120,7 +120,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     _require_files(args.checkpoint, f"{args.checkpoint}.meta.json", args.manifest)
     model = load_model(args.checkpoint)
-    dataset = load_dataset(args.manifest, vocab=model.vocab)
+    dataset = load_dataset(args.manifest, vocab=model.vocab,
+                           feature_dim=model.config.feature_dim)
     result = evaluate(model, dataset, args.level)
     write_eval_report(args.out, result)
     for direction, k, value in result.as_rows():
@@ -134,7 +135,8 @@ def _cmd_retrieve(args) -> int:
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
     model = load_model(args.checkpoint)
-    dataset = load_dataset(args.manifest, vocab=model.vocab)
+    dataset = load_dataset(args.manifest, vocab=model.vocab,
+                           feature_dim=model.config.feature_dim)
     if args.image_id not in dataset.images:
         raise ValueError(f"image id {args.image_id} not in split '{dataset.split}'")
     img, txt = model.embed([dataset.images[args.image_id]],

@@ -280,16 +280,29 @@ def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
     return out
 
 
-def load_dataset(manifest, vocab: Vocabulary | None = None) -> Dataset:
+def load_dataset(manifest, vocab: Vocabulary | None = None,
+                 feature_dim: int | None = None) -> Dataset:
     """Load a split; builds the vocabulary from its captions unless given one
-    (pass the training vocabulary when loading val/test splits)."""
+    (pass the training vocabulary when loading val/test splits).
+
+    Every image must have the same number of features per region: the
+    model's ``feature_dim`` when given, the first image's otherwise.
+    """
     if not isinstance(manifest, DatasetManifest):
         manifest_path = Path(manifest)
         base, label = manifest_path.parent, f"manifest {manifest_path}"
         manifest = DatasetManifest.load(manifest_path)
     else:
         base, label = Path("."), f"manifest of split {manifest.split}"
-    features = read_features(base / manifest.features)
+    features_path = base / manifest.features
+    features = read_features(features_path)
+    want = f"feature_dim is {feature_dim}"
+    for image_id, regions in features.items():
+        if feature_dim is None:
+            feature_dim, want = regions.shape[1], f"image {image_id} has {regions.shape[1]}"
+        if regions.shape[1] != feature_dim:
+            raise ValueError(f"feature file {features_path}: image {image_id} has "
+                             f"{regions.shape[1]} features per region, but {want}")
     captions = read_captions_jsonl(base / manifest.captions)
     caption_images = {img for _, img, _ in captions}
     orphan_captions = caption_images - features.keys()

@@ -563,18 +563,24 @@ class TestSpecialValues:
 
     def test_sigmoid_into_reused_buffers_gives_the_same_bits(self):
         # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) elsewhere, without
-        # overflow at either end, whether it allocates or writes in place
-        x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308],
+        # overflow at either end, whether it allocates or writes in place;
+        # NaN, ±inf and subnormals included, compared bit for bit with the
+        # two branches chosen by a masked divide
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308,
+                             np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 5e-310, -5e-310,
+                             709.8, -709.8, 746.0, -746.0],
                             np.random.default_rng(30).normal(scale=20.0, size=200)])
         e = np.exp(-np.abs(x))
-        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        assert np.array_equal(ad._sigmoid(x), want)
+        d = 1.0 + e
+        want = np.divide(1.0, d, out=e / d, where=x >= 0).view(np.int64)
+        assert np.array_equal(ad._sigmoid(x).view(np.int64), want)
         out, scratch = np.full_like(x, np.nan), np.full_like(x, np.nan)
         assert ad._sigmoid(x, out, scratch) is out
-        assert np.array_equal(out, want)
+        assert np.array_equal(out.view(np.int64), want)
         inplace = x.copy()
         assert ad._sigmoid(inplace, inplace, scratch) is inplace
-        assert np.array_equal(inplace, want)
+        assert np.array_equal(inplace.view(np.int64), want)
         scalar = ad.sigmoid(Tensor(-3.0)).data
         assert scalar.shape == () and scalar == np.exp(-3.0) / (1.0 + np.exp(-3.0))
 

@@ -1,13 +1,16 @@
 """The benchmark's contract with the package: its self-tests pass, every
-parameter it differentiates exists, and every function and method its
-tracer wraps resolves. Each check runs in a fresh interpreter, so the
-bench's imports and path setup never touch this test process."""
+parameter it differentiates exists, every function and method its
+tracer wraps resolves, and a short run of each workload passes its own
+output checks. Each check runs in a fresh interpreter, so the bench's
+imports and path setup never touch this test process."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +51,14 @@ def test_every_name_the_bench_uses_resolves():
     proc = _python("-c", PROBE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"params": [], "functions": [], "methods": []}
+
+
+@pytest.mark.parametrize("workload", ["train", "gallery", "cli"])
+def test_a_short_run_of_each_workload_passes_its_checks(workload):
+    # the bench compares outputs with the package's own at 1e-12, so a
+    # numeric change that breaks those checks fails here
+    proc = _python("bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["attempted"] > 0

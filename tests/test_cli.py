@@ -379,6 +379,64 @@ class TestMalformedInputs:
         assert str(meta) in err and "invalid JSON" in err
 
 
+class TestFeatureWidth:
+    """Features whose width is not the model's ``feature_dim`` make the
+    command exit 1 naming the features file, the image and feature_dim."""
+
+    @pytest.fixture(scope="class")
+    def narrow(self, workspace, tmp_path_factory):
+        # the workspace split again, with 3 features per region, not 5
+        data = tmp_path_factory.mktemp("narrow") / "data"
+        assert main(["synth", "--out", str(data), "--pairs", "12",
+                     "--feature-dim", "3", "--seed", "5"]) == 0
+        return data
+
+    @staticmethod
+    def assert_names_the_width(err, features_file, image_id):
+        assert features_file in err and f"image {image_id} has " in err
+        assert "feature_dim is 5" in err
+
+    def test_train_with_another_feature_dim_exits_one_before_the_fit(
+            self, workspace, narrow, tmp_path, capsys):
+        _, _, cfg_path = workspace
+        code = main(["train", "--config", str(cfg_path),
+                     "--train", str(narrow / "train.manifest.json"),
+                     "--val", str(narrow / "val.manifest.json"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        first = min(read_features(narrow / "train.features.rgft"))
+        self.assert_names_the_width(capsys.readouterr().err, "train.features.rgft", first)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_a_checkpoint_on_a_split_of_another_width_exits_one(
+            self, workspace, narrow, tmp_path, capsys, command):
+        _, run, _ = workspace
+        first = min(read_features(narrow / "test.features.rgft"))
+        extra = (["--out", str(tmp_path / "report.csv")] if command == "eval"
+                 else ["--image-id", str(first)])
+        code = main([command, "--checkpoint", str(run / "checkpoint.mhcv"),
+                     "--manifest", str(narrow / "test.manifest.json"), *extra])
+        assert code == 1
+        self.assert_names_the_width(capsys.readouterr().err, "test.features.rgft", first)
+
+    def test_images_of_differing_widths_exit_one(self, workspace, tmp_path, capsys):
+        data, run, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        features = read_features(copy / "test.features.rgft")
+        odd = max(features)
+        features[odd] = np.hstack([features[odd], features[odd][:, :1]])
+        (copy / "test.features.rgft").write_bytes(rgft_bytes(features))
+        code, err = _eval_exit(run / "checkpoint.mhcv", copy / "test.manifest.json",
+                               tmp_path, capsys)
+        assert code == 1
+        self.assert_names_the_width(err, "test.features.rgft", odd)
+        with pytest.raises(ValueError, match=f"image {odd} has 6 features per region, "
+                                             f"but image {min(features)} has 5"):
+            load_dataset(copy / "test.manifest.json")
+
+
 class TestRetrieve:
     def test_prints_k_caption_ids_with_scores(self, workspace, capsys):
         data, run, _ = workspace
