@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _make, _recording, finite_checks_enabled
+from .autodiff import Tensor, _make, _recording
 from .encoders import uniform_init
 
 __all__ = ["MhsaParams", "attend_and_pool", "head_attention_weights"]
@@ -132,7 +132,7 @@ def _attend(x: np.ndarray, params: MhsaParams, mask: np.ndarray, save: bool):
     probs = scaled @ key_t
     saved = (x2, scale, scaled, key_t) if save else None
     del scaled, key_t
-    if finite_checks_enabled() and not np.isfinite(probs).all():
+    if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite attention scores")
     # in place on one array: a score batch is the largest array of a pass
     if not mask.all():
@@ -159,8 +159,7 @@ def attend_and_pool(x: Tensor, params: MhsaParams,
     over the real rows; the concatenated head outputs go through W_out and
     the real rows are averaged. One recorded op; its vjp gives the
     gradients of ``x``, of every head's W_q, W_k and W_v and of W_out.
-    While finite checks are on, a non-finite score raises
-    ``FloatingPointError``.
+    A non-finite score raises ``FloatingPointError``.
     """
     mask = _check_input(x, params, mask)
     pooled, probs, saved = _attend(x.data, params, mask, _recording())

@@ -15,9 +15,8 @@ hand-written vjp through :func:`_make`. Tensors have no operator methods:
 every op is called by name. Adam with bias correction lives here too,
 since every other module optimizes through this engine.
 
-Non-finite values raise ``FloatingPointError`` at op boundaries while checks
-are enabled (the default; ``python -O`` or :func:`set_finite_checks` turns
-them off for release-style runs).
+Non-finite values raise ``FloatingPointError`` at op boundaries, always:
+a tensor and every op's output are checked as they are made.
 """
 
 from __future__ import annotations
@@ -31,20 +30,7 @@ __all__ = [
     "sum",
     "concat", "index", "reshape", "gather",
     "softmax_rows", "l2_normalize_rows",
-    "set_finite_checks", "finite_checks_enabled",
 ]
-
-_CHECK_FINITE = __debug__
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection at op boundaries."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _CHECK_FINITE
 
 
 class Tensor:
@@ -61,7 +47,7 @@ class Tensor:
         arr = np.array(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"rank-{arr.ndim} tensor not supported (max rank 3)")
-        if _CHECK_FINITE and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise FloatingPointError("non-finite values in tensor")
         self.data = arr
         self._tape = None
@@ -198,7 +184,7 @@ def _recording() -> bool:
 
 
 def _make(out_data: np.ndarray, inputs, vjp, op: str) -> Tensor:
-    if _CHECK_FINITE and not np.isfinite(out_data).all():
+    if not np.isfinite(out_data).all():
         raise FloatingPointError(f"non-finite output from {op}")
     out = Tensor.__new__(Tensor)
     out.data = out_data

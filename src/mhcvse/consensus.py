@@ -46,8 +46,9 @@ class ConceptGraph:
         k = len(concepts)
         if self.adjacency.shape != (k, k):
             raise ValueError(f"adjacency shape {self.adjacency.shape} != ({k}, {k})")
-        if concept_embeddings.shape[0] != k:
-            raise ValueError("one embedding row per concept required")
+        if concept_embeddings.ndim != 2 or concept_embeddings.shape[0] != k:
+            raise ValueError(f"concept embeddings shape {concept_embeddings.shape}: "
+                             f"need one row per concept, ({k}, d)")
 
     @property
     def size(self) -> int:

@@ -192,9 +192,10 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
     """magic, version u32, image count u64, then per image:
     image_id u64, M u32, F u32, M*F float32 row-major.
 
-    Every image is checked before the file is opened, so an image that
-    :func:`read_features` would refuse leaves no file behind.
+    An image that :func:`read_features` or :func:`load_dataset` would
+    refuse is refused before the file is opened.
     """
+    rows: dict[int, np.ndarray] = {}
     for image_id in sorted(features):
         shape = np.shape(features[image_id])
         if len(shape) != 2:
@@ -202,19 +203,28 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
         if 0 in shape:
             raise ValueError(f"image {image_id} has {shape[0]} regions of {shape[1]} "
                              "features; it needs at least one of each")
+        if rows and shape[1] != width:
+            raise ValueError(f"image {image_id} has {shape[1]} features per region, "
+                             f"but image {next(iter(rows))} has {width}")
+        with np.errstate(over="ignore"):  # beyond the float32 range is inf
+            arr = np.ascontiguousarray(features[image_id], dtype=np.float32)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"image {image_id} has values that are not finite float32")
+        rows[image_id] = arr
+        width = shape[1]
     with open(path, "wb") as fh:
         fh.write(FEATURES_MAGIC)
         fh.write(struct.pack("<I", FEATURES_VERSION))
         fh.write(struct.pack("<Q", len(features)))
-        for image_id in sorted(features):
-            arr = np.ascontiguousarray(features[image_id], dtype=np.float32)
+        for image_id, arr in rows.items():
             m, f = arr.shape
             fh.write(struct.pack("<QII", image_id, m, f))
             fh.write(arr.tobytes())
 
 
 def read_features(path) -> dict[int, np.ndarray]:
-    """Read the RGFT file back as float64 arrays."""
+    """Read the RGFT file back as float64 arrays. An empty image, a repeated
+    id and a non-finite value are refused, naming the file and the image."""
     reader = BinaryReader(path, "feature file", FEATURES_MAGIC, FEATURES_VERSION)
     out: dict[int, np.ndarray] = {}
     (count,) = reader.unpack("<Q", "image count")
@@ -227,6 +237,8 @@ def read_features(path) -> dict[int, np.ndarray]:
                                "it needs at least one of each")
         raw = reader.take(4 * m * f, f"image {image_id} values")
         out[image_id] = np.frombuffer(raw, dtype="<f4").reshape(m, f).astype(np.float64)
+        if not np.isfinite(out[image_id]).all():
+            raise reader.error(f"image {image_id} has non-finite values")
     if reader.left:
         raise reader.error("trailing bytes")
     return out

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, _make, _recording, _sigmoid, add, finite_checks_enabled, gather,
-    matmul, mul, sigmoid, sub, tanh,
+    Tensor, _make, _recording, _sigmoid, add, gather, matmul, mul, sigmoid, sub, tanh,
 )
 
 __all__ = [
@@ -182,7 +181,6 @@ def _recurrence(proj: np.ndarray, live: np.ndarray, u_z, u_r, u_h, bias_zr: np.n
     zr = np.empty((kept, 2, 2, b, k))
     cand = np.empty((kept, 2, b, k))
     scratch = np.empty((2, 2, b, k))
-    check = finite_checks_enabled()
     for t in range(length):
         slots = t, length - 1 - t
         h, h_next = states[t % 2], states[(t + 1) % 2]
@@ -192,13 +190,13 @@ def _recurrence(proj: np.ndarray, live: np.ndarray, u_z, u_r, u_h, bias_zr: np.n
         _each(h, u_r, a_zr[1])
         a_zr += proj[:2, :, t]
         a_zr += bias_zr
-        if check and not np.isfinite(a_zr).all():
+        if not np.isfinite(a_zr).all():
             raise _non_finite(a_zr, "zr", slots)
         z_t, r_t = _sigmoid(a_zr, a_zr, scratch)
         a_h = _each(np.multiply(r_t, h, out=scratch[0]), u_h, cand[t % kept])
         a_h += proj[2, :, t]
         a_h += bias_h
-        if check and not np.isfinite(a_h).all():
+        if not np.isfinite(a_h).all():
             raise _non_finite(a_h[None], "h", slots)
         c_t = np.tanh(a_h, out=a_h)
         keep = np.subtract(1.0, z_t, out=scratch[0])
@@ -255,8 +253,8 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
     direction starts from a zero state, and a row holds its state through
     its padded slots. The states match a loop of :func:`gru_step` over
     each item alone; the vjp gives the gradients of ``x`` and of all
-    eighteen gate tensors. While finite checks are on, a non-finite gate
-    pre-activation raises ``FloatingPointError``.
+    eighteen gate tensors. A non-finite gate pre-activation raises
+    ``FloatingPointError``.
 
     One loop of L steps advances both directions (:func:`_recurrence`), so
     the state is (2, B, k) and one sigmoid and one tanh serve both. The

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _make, add, finite_checks_enabled, mul
+from .autodiff import Tensor, _make, add, mul
 
 __all__ = [
     "CONTRASTIVE_MODES", "contrastive_loss", "kl_loss",
@@ -88,23 +88,20 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
 def kl_loss(p_text: Tensor, p_image: Tensor) -> Tensor:
     """KL(p_text || p_image) of (B, K) rows, averaged over the batch, one op.
 
-    Inputs must be strictly positive distributions (softmax range); that is
-    checked while debug checks are enabled.
+    Inputs must be strictly positive distributions (softmax range), whose
+    rows sum to 1; anything else raises ``ValueError``.
     """
     if p_text.shape != p_image.shape:
         raise ValueError(f"distribution shapes differ: {p_text.shape} vs {p_image.shape}")
     if p_text.ndim != 2:
         raise ValueError(f"kl_loss needs (B, K) distribution rows, got {p_text.shape}")
-    if finite_checks_enabled():
-        for name, t in (("p_text", p_text), ("p_image", p_image)):
-            d = t.data
-            if np.any(d <= 0.0):
-                raise ValueError(f"{name} is not strictly positive")
-            if not np.allclose(d.sum(axis=-1), 1.0, atol=1e-6):
-                raise ValueError(f"{name} rows do not sum to 1")
     pt, pi = p_text.data, p_image.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(pt) - np.log(pi)
+    for name, d in (("p_text", pt), ("p_image", pi)):
+        if np.any(d <= 0.0):
+            raise ValueError(f"{name} is not strictly positive")
+        if not np.allclose(d.sum(axis=-1), 1.0, atol=1e-6):
+            raise ValueError(f"{name} rows do not sum to 1")
+    log_ratio = np.log(pt) - np.log(pi)
     n = float(pt.shape[0])
 
     def vjp(g):

@@ -136,8 +136,11 @@ class Model:
         missing = own.keys() - arrays.keys()
         if missing:
             raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-        # older checkpoints also hold the fusion strategies' unused tensors
-        extra = arrays.keys() - own.keys() - {f"fusion.{n}" for n in TENSOR_NAMES.values()}
+        extra = arrays.keys() - own.keys()
+        # older checkpoints hold every fusion strategy's tensor, used or not
+        every_fusion = {f"fusion.{n}" for n in TENSOR_NAMES.values()}
+        if every_fusion <= arrays.keys():
+            extra -= every_fusion
         if extra:
             raise ValueError(f"checkpoint has unknown tensors: {sorted(extra)[:5]}")
         for name, tensor in self.named_parameters().items():
@@ -288,7 +291,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     A file is outside input, so a name that is not UTF-8 or comes twice
     and a value that is not finite are refused, naming the file and the
-    tensor, whether finite checks are on or not.
+    tensor.
     """
     reader = BinaryReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     out: dict[str, np.ndarray] = {}
@@ -371,12 +374,16 @@ def load_model(checkpoint_path) -> Model:
     missing = {"consensus.adjacency", "consensus.concept_embeddings"} - arrays.keys()
     if missing:
         raise ValueError(f"checkpoint {checkpoint_path}: missing tensors {sorted(missing)}")
-    graph = ConceptGraph(
-        list(sidecar["concepts"]), list(sidecar["frequencies"]),
-        arrays["consensus.adjacency"],
-        Tensor(arrays["consensus.concept_embeddings"]))
-    model = Model(cfg, vocab, graph, rng=_NoDraw())
-    model.load_state(arrays)
+    try:
+        graph = ConceptGraph(
+            list(sidecar["concepts"]), list(sidecar["frequencies"]),
+            arrays["consensus.adjacency"],
+            Tensor(arrays["consensus.concept_embeddings"]))
+        model = Model(cfg, vocab, graph, rng=_NoDraw())
+        model.load_state(arrays)
+    except ValueError as err:
+        raise ValueError(f"checkpoint {checkpoint_path} does not match its sidecar "
+                         f"{sidecar_path}: {err}") from None
     return model
 
 

@@ -1,9 +1,13 @@
 """The command-line pipeline: synth, train, eval, retrieve, curves, checks."""
 
 import json
+import os
+import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,6 @@ from tinymodel import rgft_bytes
 
 import mhcvse.cli
 import mhcvse.model
-from mhcvse.autodiff import set_finite_checks
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset, read_features
@@ -199,6 +202,21 @@ def _eval_exit(checkpoint, manifest, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
+def _set_config(key, value):
+    """A sidecar edit that sets one config key."""
+    def edit(raw):
+        raw["config"] = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", raw["config"])
+    return edit
+
+
+def _drop_last(*keys):
+    """A sidecar edit that drops the last entry of each listed key."""
+    def edit(raw):
+        for key in keys:
+            raw[key] = raw[key][:-1]
+    return edit
+
+
 class TestMalformedInputs:
     """A malformed split or sidecar makes ``eval`` exit 1 with a message that
     names the file and the field, never a traceback."""
@@ -348,21 +366,52 @@ class TestMalformedInputs:
         assert code == 1
         assert str(checkpoint) in err and "'encoder.image_bias' appears twice" in err
 
-    @pytest.mark.parametrize("checks", [True, False], ids=["checks-on", "checks-off"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
-    def test_a_non_finite_value_exits_one_whatever_the_finite_checks(
-            self, sidecar, tmp_path, capsys, checks, value):
+    def test_a_non_finite_tensor_value_exits_one(self, sidecar, tmp_path, capsys, value):
         checkpoint, _, manifest = sidecar
         arrays = load_checkpoint(checkpoint)
         arrays["encoder.image_bias"][1] = value
         mhcvse.model.save_checkpoint(checkpoint, arrays)
-        set_finite_checks(checks)
-        try:
-            code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
-        finally:
-            set_finite_checks(True)
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(checkpoint) in err and "'encoder.image_bias' has non-finite" in err
+
+    @pytest.mark.parametrize("edit, detail", [
+        pytest.param(_set_config("embed_dim", 16), "embed_dim 16", id="embed_dim"),
+        pytest.param(_set_config("heads", 4), "missing tensors", id="heads"),
+        pytest.param(_drop_last("vocab"), "'encoder.word_embedding' shape", id="vocab"),
+        pytest.param(_drop_last("concepts", "frequencies"), "adjacency shape",
+                     id="concepts"),
+        pytest.param(_set_config("feature_dim", 6), "'encoder.image_proj' shape",
+                     id="feature_dim"),
+        pytest.param(_set_config("fuse_type", "adap_sum"), "fusion.alpha_raw",
+                     id="fuse_type-adap_sum"),
+        # the weight_sum record is not one of an older file's three
+        pytest.param(_set_config("fuse_type", "concat"),
+                     "unknown tensors: ['fusion.weight_net']", id="fuse_type-concat"),
+    ])
+    def test_a_sidecar_that_does_not_fit_the_checkpoint_exits_one(
+            self, sidecar, tmp_path, capsys, edit, detail):
+        checkpoint, meta, manifest = sidecar
+        raw = json.loads(meta.read_text())
+        edit(raw)
+        meta.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert f"checkpoint {checkpoint} does not match its sidecar {meta}" in err
+        assert detail in err
+
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["rank-0", "rank-1"])
+    def test_concept_embeddings_of_another_rank_exit_one(self, sidecar, tmp_path, capsys,
+                                                         shape):
+        # a rank-1 array used to fail as an IndexError traceback
+        checkpoint, _, manifest = sidecar
+        arrays = load_checkpoint(checkpoint)
+        arrays["consensus.concept_embeddings"] = np.zeros(shape)
+        mhcvse.model.save_checkpoint(checkpoint, arrays)
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert str(checkpoint) in err and f"concept embeddings shape {shape}" in err
 
     def test_a_tensor_name_that_is_not_utf8_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, _, manifest = sidecar
@@ -435,6 +484,66 @@ class TestFeatureWidth:
         with pytest.raises(ValueError, match=f"image {odd} has 6 features per region, "
                                              f"but image {min(features)} has 5"):
             load_dataset(copy / "test.manifest.json")
+
+
+class TestNonFiniteFeatures:
+    """A NaN or an infinity in a features file makes ``train``, ``eval``
+    and ``retrieve`` exit 1 naming the file and the image, also under
+    ``python -O``."""
+
+    @staticmethod
+    def poisoned(workspace, tmp_path, split, value):
+        """A copy of the workspace data whose ``split`` features hold
+        ``value`` in one image; returns the copy and that image's id."""
+        data, _, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        path = copy / f"{split}.features.rgft"
+        features = read_features(path)
+        image_id = max(features)
+        features[image_id][-1, 0] = value
+        path.write_bytes(rgft_bytes(features))
+        return copy, image_id
+
+    @staticmethod
+    def argv(command, workspace, data, image_id, tmp_path):
+        _, run, cfg_path = workspace
+        if command == "train":
+            return ["train", "--config", str(cfg_path),
+                    "--train", str(data / "train.manifest.json"),
+                    "--val", str(data / "val.manifest.json"), "--out", str(tmp_path / "run")]
+        extra = (["--out", str(tmp_path / "report.csv")] if command == "eval"
+                 else ["--image-id", str(image_id)])
+        return [command, "--checkpoint", str(run / "checkpoint.mhcv"),
+                "--manifest", str(data / "test.manifest.json"), *extra]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("command", ["train", "eval", "retrieve"])
+    def test_exits_one_naming_the_file_and_the_image(self, workspace, tmp_path, capsys,
+                                                     command, value):
+        split = "train" if command == "train" else "test"
+        data, image_id = self.poisoned(workspace, tmp_path, split, value)
+        assert main(self.argv(command, workspace, data, image_id, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert (f"feature file {data / split}.features.rgft: "
+                f"image {image_id} has non-finite values") in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "retrieve"])
+    def test_exits_one_under_python_optimize(self, workspace, tmp_path, command):
+        # -O drops assert statements; the check must not be one
+        split = "train" if command == "train" else "test"
+        data, image_id = self.poisoned(workspace, tmp_path, split, np.nan)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(mhcvse.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "mhcvse.cli",
+             *self.argv(command, workspace, data, image_id, tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert f"{split}.features.rgft: image {image_id} has non-finite" in done.stderr
+        assert done.stdout == ""
 
 
 class TestRetrieve:

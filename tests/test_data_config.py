@@ -139,6 +139,32 @@ class TestFeatureFormat:
             write_features(path, {1: np.ones((2, 4)), 7: np.zeros(shape)})
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "nan.rgft"
+        bad = np.ones((2, 4), "<f4")
+        bad[1, 2] = value
+        path.write_bytes(rgft_bytes({1: np.ones((2, 4)), 7: bad}))
+        with pytest.raises(ValueError, match=r"nan\.rgft: image 7 has non-finite values"):
+            read_features(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39],
+                             ids=["nan", "-inf", "beyond-float32"])
+    def test_non_finite_value_rejected_before_writing(self, tmp_path, value):
+        path = tmp_path / "nan.rgft"
+        bad = np.ones((2, 4))
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="image 7 has values that are not finite"):
+            write_features(path, {1: np.ones((2, 4)), 7: bad})
+        assert not path.exists()
+
+    def test_images_of_differing_widths_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "wide.rgft"
+        with pytest.raises(ValueError, match="image 7 has 6 features per region, "
+                                             "but image 1 has 5"):
+            write_features(path, {7: np.ones((2, 6)), 1: np.ones((2, 5))})
+        assert not path.exists()
+
 
 class TestCaptionFormat:
     def test_round_trip(self, tmp_path):
