@@ -53,6 +53,16 @@ class Tensor:
         self._tape = None
         self._node = -1
 
+    @classmethod
+    def wrap(cls, data: np.ndarray) -> "Tensor":
+        """A tensor around ``data`` itself, with no copy and no check: for a
+        finite float64 array of rank 0..3 that the caller hands over."""
+        out = cls.__new__(cls)
+        out.data = data
+        out._tape = None
+        out._node = -1
+        return out
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -186,10 +196,7 @@ def _recording() -> bool:
 def _make(out_data: np.ndarray, inputs, vjp, op: str) -> Tensor:
     if not np.isfinite(out_data).all():
         raise FloatingPointError(f"non-finite output from {op}")
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out._tape = None
-    out._node = -1
+    out = Tensor.wrap(out_data)
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._record(out, inputs, vjp)
     return out

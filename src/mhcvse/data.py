@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -151,17 +152,17 @@ class Dataset:
 # bounded reader shared by the binary formats
 
 class BinaryReader:
-    """Cursor over the bytes of one little-endian binary file.
+    """Cursor over one open little-endian binary file, read as it goes.
 
     Checks the magic and version on opening, names the file in every
     error, and refuses any read longer than the bytes left, so a corrupt
     size field fails as truncation before anything is allocated.
     """
 
-    def __init__(self, path, label: str, magic: bytes, version: int):
-        self._label = f"{label} {path}"
-        self._view = memoryview(Path(path).read_bytes())
-        self._pos = 0
+    def __init__(self, file, label: str, magic: bytes, version: int):
+        self._label = f"{label} {file.name}"
+        self._file = file
+        self.left = os.fstat(file.fileno()).st_size  # bytes not yet read
         if self.take(len(magic), "magic") != magic:
             raise self.error("bad magic")
         (found,) = self.unpack("<I", "version")
@@ -171,18 +172,29 @@ class BinaryReader:
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self._label}: {message}")
 
-    @property
-    def left(self) -> int:
-        return len(self._view) - self._pos
-
-    def take(self, n: int, what: str) -> memoryview:
+    def _claim(self, n: int, what: str) -> None:
         if n > self.left:
             raise self.error(f"truncated while reading {what}")
-        self._pos += n
-        return self._view[self._pos - n:self._pos]
+        self.left -= n
+
+    def take(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        data = self._file.read(n)
+        if len(data) != n:  # the file shrank after it was opened
+            raise self.error(f"truncated while reading {what}")
+        return data
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+        """The next values, read straight into a new array of ``shape``."""
+        dtype = np.dtype(dtype)
+        self._claim(dtype.itemsize * math.prod(shape), what)
+        out = np.empty(shape, dtype)
+        if self._file.readinto(out) != out.nbytes:
+            raise self.error(f"truncated while reading {what}")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +205,14 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
     image_id u64, M u32, F u32, M*F float32 row-major.
 
     An image that :func:`read_features` or :func:`load_dataset` would
-    refuse is refused before the file is opened.
+    refuse is refused before the file is opened, and so is an id that
+    does not fit a u64.
     """
+    for image_id in features:
+        # bool is an int subclass, but True is not an id
+        if (isinstance(image_id, bool) or not isinstance(image_id, (int, np.integer))
+                or not 0 <= int(image_id) < 2**64):
+            raise ValueError(f"image id {image_id!r} is not an integer in [0, 2**64)")
     rows: dict[int, np.ndarray] = {}
     for image_id in sorted(features):
         shape = np.shape(features[image_id])
@@ -225,22 +243,23 @@ def write_features(path, features: dict[int, np.ndarray]) -> None:
 def read_features(path) -> dict[int, np.ndarray]:
     """Read the RGFT file back as float64 arrays. An empty image, a repeated
     id and a non-finite value are refused, naming the file and the image."""
-    reader = BinaryReader(path, "feature file", FEATURES_MAGIC, FEATURES_VERSION)
     out: dict[int, np.ndarray] = {}
-    (count,) = reader.unpack("<Q", "image count")
-    for _ in range(count):
-        image_id, m, f = reader.unpack("<QII", "image header")
-        if image_id in out:
-            raise reader.error(f"repeated image id {image_id}")
-        if m == 0 or f == 0:
-            raise reader.error(f"image {image_id} has {m} regions of {f} features; "
-                               "it needs at least one of each")
-        raw = reader.take(4 * m * f, f"image {image_id} values")
-        out[image_id] = np.frombuffer(raw, dtype="<f4").reshape(m, f).astype(np.float64)
-        if not np.isfinite(out[image_id]).all():
-            raise reader.error(f"image {image_id} has non-finite values")
-    if reader.left:
-        raise reader.error("trailing bytes")
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, "feature file", FEATURES_MAGIC, FEATURES_VERSION)
+        (count,) = reader.unpack("<Q", "image count")
+        for _ in range(count):
+            image_id, m, f = reader.unpack("<QII", "image header")
+            if image_id in out:
+                raise reader.error(f"repeated image id {image_id}")
+            if m == 0 or f == 0:
+                raise reader.error(f"image {image_id} has {m} regions of {f} features; "
+                                   "it needs at least one of each")
+            values = reader.array((m, f), "<f4", f"image {image_id} values")
+            out[image_id] = values.astype(np.float64)
+            if not np.isfinite(out[image_id]).all():
+                raise reader.error(f"image {image_id} has non-finite values")
+        if reader.left:
+            raise reader.error("trailing bytes")
     return out
 
 

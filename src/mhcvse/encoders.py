@@ -28,6 +28,7 @@ its checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ __all__ = [
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
                  fan_in: int) -> Tensor:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor.wrap(rng.uniform(-bound, bound, size=shape))
 
 
 @dataclass

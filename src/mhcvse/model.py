@@ -18,13 +18,14 @@ A saved model is two files. The checkpoint is little-endian binary: magic
 ``MHCV``, version u32, then one record per tensor (name length u32 +
 UTF-8 name, rank u32, dims u64 each, float64 values) until end of file;
 round-trips are bit exact. A JSON sidecar beside it (``.meta.json``)
-holds the config, vocabulary and concept list.
+holds the config, vocabulary and concept list. Loading reads each tensor
+once, straight from the file into the array the loaded model keeps: no
+file buffer, no random initial values, no second copy.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,12 +83,20 @@ class Model:
     """
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary, graph: ConceptGraph,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *,
+                 state: dict[str, np.ndarray] | None = None):
+        """Parameters drawn from ``rng`` (the config seed's if None), or,
+        given ``state`` (checkpoint arrays by name, as
+        :func:`load_checkpoint` returns them), the state's arrays
+        themselves: no value is then drawn or copied."""
         config.validate()
         if graph.concept_embeddings.shape[1] != config.embed_dim:
             raise ValueError(f"graph embeds dim {graph.concept_embeddings.shape[1]} "
                              f"!= embed_dim {config.embed_dim}")
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        if state is not None:
+            rng = _Unfilled()
+        elif rng is None:
+            rng = np.random.default_rng(config.seed)
         d, f, k = config.embed_dim, config.feature_dim, graph.size
         self.config = config
         self.vocab = vocab
@@ -106,6 +115,10 @@ class Model:
         # (d, K) concept predictors of the consensus heads
         self.predictor_image = uniform_init(rng, (d, k), d)
         self.predictor_text = uniform_init(rng, (d, k), d)
+        if state is not None:
+            for tensor, arr in self._checked_pairs(state):
+                tensor.data = arr
+            self.graph.adjacency = state["consensus.adjacency"]
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {
@@ -131,28 +144,35 @@ class Model:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore parameter values (and adjacency) from checkpoint arrays."""
-        own = self.state_tensors()
-        missing = own.keys() - arrays.keys()
+        """Copy checkpoint arrays into the parameters (and adjacency)."""
+        for tensor, arr in self._checked_pairs(arrays):
+            tensor.data[...] = arr
+        self.graph.adjacency[...] = arrays["consensus.adjacency"]
+
+    def _checked_pairs(self, arrays: dict[str, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
+        """Each parameter with its checkpoint array, once every name and
+        shape, the adjacency's too, is known to be this model's."""
+        own = self.named_parameters()
+        missing = (own.keys() | {"consensus.adjacency"}) - arrays.keys()
         if missing:
             raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-        extra = arrays.keys() - own.keys()
+        extra = arrays.keys() - own.keys() - {"consensus.adjacency"}
         # older checkpoints hold every fusion strategy's tensor, used or not
         every_fusion = {f"fusion.{n}" for n in TENSOR_NAMES.values()}
         if every_fusion <= arrays.keys():
             extra -= every_fusion
         if extra:
             raise ValueError(f"checkpoint has unknown tensors: {sorted(extra)[:5]}")
-        for name, tensor in self.named_parameters().items():
+        pairs = []
+        for name, tensor in own.items():
             arr = arrays[name]
-            if arr.shape != tensor.data.shape:
+            if arr.shape != tensor.shape:
                 raise ValueError(f"checkpoint tensor '{name}' shape {arr.shape} != "
-                                 f"model shape {tensor.data.shape}")
-            tensor.data[...] = arr
-        adj = arrays["consensus.adjacency"]
-        if adj.shape != self.graph.adjacency.shape:
+                                 f"model shape {tensor.shape}")
+            pairs.append((tensor, arr))
+        if arrays["consensus.adjacency"].shape != self.graph.adjacency.shape:
             raise ValueError("checkpoint adjacency shape mismatch")
-        self.graph.adjacency[...] = adj
+        return pairs
 
     # ------------------------------------------------------------------
     # forward passes
@@ -293,27 +313,27 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     and a value that is not finite are refused, naming the file and the
     tensor.
     """
-    reader = BinaryReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     out: dict[str, np.ndarray] = {}
-    while reader.left:
-        if reader.left < 4:
-            raise reader.error("truncated record header")
-        (name_len,) = reader.unpack("<I", "name length")
-        raw_name = bytes(reader.take(name_len, "name"))
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            raise reader.error(f"the name of tensor {len(out) + 1} is not "
-                               "valid UTF-8") from None
-        if name in out:
-            raise reader.error(f"tensor '{name}' appears twice")
-        (rank,) = reader.unpack("<I", f"rank of '{name}'")
-        shape = reader.unpack(f"<{rank}Q", f"dims of '{name}'")
-        raw = reader.take(8 * math.prod(shape), f"values of '{name}'")
-        values = np.frombuffer(raw, dtype="<f8")
-        if not np.isfinite(values).all():
-            raise reader.error(f"tensor '{name}' has non-finite values")
-        out[name] = values.reshape(shape).copy()
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        while reader.left:
+            if reader.left < 4:
+                raise reader.error("truncated record header")
+            (name_len,) = reader.unpack("<I", "name length")
+            raw_name = reader.take(name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise reader.error(f"the name of tensor {len(out) + 1} is not "
+                                   "valid UTF-8") from None
+            if name in out:
+                raise reader.error(f"tensor '{name}' appears twice")
+            (rank,) = reader.unpack("<I", f"rank of '{name}'")
+            shape = reader.unpack(f"<{rank}Q", f"dims of '{name}'")
+            values = reader.array(shape, "<f8", f"values of '{name}'")
+            if not np.isfinite(values).all():
+                raise reader.error(f"tensor '{name}' has non-finite values")
+            out[name] = values
     return out
 
 
@@ -362,6 +382,21 @@ def load_model(checkpoint_path) -> Model:
     if len(sidecar["frequencies"]) != len(sidecar["concepts"]):
         raise ValueError(f"checkpoint sidecar {sidecar_path}: 'frequencies' and "
                          "'concepts' differ in length")
+    for key in ("vocab", "concepts"):
+        seen: set[str] = set()
+        for entry in sidecar[key]:
+            if not isinstance(entry, str):
+                raise ValueError(f"checkpoint sidecar {sidecar_path}: key '{key}' "
+                                 f"holds {entry!r}, not a string")
+            if entry in seen:
+                raise ValueError(f"checkpoint sidecar {sidecar_path}: key '{key}' "
+                                 f"repeats {entry!r}")
+            seen.add(entry)
+    for count in sidecar["frequencies"]:
+        # bool is an int subclass, but true is not a count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"checkpoint sidecar {sidecar_path}: key 'frequencies' "
+                             f"holds {count!r}, not a non-negative integer")
     try:
         cfg = parse_config_text(sidecar["config"])
     except ValueError as err:
@@ -376,20 +411,19 @@ def load_model(checkpoint_path) -> Model:
         raise ValueError(f"checkpoint {checkpoint_path}: missing tensors {sorted(missing)}")
     try:
         graph = ConceptGraph(
-            list(sidecar["concepts"]), list(sidecar["frequencies"]),
-            arrays["consensus.adjacency"],
-            Tensor(arrays["consensus.concept_embeddings"]))
-        model = Model(cfg, vocab, graph, rng=_NoDraw())
-        model.load_state(arrays)
+            sidecar["concepts"], sidecar["frequencies"], arrays["consensus.adjacency"],
+            Tensor.wrap(arrays["consensus.concept_embeddings"]))
+        return Model(cfg, vocab, graph, state=arrays)
     except ValueError as err:
         raise ValueError(f"checkpoint {checkpoint_path} does not match its sidecar "
                          f"{sidecar_path}: {err}") from None
-    return model
 
 
-class _NoDraw:
-    """Init generator for a model whose every value a checkpoint is about
-    to overwrite: parameters start at zero and no random value is drawn."""
+class _Unfilled:
+    """The init generator of a model built around checkpoint arrays: each
+    parameter it would draw starts as a read-only view of eight zero bytes
+    with every stride 0, which allocates nothing, until its checkpoint
+    array takes its place."""
 
     def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
-        return np.zeros(size)
+        return np.ndarray(size, buffer=bytes(8), strides=(0,) * len(size))

@@ -328,6 +328,34 @@ class TestMalformedInputs:
         assert code == 1
         assert str(meta) in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("key, edit, detail", [
+        # a repeated token used to encode silently to its later id
+        pytest.param("vocab", lambda v: v[:-1] + [v[1]], "repeats", id="vocab-repeated"),
+        pytest.param("vocab", lambda v: v[:-1] + [7], "holds 7, not a string",
+                     id="vocab-not-a-string"),
+        pytest.param("concepts", lambda c: c[:-1] + [c[0]], "repeats",
+                     id="concepts-repeated"),
+        pytest.param("concepts", lambda c: c[:-1] + [None], "holds None, not a string",
+                     id="concepts-not-a-string"),
+        pytest.param("frequencies", lambda f: f[:-1] + [-1], "holds -1",
+                     id="frequencies-negative"),
+        pytest.param("frequencies", lambda f: f[:-1] + [2.5], "holds 2.5",
+                     id="frequencies-float"),
+        pytest.param("frequencies", lambda f: f[:-1] + [True], "holds True",
+                     id="frequencies-bool"),
+        pytest.param("frequencies", lambda f: f[:-1] + ["3"], "holds '3'",
+                     id="frequencies-string"),
+    ])
+    def test_a_sidecar_entry_of_the_wrong_kind_exits_one(self, sidecar, tmp_path, capsys,
+                                                         key, edit, detail):
+        checkpoint, meta, manifest = sidecar
+        raw = json.loads(meta.read_text())
+        raw[key] = edit(raw[key])
+        meta.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert f"checkpoint sidecar {meta}: key '{key}' " in err and detail in err
+
     def test_sidecar_with_retired_gcn_form(self, sidecar, tmp_path, capsys):
         # sidecars written before gcn_form was removed hold "gcn_form = paper"
         checkpoint, meta, manifest = sidecar

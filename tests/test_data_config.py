@@ -165,6 +165,16 @@ class TestFeatureFormat:
             write_features(path, {7: np.ones((2, 6)), 1: np.ones((2, 5))})
         assert not path.exists()
 
+    @pytest.mark.parametrize("image_id", [-1, 2.5, 2**64, True],
+                             ids=["negative", "float", "beyond-u64", "bool"])
+    def test_an_id_that_is_not_a_u64_is_rejected_before_writing(self, tmp_path,
+                                                                  image_id):
+        # these used to raise struct.error and leave a 16-byte partial file
+        path = tmp_path / "ids.rgft"
+        with pytest.raises(ValueError, match=rf"image id {image_id!r} is not an integer"):
+            write_features(path, {3: np.ones((2, 4)), image_id: np.ones((2, 4))})
+        assert not path.exists()
+
 
 class TestCaptionFormat:
     def test_round_trip(self, tmp_path):

@@ -1,11 +1,14 @@
 """Model assembly: parameter registry, forward wiring, save/load."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from tinymodel import snapshot, states_equal, tiny_setup
 
+from mhcvse.autodiff import AdamState, adam_step
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import Vocabulary
@@ -361,3 +364,54 @@ class TestSaveLoadModel:
         (tmp_path / "model.mhcv.meta.json").unlink()
         with pytest.raises(ValueError, match="sidecar"):
             load_model(path)
+
+
+class TestOneCopyLoad:
+    """``load_model`` reads each tensor once, into the array the loaded
+    model keeps."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        # default widths (d = 128, 8 heads), so values, not Python objects,
+        # make up nearly all that a load allocates: about 2 MB
+        cfg = TrainConfig(feature_dim=6, concepts=5)
+        model = Model(cfg, Vocabulary([f"w{i}" for i in range(40)]),
+                      small_graph(dim=cfg.embed_dim, k=5), np.random.default_rng(4))
+        path = tmp_path / "model.mhcv"
+        save_model(path, model)
+        return model, path
+
+    def test_the_peak_of_a_load_is_one_copy_of_the_values(self, saved):
+        # a load that reads the file into a buffer and then copies each
+        # record out of it peaks at twice the values
+        _, path = saved
+        value_bytes = sum(a.nbytes for a in load_checkpoint(path).values())
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * value_bytes
+
+    def test_every_loaded_array_is_its_own_writable_block(self, saved):
+        loaded = load_model(saved[1])
+        arrays = [t.data for t in loaded.named_parameters().values()]
+        arrays.append(loaded.graph.adjacency)
+        for arr in arrays:
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.aligned
+            assert arr.flags.writeable and arr.flags.owndata
+        for i, arr in enumerate(arrays):
+            assert not any(np.may_share_memory(arr, other) for other in arrays[:i])
+
+    def test_an_adam_step_moves_the_loaded_model_as_it_moves_the_saved_one(self, saved):
+        model, path = saved
+        loaded = load_model(path)
+        rng = np.random.default_rng(9)
+        grads = {n: rng.normal(size=t.shape) for n, t in model.named_parameters().items()}
+        for m in (model, loaded):
+            params = m.named_parameters()
+            adam_step(params, {params[n]: g for n, g in grads.items()}, AdamState(), 0.01)
+        after = {n: t.data.tobytes() for n, t in model.named_parameters().items()}
+        assert {n: t.data.tobytes() for n, t in loaded.named_parameters().items()} == after
