@@ -152,22 +152,34 @@ class Dataset:
 # bounded reader shared by the binary formats
 
 class BinaryReader:
-    """Cursor over one open little-endian binary file, read as it goes.
+    """Cursor over one little-endian binary file, read as it goes; use it
+    as a context manager (``with BinaryReader(...) as reader:``) so the
+    file is closed.
 
     Checks the magic and version on opening, names the file in every
     error, and refuses any read longer than the bytes left, so a corrupt
     size field fails as truncation before anything is allocated.
     """
 
-    def __init__(self, file, label: str, magic: bytes, version: int):
-        self._label = f"{label} {file.name}"
-        self._file = file
-        self.left = os.fstat(file.fileno()).st_size  # bytes not yet read
-        if self.take(len(magic), "magic") != magic:
-            raise self.error("bad magic")
-        (found,) = self.unpack("<I", "version")
-        if found != version:
-            raise self.error(f"unsupported version {found}")
+    def __init__(self, path, label: str, magic: bytes, version: int):
+        self._label = f"{label} {path}"
+        self._file = open(path, "rb")
+        try:
+            self.left = os.fstat(self._file.fileno()).st_size  # bytes not yet read
+            if self.take(len(magic), "magic") != magic:
+                raise self.error("bad magic")
+            (found,) = self.unpack("<I", "version")
+            if found != version:
+                raise self.error(f"unsupported version {found}")
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> "BinaryReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self._label}: {message}")
@@ -244,8 +256,7 @@ def read_features(path) -> dict[int, np.ndarray]:
     """Read the RGFT file back as float64 arrays. An empty image, a repeated
     id and a non-finite value are refused, naming the file and the image."""
     out: dict[int, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        reader = BinaryReader(fh, "feature file", FEATURES_MAGIC, FEATURES_VERSION)
+    with BinaryReader(path, "feature file", FEATURES_MAGIC, FEATURES_VERSION) as reader:
         (count,) = reader.unpack("<Q", "image count")
         for _ in range(count):
             image_id, m, f = reader.unpack("<QII", "image header")

@@ -83,20 +83,12 @@ class Model:
     """
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary, graph: ConceptGraph,
-                 rng: np.random.Generator | None = None, *,
-                 state: dict[str, np.ndarray] | None = None):
-        """Parameters drawn from ``rng`` (the config seed's if None), or,
-        given ``state`` (checkpoint arrays by name, as
-        :func:`load_checkpoint` returns them), the state's arrays
-        themselves: no value is then drawn or copied."""
+                 rng: np.random.Generator | None = None):
         config.validate()
         if graph.concept_embeddings.shape[1] != config.embed_dim:
             raise ValueError(f"graph embeds dim {graph.concept_embeddings.shape[1]} "
                              f"!= embed_dim {config.embed_dim}")
-        if state is not None:
-            rng = _Unfilled()
-        elif rng is None:
-            rng = np.random.default_rng(config.seed)
+        rng = rng if rng is not None else np.random.default_rng(config.seed)
         d, f, k = config.embed_dim, config.feature_dim, graph.size
         self.config = config
         self.vocab = vocab
@@ -115,10 +107,6 @@ class Model:
         # (d, K) concept predictors of the consensus heads
         self.predictor_image = uniform_init(rng, (d, k), d)
         self.predictor_text = uniform_init(rng, (d, k), d)
-        if state is not None:
-            for tensor, arr in self._checked_pairs(state):
-                tensor.data = arr
-            self.graph.adjacency = state["consensus.adjacency"]
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {
@@ -144,35 +132,35 @@ class Model:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy checkpoint arrays into the parameters (and adjacency)."""
-        for tensor, arr in self._checked_pairs(arrays):
-            tensor.data[...] = arr
-        self.graph.adjacency[...] = arrays["consensus.adjacency"]
+        """Restore parameter values (and adjacency) from checkpoint arrays.
 
-    def _checked_pairs(self, arrays: dict[str, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
-        """Each parameter with its checkpoint array, once every name and
-        shape, the adjacency's too, is known to be this model's."""
-        own = self.named_parameters()
-        missing = (own.keys() | {"consensus.adjacency"}) - arrays.keys()
+        Once every name and shape is known to be this model's, each array
+        becomes the tensor's data itself. One that is float64, C-contiguous,
+        aligned, writable and owns its data, as :func:`load_checkpoint`
+        returns them, is kept without a copy; any other is copied first.
+        """
+        own = self.state_tensors()
+        missing = own.keys() - arrays.keys()
         if missing:
             raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-        extra = arrays.keys() - own.keys() - {"consensus.adjacency"}
+        extra = arrays.keys() - own.keys()
         # older checkpoints hold every fusion strategy's tensor, used or not
         every_fusion = {f"fusion.{n}" for n in TENSOR_NAMES.values()}
         if every_fusion <= arrays.keys():
             extra -= every_fusion
         if extra:
             raise ValueError(f"checkpoint has unknown tensors: {sorted(extra)[:5]}")
-        pairs = []
-        for name, tensor in own.items():
-            arr = arrays[name]
-            if arr.shape != tensor.shape:
-                raise ValueError(f"checkpoint tensor '{name}' shape {arr.shape} != "
-                                 f"model shape {tensor.shape}")
-            pairs.append((tensor, arr))
-        if arrays["consensus.adjacency"].shape != self.graph.adjacency.shape:
+        params = self.named_parameters()
+        for name, tensor in params.items():
+            if arrays[name].shape != tensor.shape:
+                raise ValueError(f"checkpoint tensor '{name}' shape {arrays[name].shape} "
+                                 f"!= model shape {tensor.shape}")
+        adj = arrays["consensus.adjacency"]
+        if adj.shape != self.graph.adjacency.shape:
             raise ValueError("checkpoint adjacency shape mismatch")
-        return pairs
+        for name, tensor in params.items():
+            tensor.data = np.require(arrays[name], np.float64, "CAWO")
+        self.graph.adjacency = np.require(adj, np.float64, "CAWO")
 
     # ------------------------------------------------------------------
     # forward passes
@@ -314,8 +302,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     tensor.
     """
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        reader = BinaryReader(fh, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    with BinaryReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as reader:
         while reader.left:
             if reader.left < 4:
                 raise reader.error("truncated record header")
@@ -413,17 +400,19 @@ def load_model(checkpoint_path) -> Model:
         graph = ConceptGraph(
             sidecar["concepts"], sidecar["frequencies"], arrays["consensus.adjacency"],
             Tensor.wrap(arrays["consensus.concept_embeddings"]))
-        return Model(cfg, vocab, graph, state=arrays)
+        model = Model(cfg, vocab, graph, rng=_Unfilled())
+        model.load_state(arrays)
     except ValueError as err:
         raise ValueError(f"checkpoint {checkpoint_path} does not match its sidecar "
                          f"{sidecar_path}: {err}") from None
+    return model
 
 
 class _Unfilled:
-    """The init generator of a model built around checkpoint arrays: each
-    parameter it would draw starts as a read-only view of eight zero bytes
-    with every stride 0, which allocates nothing, until its checkpoint
-    array takes its place."""
+    """Init generator for a model whose every value a checkpoint is about
+    to replace: each parameter starts as a read-only view of eight zero
+    bytes with every stride 0, which allocates nothing and draws no
+    random value."""
 
     def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
         return np.ndarray(size, buffer=bytes(8), strides=(0,) * len(size))

@@ -248,6 +248,30 @@ class TestLoadState:
         assert states_equal(snapshot(model),
                             {n: arrays[n] for n in model.named_parameters()})
 
+    def test_a_refused_state_changes_nothing(self):
+        model, _, _ = tiny_setup()
+        before = snapshot(model)
+        arrays = {n: t.data + 1.0 for n, t in model.state_tensors().items()}
+        arrays["consensus.head_text.predictor"] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            model.load_state(arrays)
+        assert states_equal(snapshot(model), before)
+
+    def test_keeps_owned_float64_arrays_and_copies_any_other(self):
+        model, _, _ = tiny_setup()
+        arrays = {n: t.data.copy() for n, t in model.state_tensors().items()}
+        kept = arrays["consensus.gcn.w0"]
+        arrays["consensus.gcn.w1"] = np.asfortranarray(arrays["consensus.gcn.w1"])
+        arrays["encoder.image_bias"] = arrays["encoder.image_bias"].astype(np.float32)
+        model.load_state(arrays)
+        assert model.gcn_w0.data is kept
+        for tensor, given in ((model.gcn_w1, arrays["consensus.gcn.w1"]),
+                              (model.image_bias, arrays["encoder.image_bias"])):
+            assert tensor.data.dtype == np.float64
+            assert tensor.data.flags.c_contiguous and tensor.data.flags.owndata
+            assert not np.may_share_memory(tensor.data, given)
+            assert np.array_equal(tensor.data, given)
+
 
 class TestSaveLoadModel:
     def test_saved_model_reproduces_embeddings_bit_for_bit(self, tmp_path):
