@@ -27,6 +27,13 @@ USAGE_ERROR = 2
 CHECK_ERROR = 1
 
 
+def _seed(text: str) -> int:
+    """A generator seed: a non-negative integer, refused at parse time."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhcvse",
@@ -42,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=int, default=60)
     p.add_argument("--noise", type=float, default=0.03)
     p.add_argument("--separation", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
 
     p = sub.add_parser("train", help="train and write a checkpoint")
     p.add_argument("--config", help="key=value config file (defaults apply if omitted)")
@@ -70,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="rows to emit")
     p.add_argument("--out", default="lr_curve.csv")
 
-    p = sub.add_parser("grad-check", help="finite-difference check of every block")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("grad-check", help="finite-difference check of every block and op")
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -1,17 +1,21 @@
-"""Finite-difference gradient checking for every differentiable block.
+"""Finite-difference gradient checking for every differentiable block and op.
 
-Each block builds a scalar objective from random inputs, takes tape
+Each check builds a scalar objective from random inputs, takes tape
 gradients, and compares them against central finite differences with
 h = 1e-5. Relative error uses a small absolute floor so near-zero
 gradients are compared absolutely:
 
     err = |analytic - numeric| / max(|analytic|, |numeric|, 1e-6)
 
-The suite is what the ``grad-check`` CLI subcommand runs; every block must
-stay below 1e-4.
+``run_suite`` checks each block, then each case of ``OP_CASES``, the one
+table of single-op cases, through ``op_case_error``; the tests check the
+same cases through the same function. The suite is what the
+``grad-check`` CLI subcommand runs; every check must stay below 1e-4.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
 __all__ = ["numeric_gradients", "max_relative_error", "gradient_check",
-           "run_suite", "TOLERANCE"]
+           "op_case_error", "run_suite", "OP_CASES", "TOLERANCE"]
 
 TOLERANCE = 1e-4
 REL_FLOOR = 1e-6
@@ -60,7 +64,8 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    return float((np.abs(analytic - numeric) / denom).max())
+    # a zero-size gradient has no entry that can disagree
+    return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
 
 
 def gradient_check(build, params: dict[str, Tensor], h: float = 1e-5) -> float:
@@ -88,10 +93,11 @@ def _project(t: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def run_suite(seed: int = 0) -> dict[str, float]:
-    """Finite-difference check of every differentiable block at small dims.
+    """Finite-difference check of every differentiable block at small dims
+    and of every case of ``OP_CASES``.
 
-    Returns the worst relative error per block name. Every block takes
-    batched rows; the single-item blocks run a batch of one.
+    Returns the worst relative error per block or ``op_<case>`` name. Every
+    block takes batched rows; the single-item blocks run a batch of one.
     """
     rng = np.random.default_rng(seed)
     d, h_heads, f_dim, m, l, k, vocab, b = 8, 2, 6, 3, 4, 5, 20, 4
@@ -230,11 +236,9 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     results["attend_and_pool_masked"] = gradient_check(
         lambda: _project(attend_and_pool(xs, attn, mask), proj), params)
 
-    # the ops of the batched path one by one
-    for name, op, shape in _OP_CASES:
-        t = Tensor(rng.normal(size=shape))
-        proj = rng.normal(size=op(t).shape)
-        results[f"op_{name}"] = gradient_check(lambda: _project(op(t), proj), {name: t})
+    # every op case, each from its own generator
+    for name in OP_CASES:
+        results[f"op_{name}"] = op_case_error(name, seed)
 
     # the fused Bi-GRU op alone: its input and all eighteen gate tensors,
     # over a padded batch of lengths 1, l and 2; the projection also weighs
@@ -249,16 +253,72 @@ def run_suite(seed: int = 0) -> dict[str, float]:
     return results
 
 
-_W = np.linspace(-1.0, 1.0, 4 * 5).reshape(4, 5)
+def op_case_error(name: str, seed: int = 0) -> float:
+    """Worst relative error of the op case ``name`` of ``OP_CASES``.
 
-# (name, op of one tensor, input shape) for the ops of the batched path
-_OP_CASES = [
-    ("shared_matmul", lambda t: ad.matmul(t, Tensor(_W)), (3, 2, 4)),
-    ("gather", lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
-    ("broadcast_mul", lambda t: ad.mul(t, Tensor(_W[:, :1])), (4, 2)),
-    ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4)),
-    ("index", lambda t: ad.index(t, 1), (3, 2, 2)),
-]
+    The input and the output's projection come from a generator seeded by
+    ``seed`` and the name alone, so a case gives the same number wherever
+    it runs. Each input entry is kept at least 0.2 from zero, away from the
+    kinks of relu and of the l2 norm.
+    """
+    op, shape = OP_CASES[name]
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    x = rng.normal(size=shape)
+    t = Tensor(x + 0.2 * np.sign(x))
+    proj = rng.normal(size=op(t).shape)
+    return gradient_check(lambda: _project(op(t), proj), {name: t})
+
+
+# a fixed irregular operand for the binary ops
+_W = np.sin(np.arange(1.0, 37.0)).reshape(6, 6)
+
+# name -> (op of one tensor, input shape); every op of autodiff has a case
+OP_CASES = {
+    "shared_matmul": (lambda t: ad.matmul(t, Tensor(_W[:4, :5])), (3, 2, 4)),
+    "gather": (lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
+    "broadcast_mul": (lambda t: ad.mul(t, Tensor(_W[:4, :1])), (4, 2)),
+    "reshape": (lambda t: ad.reshape(t, (2, 6)), (3, 4)),
+    "index": (lambda t: ad.index(t, 1), (3, 2, 2)),
+    "matmul_22": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4)),
+    "matmul_rhs": (lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5)),
+    "transpose": (ad.transpose, (3, 4)),
+    "add": (lambda t: ad.add(t, Tensor(_W[:3, :4])), (3, 4)),
+    "add_rank0_lhs": (lambda t: ad.add(t, Tensor(_W[:3, :4])), ()),
+    "sub": (lambda t: ad.sub(t, Tensor(_W[:3, :4])), (3, 4)),
+    "sub_rank0_rhs": (lambda t: ad.sub(Tensor(_W[:3, :4]), t), ()),
+    "mul": (lambda t: ad.mul(t, Tensor(_W[:3, :4])), (3, 4)),
+    "mul_rank0": (lambda t: ad.mul(Tensor(_W[:3, :4]), t), ()),
+    "add_number": (lambda t: ad.add(t, 1.7), (3, 4)),
+    "sub_from_number": (lambda t: ad.sub(1.0, t), (3, 4)),
+    "mul_number": (lambda t: ad.mul(t, -2.3), (3, 4)),
+    "tanh": (ad.tanh, (3, 4)),
+    "sigmoid": (ad.sigmoid, (3, 4)),
+    "relu": (ad.relu, (3, 4)),
+    "sum": (ad.sum, (3, 4)),
+    "concat_r2": (lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]), (3, 4)),
+    "index_r1": (lambda t: ad.index(t, 1), (4,)),
+    "index_r2": (lambda t: ad.index(t, 2), (4, 3)),
+    "index_r3": (lambda t: ad.index(t, 0), (2, 3, 4)),
+    "reshape_r3": (lambda t: ad.reshape(t, (3, 2, 2)), (3, 4)),
+    "gather_2x3": (lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3)),
+    "matmul_32": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4)),
+    "matmul_32_rhs": (lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+                      (4, 3)),
+    "softmax_r2": (ad.softmax_rows, (3, 4)),
+    "softmax_r1": (ad.softmax_rows, (5,)),
+    "l2_normalize": (ad.l2_normalize_rows, (3, 4)),
+    "add_row": (lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4)),
+    "add_row_v": (lambda t: ad.add(Tensor(_W[:3, :4]), t), (4,)),
+    "add_row_r3": (lambda t: ad.add(t, Tensor(_W[0, :4])), (2, 3, 4)),
+    "add_row_r3_v": (lambda t: ad.add(Tensor(_W[:4, :6].reshape(2, 3, 4)), t), (4,)),
+    "sub_col": (lambda t: ad.sub(t, Tensor(_W[:3, :1])), (3, 4)),
+    "sub_col_v": (lambda t: ad.sub(Tensor(_W[:3, :4]), t), (3, 1)),
+    "mul_col": (lambda t: ad.mul(t, Tensor(_W[:3, :1])), (3, 4)),
+    "mul_col_v": (lambda t: ad.mul(Tensor(_W[:3, :4]), t), (3, 1)),
+    "mul_outer": (lambda t: ad.mul(t, Tensor(_W[:1, :4])), (3, 1)),
+    "mul_outer_v": (lambda t: ad.mul(Tensor(_W[:3, :1]), t), (1, 4)),
+    "mul_mid_r3": (lambda t: ad.mul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t), (2, 1, 4)),
+}
 
 
 def _random_graph(rng: np.random.Generator, k: int, d: int) -> ConceptGraph:

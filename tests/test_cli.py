@@ -15,11 +15,13 @@ import pytest
 
 from tinymodel import rgft_bytes
 
+import mhcvse.autodiff as ad
 import mhcvse.cli
 import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset, read_features
+from mhcvse.gradcheck import OP_CASES
 from mhcvse.model import load_checkpoint
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
@@ -61,6 +63,14 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "x"), flag, value])
         assert code == 1
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_is_refused_naming_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x"), "--seed", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-3'" in err
         assert not (tmp_path / "x").exists()
 
     def test_out_that_is_a_file_exits_one_naming_it(self, tmp_path, capsys):
@@ -661,13 +671,41 @@ class TestLrCurve:
         assert not out.exists()
 
 
+# the blocks run_suite checks before the op cases; bi_gru_masked runs after them
+BLOCKS = ["gru_step", "encode_image", "encode_text", "attend_and_pool", "fusion_concat",
+          "fusion_adap_sum", "fusion_weight_sum", "fusion_global_weight_sum", "gcn",
+          "consensus_embed", "loss_contrastive_sum", "loss_contrastive_hardest", "loss_kl",
+          "loss_total", "encode_text_padded", "attend_and_pool_masked"]
+CHECK_NAMES = BLOCKS + [f"op_{name}" for name in OP_CASES] + ["bi_gru_masked"]
+
+
 class TestGradCheck:
     def test_fresh_model_passes_every_block(self, capsys):
         assert main(["grad-check", "--seed", "0"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) >= 10
-        assert all("ok" in line for line in out)
-        assert not any("FAIL" in line for line in out)
+        assert [line.split(":")[0] for line in out] == CHECK_NAMES
+        assert all(line.endswith("(ok)") for line in out)
+
+    def test_a_failing_case_exits_one_and_every_line_is_printed(self, monkeypatch, capsys):
+        def relu_with_a_doubled_vjp(t):
+            x = t.data
+            return ad._make(np.maximum(x, 0.0), (t,), lambda g: (2.0 * g * (x > 0.0),),
+                            "relu")
+
+        monkeypatch.setitem(OP_CASES, "relu", (relu_with_a_doubled_vjp, (3, 4)))
+        assert main(["grad-check", "--seed", "0"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(":")[0] for line in out] == CHECK_NAMES
+        failed = [line.split(":")[0] for line in out if not line.endswith("(ok)")]
+        assert failed == ["op_relu"]
+        assert next(line for line in out if line.startswith("op_relu:")).endswith("(FAIL)")
+
+    def test_negative_seed_is_refused_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from mhcvse.autodiff import Tape, Tensor, mul, sum as t_sum
 from mhcvse.encoders import uniform_init
+from mhcvse.gradcheck import max_relative_error, numeric_gradients
 from mhcvse.consensus import (
     ConceptGraph,
     build_graph,
@@ -252,27 +253,10 @@ class TestConsensusEmbed:
             loss = t_sum(mul(emb, Tensor(probe[None])))
             grads = tape.backward(loss)
 
-        arrays = {name: t.data.copy() for name, t in leaves.items()}
-        order = ["feats", "w0", "w1", "predictor", "instance"]
-        for name in order:
-            analytic = grads[leaves[name]]
-            numeric = np.zeros_like(arrays[name])
-            it = np.nditer(arrays[name], flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                h = 1e-6
-                plus = {n: arrays[n].copy() for n in order}
-                minus = {n: arrays[n].copy() for n in order}
-                plus[name][idx] += h
-                minus[name][idx] -= h
-                numeric[idx] = (loss_value(plus["feats"], plus["w0"], plus["w1"],
-                                           plus["predictor"], plus["instance"])
-                                - loss_value(minus["feats"], minus["w0"],
-                                             minus["w1"], minus["predictor"],
-                                             minus["instance"])) / (2 * h)
-                it.iternext()
-            denom = max(np.abs(numeric).max(), 1e-6)
-            assert np.abs(analytic - numeric).max() / denom < 1e-4, name
+        numeric = numeric_gradients(
+            lambda: loss_value(*(t.data for t in leaves.values())), leaves, h=1e-6)
+        for name, t in leaves.items():
+            assert max_relative_error(grads[t], numeric[name]) < 1e-4, name
 
 
 class TestCsvExports:

@@ -249,28 +249,7 @@ class TestEncodeText:
             states = text(PaddedBatch.of([ids]), p)
             return ad.sum(ad.mul(states, Tensor(probe[None, None] / len(ids))))
 
-        with Tape() as tape:
-            grads = tape.backward(forward())
-        h = 1e-5
-        worst = 0.0
-        for name, t in leaves.items():
-            if t not in grads:
-                continue
-            analytic = grads[t]
-            flat = t.data.reshape(-1)
-            num = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = forward().item()
-                flat[i] = orig - h
-                lo = forward().item()
-                flat[i] = orig
-                num[i] = (hi - lo) / (2 * h)
-            num = num.reshape(t.data.shape)
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(analytic - num) / denom)))
-        assert worst < 1e-4
+        assert gradient_check(forward, leaves) < 1e-4
 
 
 def gru_loop(x, gates, reverse):

@@ -12,6 +12,7 @@ from mhcvse.autodiff import (
     mul,
     sum as t_sum,
 )
+from mhcvse.gradcheck import max_relative_error, numeric_gradients
 from mhcvse.losses import (
     CONTRASTIVE_MODES,
     LossTerms,
@@ -169,18 +170,9 @@ class TestContrastiveLoss:
         with Tape() as tape:
             loss = contrastive_loss(leaf, margin=0.2, mode=mode)
             grads = tape.backward(loss)
-        analytic = grads[leaf]
-        h = 1e-6
-        numeric = np.zeros_like(s)
-        for i in range(5):
-            for j in range(5):
-                plus, minus = s.copy(), s.copy()
-                plus[i, j] += h
-                minus[i, j] -= h
-                numeric[i, j] = (hinge_oracle(plus, 0.2, mode)
-                                 - hinge_oracle(minus, 0.2, mode)) / (2 * h)
-        denom = max(np.abs(numeric).max(), 1e-6)
-        assert np.abs(analytic - numeric).max() / denom < 1e-4
+        numeric = numeric_gradients(lambda: hinge_oracle(leaf.data, 0.2, mode),
+                                    {"s": leaf}, h=1e-6)
+        assert max_relative_error(grads[leaf], numeric["s"]) < 1e-4
 
 
 class TestKlLoss:
@@ -345,21 +337,13 @@ class TestTotalLoss:
             grads = tape.backward(terms.total)
         lam = terms.effective_weights[0]
 
-        def frozen_total(m):
-            a = m / np.linalg.norm(m, axis=1, keepdims=True)
+        def frozen_total():
+            a = leaf.data / np.linalg.norm(leaf.data, axis=1, keepdims=True)
             b = txt / np.linalg.norm(txt, axis=1, keepdims=True)
             return lam * hinge_oracle(a @ b.T, 0.2, "sum")
 
-        h = 1e-6
-        numeric = np.zeros_like(img)
-        for i in range(4):
-            for j in range(3):
-                plus, minus = img.copy(), img.copy()
-                plus[i, j] += h
-                minus[i, j] -= h
-                numeric[i, j] = (frozen_total(plus) - frozen_total(minus)) / (2 * h)
-        denom = max(np.abs(numeric).max(), 1e-6)
-        assert np.abs(grads[leaf] - numeric).max() / denom < 1e-4
+        numeric = numeric_gradients(frozen_total, {"img": leaf}, h=1e-6)
+        assert max_relative_error(grads[leaf], numeric["img"]) < 1e-4
 
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(ValueError, match="4 base weights"):
