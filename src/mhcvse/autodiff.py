@@ -4,7 +4,9 @@ Values are numpy arrays of rank 0..3 (rank 0 is the scalar case used by
 losses). Gradients come from recording every op on a :class:`Tape` during
 the forward pass and replaying the recorded nodes in reverse: define-by-run,
 so the tape is rebuilt on every forward pass and append order is already a
-topological order. The op set is deliberately small and holds only the
+topological order. Only op outputs are nodes: a tensor an op reads that the
+tape did not make, such as a parameter, is a leaf, and the tape never
+writes to it. The op set is deliberately small and holds only the
 forms a caller runs -- matrix products (one matrix applied to a rank-3
 batch's rows too), add/sub/mul with numpy broadcasting, elementwise
 nonlinearities, a sum, concatenation/slicing/reshaping, a row gather, a
@@ -85,12 +87,12 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("input_ids", "vjp", "leaf")
+    # per input: its node index if this tape made it, else the leaf tensor
+    __slots__ = ("inputs", "vjp")
 
-    def __init__(self, input_ids, vjp, leaf):
-        self.input_ids = input_ids
+    def __init__(self, inputs, vjp):
+        self.inputs = inputs
         self.vjp = vjp
-        self.leaf = leaf
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -117,33 +119,17 @@ class Tape:
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
-        # a leaf points back at the tape that registered it; parameters
-        # outlive the tape, and would keep it and every array its vjps hold
-        # alive until their next forward pass
-        for node in self._nodes:
-            if node.leaf is not None and node.leaf._tape is self:
-                node.leaf._tape = None
-                node.leaf._node = -1
         return False
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def parent_ids(self, i: int) -> tuple[int, ...]:
-        return self._nodes[i].input_ids
-
-    def _ensure(self, t: Tensor) -> int:
-        # lazily register tensors from outside this tape as leaves
-        if t._tape is self:
-            return t._node
-        self._nodes.append(_Node((), None, t))
-        t._tape = self
-        t._node = len(self._nodes) - 1
-        return t._node
+        return tuple(j for j in self._nodes[i].inputs if isinstance(j, int))
 
     def _record(self, out: Tensor, inputs, vjp) -> None:
-        ids = tuple(self._ensure(t) for t in inputs)
-        self._nodes.append(_Node(ids, vjp, None))
+        self._nodes.append(_Node(tuple(t._node if t._tape is self else t
+                                       for t in inputs), vjp))
         out._tape = self
         out._node = len(self._nodes) - 1
 
@@ -153,8 +139,8 @@ class Tape:
         Returns a map keyed by leaf Tensor identity; each gradient has the
         same shape as the leaf's value. A tape runs backward once: each
         node drops its vjp, and with it the forward values the vjp holds,
-        as the pass reaches it, and an interior node's gradient is dropped
-        as soon as its vjp has run. A second call raises ``RuntimeError``.
+        as the pass reaches it, and a node's gradient is dropped as soon
+        as its vjp has run. A second call raises ``RuntimeError``.
         """
         if loss._tape is not self:
             raise ValueError("loss was not recorded on this tape")
@@ -166,25 +152,23 @@ class Tape:
         self._spent = True
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         grads[loss._node] = np.asarray(1.0)
+        leaves: dict[Tensor, np.ndarray] = {}
         for i in range(loss._node, -1, -1):
             g = grads[i]
             node = self._nodes[i]
             vjp, node.vjp = node.vjp, None
-            if g is None or vjp is None:
+            if g is None:
                 continue
             grads[i] = None
-            for j, gj in zip(node.input_ids, vjp(g)):
+            for j, gj in zip(node.inputs, vjp(g)):
                 if gj is None:
                     continue
-                if grads[j] is None:
-                    grads[j] = gj
+                if isinstance(j, int):
+                    grads[j] = gj if grads[j] is None else grads[j] + gj
                 else:
-                    grads[j] = grads[j] + gj
-        out: dict[Tensor, np.ndarray] = {}
-        for node, g in zip(self._nodes, grads):
-            if node.leaf is not None and g is not None:
-                out[node.leaf] = np.asarray(g, dtype=np.float64)
-        return out
+                    prev = leaves.get(j)
+                    leaves[j] = gj if prev is None else prev + gj
+        return {t: np.asarray(g, dtype=np.float64) for t, g in leaves.items()}
 
 
 def _recording() -> bool:

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .data import read_text
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import FUSE_TYPES
 from .losses import CONTRASTIVE_MODES
@@ -162,8 +163,7 @@ def load_config(path=None) -> TrainConfig:
     if path is None:
         cfg = TrainConfig()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path, "config")
         try:
             cfg = parse_config_text(text)
         except ValueError as err:
@@ -178,5 +178,5 @@ def load_config(path=None) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_config_text(cfg))

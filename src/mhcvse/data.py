@@ -26,7 +26,7 @@ __all__ = [
     "STOPWORDS", "Vocabulary", "InstancePair",
     "DatasetManifest", "Dataset", "BinaryReader",
     "write_features", "read_features",
-    "write_captions_jsonl", "read_captions_jsonl",
+    "read_text", "write_captions_jsonl", "read_captions_jsonl",
     "load_dataset", "generate_synthetic",
 ]
 
@@ -38,6 +38,16 @@ STOPWORDS = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
 this to was were will with
 """.split())
+
+
+def read_text(path, what: str) -> str:
+    """A text file's contents, which must be UTF-8; a byte that does not
+    decode raises ``ValueError`` naming ``what`` and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{what} {path}: not UTF-8 ({err.reason} "
+                         f"at byte {err.start})") from None
 
 
 class Vocabulary:
@@ -100,13 +110,13 @@ class DatasetManifest:
             "captions": self.captions,
             "images": self.images,
             "captions_per_image": self.captions_per_image,
-        }, indent=2) + "\n")
+        }, indent=2) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(read_text(path, "manifest"))
         except json.JSONDecodeError as err:
             raise ValueError(f"manifest {path}: invalid JSON ({err})") from None
         if not isinstance(raw, dict):
@@ -279,7 +289,7 @@ def read_features(path) -> dict[int, np.ndarray]:
 
 def write_captions_jsonl(path, captions) -> None:
     """One object per line: image_id, caption_id, tokens (strings)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for caption_id, image_id, tokens in captions:
             fh.write(json.dumps({"image_id": image_id, "caption_id": caption_id,
                                  "tokens": tokens}) + "\n")
@@ -288,35 +298,35 @@ def write_captions_jsonl(path, captions) -> None:
 def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
     out = []
     seen: set[int] = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"caption file {path}, line {lineno}: "
-                                 f"invalid JSON ({err.msg})") from None
-            try:
-                image_id, caption_id = obj["image_id"], obj["caption_id"]
-                tokens = obj["tokens"]
-            except (KeyError, TypeError) as err:
-                raise ValueError(f"caption file {path}, line {lineno}: "
-                                 f"missing or malformed field ({err})") from None
-            for key, value in (("image_id", image_id), ("caption_id", caption_id)):
-                # bool is an int subclass, but JSON true is not an id
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"caption file {path}, line {lineno}: '{key}' "
-                                     f"must be a JSON integer, got {value!r}")
-            if (not isinstance(tokens, list) or not tokens
-                    or not all(isinstance(t, str) for t in tokens)):
-                raise ValueError(f"caption file {path}, line {lineno}: tokens must "
-                                 "be a non-empty list of strings")
-            if caption_id in seen:
-                raise ValueError(f"caption file {path}, line {lineno}: "
-                                 f"repeated caption_id {caption_id}")
-            seen.add(caption_id)
-            out.append((caption_id, image_id, tokens))
+    text = read_text(path, "caption file")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"caption file {path}, line {lineno}: "
+                             f"invalid JSON ({err.msg})") from None
+        try:
+            image_id, caption_id = obj["image_id"], obj["caption_id"]
+            tokens = obj["tokens"]
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"caption file {path}, line {lineno}: "
+                             f"missing or malformed field ({err})") from None
+        for key, value in (("image_id", image_id), ("caption_id", caption_id)):
+            # bool is an int subclass, but JSON true is not an id
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"caption file {path}, line {lineno}: '{key}' "
+                                 f"must be a JSON integer, got {value!r}")
+        if (not isinstance(tokens, list) or not tokens
+                or not all(isinstance(t, str) for t in tokens)):
+            raise ValueError(f"caption file {path}, line {lineno}: tokens must "
+                             "be a non-empty list of strings")
+        if caption_id in seen:
+            raise ValueError(f"caption file {path}, line {lineno}: "
+                             f"repeated caption_id {caption_id}")
+        seen.add(caption_id)
+        out.append((caption_id, image_id, tokens))
     if not out:
         raise ValueError(f"caption file {path}: no captions")
     return out
@@ -324,18 +334,16 @@ def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
 
 def load_dataset(manifest, vocab: Vocabulary | None = None,
                  feature_dim: int | None = None) -> Dataset:
-    """Load a split; builds the vocabulary from its captions unless given one
-    (pass the training vocabulary when loading val/test splits).
+    """Load the split a manifest file names; builds the vocabulary from its
+    captions unless given one (pass the training vocabulary when loading
+    val/test splits).
 
     Every image must have the same number of features per region: the
     model's ``feature_dim`` when given, the first image's otherwise.
     """
-    if not isinstance(manifest, DatasetManifest):
-        manifest_path = Path(manifest)
-        base, label = manifest_path.parent, f"manifest {manifest_path}"
-        manifest = DatasetManifest.load(manifest_path)
-    else:
-        base, label = Path("."), f"manifest of split {manifest.split}"
+    path = Path(manifest)
+    base, label = path.parent, f"manifest {path}"
+    manifest = DatasetManifest.load(path)
     features_path = base / manifest.features
     features = read_features(features_path)
     want = f"feature_dim is {feature_dim}"

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-
 __all__ = ["RETRIEVAL_LEVELS", "RetrievalResult", "similarity_matrix", "recall_at_k",
            "rank_candidates", "evaluate", "write_eval_report"]
 
@@ -46,16 +44,10 @@ class RetrievalResult:
         ]
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        x = x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
     """Cosine similarities for L2-normalized rows: (N, d') x (N_t, d') -> (N, N_t)."""
-    a = _as_array(img_embs)
-    b = _as_array(txt_embs)
+    a = np.asarray(img_embs, dtype=np.float64)
+    b = np.asarray(txt_embs, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("similarity_matrix needs rank-2 embedding matrices")
     if a.shape[1] != b.shape[1]:
@@ -88,7 +80,7 @@ def _recalls(scores, relevant, ks) -> list[float]:
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-    scores = _as_array(scores)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be a rank-2 matrix")
     if len(relevant) != scores.shape[0]:

@@ -259,7 +259,8 @@ def op_case_error(name: str, seed: int = 0) -> float:
     The input and the output's projection come from a generator seeded by
     ``seed`` and the name alone, so a case gives the same number wherever
     it runs. Each input entry is kept at least 0.2 from zero, away from the
-    kinks of relu and of the l2 norm.
+    kinks of relu and of the l2 norm; ``relu_near_zero`` moves relu's own
+    inputs close to its kink.
     """
     op, shape = OP_CASES[name]
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -271,6 +272,9 @@ def op_case_error(name: str, seed: int = 0) -> float:
 
 # a fixed irregular operand for the binary ops
 _W = np.sin(np.arange(1.0, 37.0)).reshape(6, 6)
+# alternating centres for relu inputs; tanh keeps each within 0.04 of its
+# centre, so every input lies in [-0.09, -0.01] or [0.01, 0.09], near the kink
+_NEAR_ZERO = np.array([0.05, -0.05] * 6).reshape(3, 4)
 
 # name -> (op of one tensor, input shape); every op of autodiff has a case
 OP_CASES = {
@@ -294,6 +298,8 @@ OP_CASES = {
     "tanh": (ad.tanh, (3, 4)),
     "sigmoid": (ad.sigmoid, (3, 4)),
     "relu": (ad.relu, (3, 4)),
+    "relu_near_zero": (lambda t: ad.relu(ad.add(ad.mul(ad.tanh(t), 0.04),
+                                                Tensor(_NEAR_ZERO))), (3, 4)),
     "sum": (ad.sum, (3, 4)),
     "concat_r2": (lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]), (3, 4)),
     "index_r1": (lambda t: ad.index(t, 1), (4,)),

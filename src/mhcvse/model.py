@@ -36,7 +36,7 @@ from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tensor, l2_normalize_rows, matmul, transpose
 from .config import TrainConfig, format_config_text, parse_config_text
 from .consensus import ConceptGraph, consensus_embed, gcn_forward
-from .data import BinaryReader, Dataset, InstancePair, Vocabulary
+from .data import BinaryReader, Dataset, InstancePair, Vocabulary, read_text
 from .encoders import GruGates, PaddedBatch, encode_image, encode_text, uniform_init
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import TENSOR_NAMES, FusionParams, fuse
@@ -344,7 +344,7 @@ def save_model(checkpoint_path, model: Model) -> None:
         "frequencies": model.graph.frequencies,
     }
     Path(f"{checkpoint_path}.meta.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n")
+        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(checkpoint_path) -> Model:
@@ -354,7 +354,7 @@ def load_model(checkpoint_path) -> Model:
     if not sidecar_path.exists():
         raise ValueError(f"missing checkpoint sidecar {sidecar_path}")
     try:
-        sidecar = json.loads(sidecar_path.read_text())
+        sidecar = json.loads(read_text(sidecar_path, "checkpoint sidecar"))
     except json.JSONDecodeError as err:
         raise ValueError(f"checkpoint sidecar {sidecar_path}: invalid JSON ({err})") from None
     if not isinstance(sidecar, dict):

@@ -154,6 +154,21 @@ class TestBadConfig:
         assert str(cfg) in err and line.split(" = ")[0] in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "lr-curve"])
+    def test_a_config_that_is_not_utf8_exits_one_naming_the_file(self, workspace, tmp_path,
+                                                                capsys, command):
+        data, _, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffembed_dim = 16\n")
+        args = {"train": ["--train", str(data / "train.manifest.json"),
+                          "--val", str(data / "val.manifest.json"),
+                          "--out", str(tmp_path / "run")],
+                "lr-curve": ["--period", "4", "--steps", "3",
+                             "--out", str(tmp_path / "lr.csv")]}[command]
+        code = main([command, "--config", str(cfg)] + args)
+        assert code == 1
+        assert f"config {cfg}: not UTF-8" in capsys.readouterr().err
+
 
 class TestEval:
     def test_report_has_six_recalls_and_a_mean(self, workspace, tmp_path, capsys):
@@ -237,6 +252,16 @@ class TestMalformedInputs:
         copy = tmp_path / "data"
         shutil.copytree(data, copy)
         return copy, run / "checkpoint.mhcv"
+
+    @pytest.mark.parametrize("name, label", [("test.manifest.json", "manifest"),
+                                             ("test.captions.jsonl", "caption file")])
+    def test_a_text_file_that_is_not_utf8_exits_one_naming_it(self, split, tmp_path,
+                                                              capsys, name, label):
+        data, checkpoint = split
+        (data / name).write_bytes(b"\xff" + (data / name).read_bytes())
+        code, err = _eval_exit(checkpoint, data / "test.manifest.json", tmp_path, capsys)
+        assert code == 1
+        assert f"{label} {data / name}: not UTF-8 (invalid start byte at byte 0)" in err
 
     def test_empty_image_exits_one(self, split, tmp_path, capsys):
         data, checkpoint = split
@@ -457,6 +482,13 @@ class TestMalformedInputs:
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(checkpoint) in err and "not valid UTF-8" in err
+
+    def test_a_sidecar_that_is_not_utf8_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, meta, manifest = sidecar
+        meta.write_bytes(meta.read_bytes().replace(b"<unk>", b"<\xe9unk>", 1))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert f"checkpoint sidecar {meta}: not UTF-8" in err
 
     def test_truncated_sidecar_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, meta, manifest = sidecar

@@ -507,5 +507,5 @@ class TestBiGru:
             with Tape() as tape:
                 text(PaddedBatch.of([[1] * length, [2, 3]]), p)
             counts.append(len(tape))
-        # the word-embedding leaf, gather, the eighteen gate leaves and bi_gru
-        assert counts == [21, 21, 21]
+        # gather and bi_gru; the embedding and gate tensors are leaves
+        assert counts == [2, 2, 2]

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from tinymodel import tiny_setup
 
-from mhcvse.autodiff import Tensor
 from mhcvse.evaluation import (
     RetrievalResult,
     evaluate,
@@ -66,10 +65,6 @@ class TestSimilarityMatrix:
                 assert_allclose(s[i, j], float(np.dot(a[i], b[j])),
                                 rtol=0, atol=1e-12)
         assert np.all(np.abs(s) <= 1.0 + 1e-9)
-
-    def test_accepts_tensors(self):
-        t = Tensor(np.eye(2))
-        assert_allclose(similarity_matrix(t, t), np.eye(2), rtol=0, atol=0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths differ"):

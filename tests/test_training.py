@@ -89,6 +89,17 @@ class TestTrainEpoch:
         assert len(tapes) == 3
         assert alive == [[], [False], [False, False]]
 
+    def test_the_tape_never_links_a_parameter(self):
+        model, train, _ = tiny_setup(n_train=8)
+        params = list(model.named_parameters().values())
+        with Tape() as tape:
+            terms = model.loss_terms(train.pairs[:4])
+            assert all(p._tape is None for p in params)
+            grads = tape.backward(terms.total)
+            assert all(p._tape is None for p in params)
+        assert all(p._tape is None for p in params)
+        assert set(params) <= set(grads)
+
     def test_zero_learning_rate_leaves_parameters_untouched(self):
         model, train, _ = tiny_setup()
         before = snapshot(model)
