@@ -9,11 +9,11 @@ tape did not make, such as a parameter, is a leaf, and the tape never
 writes to it. The op set is deliberately small and holds only the
 forms a caller runs -- matrix products (one matrix applied to a rank-3
 batch's rows too), add/sub/mul with numpy broadcasting, elementwise
-nonlinearities, a sum, concatenation/slicing/reshaping, a row gather, a
-stable softmax of a vector or of rows and row L2 normalization -- and
-everything downstream is composed from it, apart from the fused blocks
-(the Bi-GRU, attention and the losses) that record one op with a
-hand-written vjp through :func:`_make`. Tensors have no operator methods:
+nonlinearities, a sum, a row gather, a stable softmax of a vector or of
+rows and row L2 normalization -- and everything downstream is composed
+from it, apart from the fused blocks (the Bi-GRU, attention, the fusion
+blend and the losses) that record one op with a hand-written vjp through
+:func:`_make`. Tensors have no operator methods:
 every op is called by name. Adam with bias correction lives here too,
 since every other module optimizes through this engine.
 
@@ -29,8 +29,7 @@ __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
     "matmul", "transpose", "add", "sub", "mul",
     "tanh", "sigmoid", "relu",
-    "sum",
-    "concat", "index", "reshape", "gather",
+    "sum", "gather",
     "softmax_rows", "l2_normalize_rows",
 ]
 
@@ -354,55 +353,7 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the op name used throughou
 
 
 # ---------------------------------------------------------------------------
-# shape plumbing
-
-def concat(parts) -> Tensor:
-    """Concatenate rank-2 tensors along the last axis."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat of an empty sequence")
-    for i, t in enumerate(parts):
-        _check(t, f"parts[{i}]", "concat")
-    if any(t.data.ndim != 2 for t in parts):
-        raise ValueError("concat needs rank-2 tensors")
-    lead = parts[0].data.shape[0]
-    if any(t.data.shape[0] != lead for t in parts):
-        raise ValueError("concat: leading dims differ")
-    out = np.concatenate([t.data for t in parts], axis=-1)
-    offsets = np.cumsum([t.data.shape[-1] for t in parts])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=-1))
-    return _make(out, tuple(parts), vjp, "concat")
-
-
-def index(a: Tensor, i: int) -> Tensor:
-    """Slab ``i`` along the leading axis: an element of a vector, a row of a
-    matrix, a matrix of a batch."""
-    _check(a, "a", "index")
-    if a.data.ndim < 1:
-        raise ValueError("index needs a tensor of rank 1 or more")
-    n = a.data.shape[0]
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range for length {n}")
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        z[i] = g
-        return (z,)
-    return _make(np.array(a.data[i]), (a,), vjp, "index")
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """The same values in another shape of rank 0..3 (numpy rules, one -1 allowed)."""
-    _check(a, "a", "reshape")
-    before = a.data.shape
-    out = a.data.reshape(shape)
-    if out.ndim > 3:
-        raise ValueError(f"reshape to rank {out.ndim} (max rank 3)")
-    return _make(out, (a,), lambda g: (g.reshape(before),), "reshape")
-
+# row gather
 
 def gather(table: Tensor, ids) -> Tensor:
     """Rows of a (V, d) table at integer ``ids`` of rank 1-2: ids.shape + (d,).
@@ -431,15 +382,21 @@ def gather(table: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalizers
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array, max-shifted for stability."""
+    y = x - x.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax of a vector or of each row of a matrix, max-shifted for stability."""
     _check(a, "a", "softmax_rows")
     x = a.data
     if x.ndim not in (1, 2):
         raise ValueError(f"softmax_rows needs rank 1 or 2, got rank {x.ndim}")
-    y = x - x.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(x)
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

@@ -9,6 +9,7 @@ Subcommands: ``synth`` (write a synthetic dataset), ``train``, ``eval``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -34,7 +35,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; each parse
+    fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mhcvse",
         description="Image-text matching: train, evaluate, and inspect.")
@@ -201,6 +205,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, FloatingPointError, OSError) as err:
         # an OSError's text names its path, e.g. an --out that is a file
         print(f"error: {err}", file=sys.stderr)
+        return CHECK_ERROR
+    except MemoryError as err:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory: {err}".rstrip(": "), file=sys.stderr)
         return CHECK_ERROR
 
 

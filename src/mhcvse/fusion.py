@@ -15,17 +15,19 @@ concat). Older checkpoints, which hold every strategy's tensor, still load.
 
 The model fuses each modality's instance-level embedding with its
 consensus-level embedding; the operator combines two (B, d) batches row by
-row.
+row. The concatenation or blend is one recorded op with a hand-written vjp,
+and ``l2_normalize_rows`` follows it, so a call records two tape nodes. The
+strategies' weights come from one numpy function, which ``fusion_weights``
+reads too. The vjp adds its gradient terms in the order a tape of the
+separate engine ops (matmul, softmax, broadcast products) would, so
+training gives the same bits as that composition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor, add, concat, index, l2_normalize_rows, matmul, mul, reshape,
-    sigmoid, softmax_rows, sub, transpose,
-)
+from .autodiff import Tensor, _make, _sigmoid, _softmax, _unbroadcast, l2_normalize_rows
 from .encoders import uniform_init
 
 __all__ = ["FUSE_TYPES", "TENSOR_NAMES", "FusionParams", "fuse", "fusion_weights"]
@@ -64,22 +66,18 @@ class FusionParams:
                 else {f"{prefix}.{TENSOR_NAMES[self.fuse_type]}": self.tensor})
 
 
-def _weights(instance: Tensor, consensus: Tensor,
-             params: FusionParams) -> tuple[Tensor, Tensor] | None:
-    """The (instance, consensus) weights, each broadcasting against (B, d)
-    rows; None for concat. weight_sum gives one (B, 1) column per operand."""
+def _weights(x: np.ndarray, y: np.ndarray, params: FusionParams) -> np.ndarray | None:
+    """The (instance, consensus) weights of (B, d) operand values ``x`` and
+    ``y``: a (2,) pair, or for weight_sum a (B, 2) pair per row; None for
+    concat."""
     if params.fuse_type == "adap_sum":
-        a = sigmoid(params.tensor)
-        return a, sub(1.0, a)
+        a = _sigmoid(params.tensor.data)
+        return np.array([a, 1.0 - a])
     if params.fuse_type == "weight_sum":
-        logits = matmul(concat([instance, consensus]), params.tensor)
-        # (2, B, 1): slab i holds each row's weight for operand i as a column
-        w = reshape(transpose(softmax_rows(logits)), (2, -1, 1))
-    elif params.fuse_type == "global_weight_sum":
-        w = softmax_rows(params.tensor)
-    else:
-        return None
-    return index(w, 0), index(w, 1)
+        return _softmax(np.concatenate([x, y], axis=-1) @ params.tensor.data)
+    if params.fuse_type == "global_weight_sum":
+        return _softmax(params.tensor.data)
+    return None
 
 
 def fusion_weights(instance: Tensor, consensus: Tensor,
@@ -88,8 +86,7 @@ def fusion_weights(instance: Tensor, consensus: Tensor,
 
     weight_sum gives one pair per row of (B, d) operands.
     """
-    w = _weights(instance, consensus, params)
-    return None if w is None else np.hstack([w[0].data, w[1].data])
+    return _weights(instance.data, consensus.data, params)
 
 
 def fuse(instance: Tensor, consensus: Tensor, params: FusionParams) -> Tensor:
@@ -102,7 +99,34 @@ def fuse(instance: Tensor, consensus: Tensor, params: FusionParams) -> Tensor:
                          f"{instance.shape} and {consensus.shape}")
     if instance.shape != consensus.shape:
         raise ValueError(f"fuse width mismatch {instance.shape} vs {consensus.shape}")
-    w = _weights(instance, consensus, params)
-    vec = (concat([instance, consensus]) if w is None
-           else add(mul(instance, w[0]), mul(consensus, w[1])))
-    return l2_normalize_rows(vec)
+    x, y = instance.data, consensus.data
+    d = x.shape[1]
+    w = _weights(x, y, params)
+    if w is None:
+        return l2_normalize_rows(_make(np.concatenate([x, y], axis=-1), (instance, consensus),
+                                       lambda g: (g[:, :d], g[:, d:]), "fuse"))
+    kind, t = params.fuse_type, params.tensor.data
+    # each operand's weight: a scalar, or for weight_sum a (B, 1) column
+    wx, wy = (w[:, :1], w[:, 1:]) if w.ndim == 2 else w
+
+    def vjp(g):
+        sx, sy = _unbroadcast(g * x, np.shape(wx)), _unbroadcast(g * y, np.shape(wy))
+        blend = (g * wx, g * wy)
+        if kind == "adap_sum":
+            return blend + ((sx - sy) * wx * (1.0 - wx),)
+        # the softmax backward; the weights' gradient is the transpose of a
+        # (2, B) array, as a tape of separate ops lays it out, so the
+        # products below keep that composition's bits
+        gw = np.array([sx, sy]) if w.ndim == 1 else np.array([sx[:, 0], sy[:, 0]]).T
+        gz = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        if kind == "global_weight_sum":
+            return blend + (gz,)
+        joint = np.concatenate([x, y], axis=-1)
+        gj = gz @ t.T
+        return blend + (joint.T @ gz, gj[:, :d], gj[:, d:])
+
+    inputs = (instance, consensus, params.tensor)
+    if kind == "weight_sum":
+        # the operands again, for the weight net's input split
+        inputs += (instance, consensus)
+    return l2_normalize_rows(_make(x * wx + y * wy, inputs, vjp, "fuse"))

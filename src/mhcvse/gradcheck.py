@@ -281,8 +281,6 @@ OP_CASES = {
     "shared_matmul": (lambda t: ad.matmul(t, Tensor(_W[:4, :5])), (3, 2, 4)),
     "gather": (lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
     "broadcast_mul": (lambda t: ad.mul(t, Tensor(_W[:4, :1])), (4, 2)),
-    "reshape": (lambda t: ad.reshape(t, (2, 6)), (3, 4)),
-    "index": (lambda t: ad.index(t, 1), (3, 2, 2)),
     "matmul_22": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4)),
     "matmul_rhs": (lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5)),
     "transpose": (ad.transpose, (3, 4)),
@@ -301,11 +299,6 @@ OP_CASES = {
     "relu_near_zero": (lambda t: ad.relu(ad.add(ad.mul(ad.tanh(t), 0.04),
                                                 Tensor(_NEAR_ZERO))), (3, 4)),
     "sum": (ad.sum, (3, 4)),
-    "concat_r2": (lambda t: ad.concat([t, Tensor(_W[:3, :2]), ad.tanh(t)]), (3, 4)),
-    "index_r1": (lambda t: ad.index(t, 1), (4,)),
-    "index_r2": (lambda t: ad.index(t, 2), (4, 3)),
-    "index_r3": (lambda t: ad.index(t, 0), (2, 3, 4)),
-    "reshape_r3": (lambda t: ad.reshape(t, (3, 2, 2)), (3, 4)),
     "gather_2x3": (lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3)),
     "matmul_32": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4)),
     "matmul_32_rhs": (lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),

@@ -10,7 +10,7 @@ from tinymodel import tiny_setup
 
 import mhcvse.model
 from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
-from mhcvse.autodiff import Tape, Tensor, concat, l2_normalize_rows
+from mhcvse.autodiff import Tape, Tensor, l2_normalize_rows
 from mhcvse.consensus import consensus_embed
 from mhcvse.data import InstancePair
 from mhcvse.encoders import (GruGates, PaddedBatch, encode_image, encode_text, gru_step,
@@ -149,8 +149,6 @@ def _single_item_calls():
                     lambda: kl_loss(Tensor(dist[None, None]), Tensor(dist[None, None]))),
         "fuse": (lambda: fuse(vec(d), vec(d), fusion),
                  lambda: fuse(seq3(d), seq3(d), fusion)),
-        "concat": (lambda: concat([vec(d), vec(d)]),
-                   lambda: concat([seq3(d), seq3(d)])),
         "l2_normalize_rows": (lambda: l2_normalize_rows(vec(d)),
                               lambda: l2_normalize_rows(seq3(d))),
     }

@@ -87,6 +87,19 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 279. TiB for an array with shape (100000000000, 6, 64)",
+         "error: out of memory: Unable to allocate 279. TiB"),
+        ("", "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_running_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch,
+                                             message, shown):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(mhcvse.cli, "generate_synthetic", no_memory)
+        assert main(["synth", "--out", str(tmp_path / "x"), "--regions", "100000000000"]) == 1
+        err = capsys.readouterr().err
+        assert shown in err and "Traceback" not in err
+
 
 class TestTrain:
     def test_artifacts_exist(self, workspace):
