@@ -1,16 +1,18 @@
 """Finite-difference gradient checking for every differentiable block and op.
 
-Each check builds a scalar objective from random inputs, takes tape
-gradients, and compares them against central finite differences with
-h = 1e-5. Relative error uses a small absolute floor so near-zero
-gradients are compared absolutely:
+``CASES`` is the one table of checks. Each name maps to a function of a
+random generator that returns an output function and the named
+parameters to check. ``case_error(name, seed)`` seeds a generator with
+``seed`` and the name alone, builds the case from it, draws a fixed
+random projection of the output to a scalar, and compares tape gradients
+against central finite differences with h = 1e-5. So adding or changing
+a case changes no other case's number. Relative error uses a small
+absolute floor so near-zero gradients are compared absolutely:
 
     err = |analytic - numeric| / max(|analytic|, |numeric|, 1e-6)
 
-``run_suite`` checks each block, then each case of ``OP_CASES``, the one
-table of single-op cases, through ``op_case_error``; the tests check the
-same cases through the same function. The suite is what the
-``grad-check`` CLI subcommand runs; every check must stay below 1e-4.
+``run_suite`` checks every case in table order; it is what the
+``grad-check`` CLI subcommand runs, and every check must stay below 1e-4.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
 __all__ = ["numeric_gradients", "max_relative_error", "gradient_check",
-           "op_case_error", "run_suite", "OP_CASES", "TOLERANCE"]
+           "case_error", "run_suite", "CASES", "TOLERANCE"]
 
 TOLERANCE = 1e-4
 REL_FLOOR = 1e-6
@@ -87,187 +89,170 @@ def gradient_check(build, params: dict[str, Tensor], h: float = 1e-5) -> float:
     return worst
 
 
-def _project(t: Tensor, weights: np.ndarray) -> Tensor:
-    """Fixed random projection of any output to a scalar objective."""
-    return ad.sum(ad.mul(t, Tensor(weights)))
+def case_error(name: str, seed: int = 0) -> float:
+    """Worst relative error of the case ``name`` of ``CASES``.
+
+    The case's inputs and the projection of its output to a scalar come
+    from one generator seeded by ``seed`` and the name alone. A parameter
+    that starts at all zeros, as the GRU biases, the image bias,
+    ``alpha_raw`` and ``global_logits`` do, is drawn from it too, so no
+    check runs at that symmetric point.
+    """
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    output, params = CASES[name](rng)
+    for p in params.values():
+        if not p.data.any():
+            p.data[...] = rng.normal(size=p.shape)
+    proj = Tensor(rng.normal(size=output().shape))
+    return gradient_check(lambda: ad.sum(ad.mul(output(), proj)), params)
 
 
 def run_suite(seed: int = 0) -> dict[str, float]:
-    """Finite-difference check of every differentiable block at small dims
-    and of every case of ``OP_CASES``.
+    """The worst relative error of every case of ``CASES``, in table order."""
+    return {name: case_error(name, seed) for name in CASES}
 
-    Returns the worst relative error per block or ``op_<case>`` name. Every
-    block takes batched rows; the single-item blocks run a batch of one.
-    """
-    rng = np.random.default_rng(seed)
-    d, h_heads, f_dim, m, l, k, vocab, b = 8, 2, 6, 3, 4, 5, 20, 4
-    results: dict[str, float] = {}
 
-    # GRU step
-    gates = GruGates.init(rng, d, d // 2)
-    x_t = Tensor(rng.normal(size=(1, d)))
-    h_prev = Tensor(rng.normal(size=(1, d // 2)))
-    params = dict(gates.named_parameters("gru"), **{"x_t": x_t, "h_prev": h_prev})
-    proj = rng.normal(size=(1, d // 2))
-    results["gru_step"] = gradient_check(
-        lambda: _project(gru_step(x_t, h_prev, gates), proj), params)
+# the blocks' dims: embedding width, heads, region features, concepts,
+# vocabulary and the losses' batch
+_D, _HEADS, _F, _K, _VOCAB, _B = 8, 2, 6, 5, 20, 4
+# rows per item of a padded batch of regions or attention inputs, and
+# tokens per caption
+_ROWS, _TOKENS = (4, 1, 3), (3, 1, 5, 2)
 
-    # the encoders' tensors, drawn in the model's order
-    embedding = uniform_init(rng, (vocab, d), d)
-    gru_fwd, gru_bwd = GruGates.init(rng, d, d // 2), GruGates.init(rng, d, d // 2)
-    text = {"word_embedding": embedding, **gru_fwd.named_parameters("gru_forward"),
-            **gru_bwd.named_parameters("gru_backward")}
-    image_proj, image_bias = uniform_init(rng, (f_dim, d), f_dim), Tensor(np.zeros(d))
 
-    # image encoder
-    regions = PaddedBatch.of([rng.normal(size=(m, f_dim))])
-    proj = rng.normal(size=(1, m, d))
-    results["encode_image"] = gradient_check(
-        lambda: _project(encode_image(regions, image_proj, image_bias), proj),
-        {"image_proj": image_proj, "image_bias": image_bias})
+def _gru_step(rng):
+    gates = GruGates.init(rng, _D, _D // 2)
+    x_t, h_prev = Tensor(rng.normal(size=(3, _D))), Tensor(rng.normal(size=(3, _D // 2)))
+    return (lambda: gru_step(x_t, h_prev, gates),
+            dict(gates.named_parameters("gru"), x_t=x_t, h_prev=h_prev))
 
-    # text encoder end to end; one projection row weighs every token state
-    caption = PaddedBatch.of([rng.integers(0, vocab, size=l)])
-    proj = rng.normal(size=(1, 1, d))
-    results["encode_text"] = gradient_check(
-        lambda: _project(encode_text(caption, embedding, gru_fwd, gru_bwd), proj), text)
 
-    # multi-head attention pooling of one unpadded sequence; the first row
-    # of a (1, m, d) draw weighs the pool, which keeps the random inputs of
-    # the blocks below as they were
-    attn = MhsaParams.init(rng, d, h_heads)
-    x = Tensor(rng.normal(size=(1, m, d)))
-    proj = rng.normal(size=(1, m, d))[:, 0]
-    params = dict(attn.named_parameters("attn"), x=x)
-    results["attend_and_pool"] = gradient_check(
-        lambda: _project(attend_and_pool(x, attn), proj), params)
+def _encode_image(rng):
+    proj, bias = uniform_init(rng, (_F, _D), _F), Tensor(np.zeros(_D))
+    regions = PaddedBatch.of([rng.normal(size=(n, _F)) for n in _ROWS])
+    return (lambda: encode_image(regions, proj, bias),
+            {"image_proj": proj, "image_bias": bias})
 
-    # each fusion mode
-    for fuse_type in FUSE_TYPES:
-        fp = FusionParams.init(rng, d, fuse_type)
-        inst = Tensor(rng.normal(size=(1, d)))
-        cons = Tensor(rng.normal(size=(1, d)))
-        width = 2 * d if fuse_type == "concat" else d
-        proj = rng.normal(size=(1, width))
-        params = dict(fp.named_parameters("fusion"), instance=inst, consensus=cons)
-        results[f"fusion_{fuse_type}"] = gradient_check(
-            lambda: _project(fuse(inst, cons, fp), proj), params)
 
-    # GCN
-    graph = _random_graph(rng, k, d)
-    w0, w1 = uniform_init(rng, (d, d), d), uniform_init(rng, (d, d), d)
-    proj = rng.normal(size=(k, d))
-    params = {"concept_embeddings": graph.concept_embeddings, "w0": w0, "w1": w1}
-    results["gcn"] = gradient_check(
-        lambda: _project(gcn_forward(graph, w0, w1), proj), params)
+def _encode_text(real_only: bool):
+    """The text encoder end to end over captions of mixed lengths. The
+    output is every token state, the states held at padded slots too, or
+    with ``real_only`` the real states alone, as the model reads them."""
+    def case(rng):
+        embedding = uniform_init(rng, (_VOCAB, _D), _D)
+        fwd, bwd = GruGates.init(rng, _D, _D // 2), GruGates.init(rng, _D, _D // 2)
+        ids = PaddedBatch.of([rng.integers(0, _VOCAB, size=n) for n in _TOKENS])
+        real = Tensor(ids.mask[:, :, None] * 1.0)
 
-    # consensus head
-    graph = _random_graph(rng, k, d)
-    w0, w1 = uniform_init(rng, (d, d), d), uniform_init(rng, (d, d), d)
-    predictor = uniform_init(rng, (d, k), d)
-    inst = Tensor(rng.normal(size=(1, d)))
-    proj = rng.normal(size=(1, d))
-    params = {"predictor": predictor, "instance": inst,
-              "concept_embeddings": graph.concept_embeddings, "w0": w0, "w1": w1}
-    results["consensus_embed"] = gradient_check(
-        lambda: _project(consensus_embed(inst, gcn_forward(graph, w0, w1), predictor)[0],
-                         proj), params)
+        def output():
+            states = encode_text(ids, embedding, fwd, bwd)
+            return ad.mul(states, real) if real_only else states
+        return output, {"word_embedding": embedding, **fwd.named_parameters("gru_forward"),
+                        **bwd.named_parameters("gru_backward")}
+    return case
 
-    # the four loss terms: three ranking losses (both modes) on raw
-    # embeddings, and the KL term through the softmaxes
-    emb_i = Tensor(rng.normal(size=(b, d)))
-    emb_t = Tensor(rng.normal(size=(b, d)))
-    params = {"emb_i": emb_i, "emb_t": emb_t}
 
-    def ranking(mode):
-        s = ad.matmul(ad.l2_normalize_rows(emb_i),
-                      ad.transpose(ad.l2_normalize_rows(emb_t)))
-        return contrastive_loss(s, margin=0.2, mode=mode)
+def _attend_and_pool(masked: bool):
+    """Attention pooling of three items: all rows real (no mask), or with
+    ``masked`` of ``_ROWS`` real rows each."""
+    def case(rng):
+        attn = MhsaParams.init(rng, _D, _HEADS)
+        x = Tensor(rng.normal(size=(len(_ROWS), max(_ROWS), _D)))
+        mask = np.arange(max(_ROWS)) < np.array(_ROWS)[:, None] if masked else None
+        return (lambda: attend_and_pool(x, attn, mask),
+                dict(attn.named_parameters("attn"), x=x))
+    return case
 
-    results["loss_contrastive_sum"] = gradient_check(lambda: ranking("sum"), params)
-    results["loss_contrastive_hardest"] = gradient_check(
-        lambda: ranking("hardest"), params)
 
-    logits_i = Tensor(rng.normal(size=(b, k)))
-    logits_t = Tensor(rng.normal(size=(b, k)))
-    params = {"logits_i": logits_i, "logits_t": logits_t}
-    results["loss_kl"] = gradient_check(
-        lambda: kl_loss(ad.softmax_rows(logits_t), ad.softmax_rows(logits_i)),
-        params)
+def _fusion(fuse_type: str):
+    def case(rng):
+        fp = FusionParams.init(rng, _D, fuse_type)
+        inst, cons = Tensor(rng.normal(size=(3, _D))), Tensor(rng.normal(size=(3, _D)))
+        return (lambda: fuse(inst, cons, fp),
+                dict(fp.named_parameters("fusion"), instance=inst, consensus=cons))
+    return case
 
-    # total loss with the dynamic weights frozen at their base-point values,
-    # which is exactly what detaching them means
-    emb_i2 = Tensor(rng.normal(size=(b, d)))
-    emb_t2 = Tensor(rng.normal(size=(b, d)))
-    params = {"emb_i": emb_i2, "emb_t": emb_t2,
-              "logits_i": logits_i, "logits_t": logits_t}
 
-    def four_terms():
-        s = ad.matmul(ad.l2_normalize_rows(emb_i2),
-                      ad.transpose(ad.l2_normalize_rows(emb_t2)))
-        return (contrastive_loss(s, 0.2, "sum"),
-                contrastive_loss(s, 0.2, "hardest"),
-                contrastive_loss(s, 0.3, "sum"),
-                kl_loss(ad.softmax_rows(logits_t), ad.softmax_rows(logits_i)))
+def _gcn(rng):
+    adjacency = rng.uniform(0.1, 1.0, size=(_K, _K))
+    graph = ConceptGraph([f"c{i}" for i in range(_K)], [1] * _K,
+                         adjacency / adjacency.sum(axis=1, keepdims=True),
+                         uniform_init(rng, (_K, _D), _D))
+    w0, w1 = uniform_init(rng, (_D, _D), _D), uniform_init(rng, (_D, _D), _D)
+    return (lambda: gcn_forward(graph, w0, w1),
+            {"concept_embeddings": graph.concept_embeddings, "w0": w0, "w1": w1})
 
-    frozen = [dynamic_weight(1.0, t.item()) for t in four_terms()]
+
+def _consensus_embed(rng):
+    gcn, params = _gcn(rng)
+    predictor = uniform_init(rng, (_D, _K), _D)
+    inst = Tensor(rng.normal(size=(3, _D)))
+    return (lambda: consensus_embed(inst, gcn(), predictor)[0],
+            dict(params, predictor=predictor, instance=inst))
+
+
+def _scores(rng):
+    """Cosine scores of raw image and text embeddings, as the ranking losses take them."""
+    emb_i, emb_t = Tensor(rng.normal(size=(_B, _D))), Tensor(rng.normal(size=(_B, _D)))
+    return (lambda: ad.matmul(ad.l2_normalize_rows(emb_i),
+                              ad.transpose(ad.l2_normalize_rows(emb_t))),
+            {"emb_i": emb_i, "emb_t": emb_t})
+
+
+def _ranking(mode: str):
+    def case(rng):
+        scores, params = _scores(rng)
+        return (lambda: contrastive_loss(scores(), 0.2, mode)), params
+    return case
+
+
+def _kl(rng):
+    logits_i, logits_t = Tensor(rng.normal(size=(_B, _K))), Tensor(rng.normal(size=(_B, _K)))
+    return (lambda: kl_loss(ad.softmax_rows(logits_t), ad.softmax_rows(logits_i)),
+            {"logits_i": logits_i, "logits_t": logits_t})
+
+
+def _loss_total(rng):
+    """The four loss terms summed with their dynamic weights frozen at the
+    base point's values, which is exactly what detaching them means."""
+    scores, params = _scores(rng)
+    kl, kl_params = _kl(rng)
+
+    def terms():
+        s = scores()
+        return (contrastive_loss(s, 0.2, "sum"), contrastive_loss(s, 0.2, "hardest"),
+                contrastive_loss(s, 0.3, "sum"), kl())
+
+    frozen = [dynamic_weight(1.0, t.item()) for t in terms()]
 
     def total():
-        terms = four_terms()
-        out = ad.mul(terms[0], frozen[0])
-        for lam, term in zip(frozen[1:], terms[1:]):
+        first, *rest = terms()
+        out = ad.mul(first, frozen[0])
+        for lam, term in zip(frozen[1:], rest):
             out = ad.add(out, ad.mul(term, lam))
         return out
-
-    results["loss_total"] = gradient_check(total, params)
-
-    # the Bi-GRU over a padded batch: lengths 1, l and 2
-    ids = PaddedBatch.of([[3], list(rng.integers(0, vocab, size=l)), [5, 1]])
-    proj = rng.normal(size=(3, l, d))
-    results["encode_text_padded"] = gradient_check(
-        lambda: _project(encode_text(ids, embedding, gru_fwd, gru_bwd),
-                         proj * ids.mask[:, :, None]), text)
-
-    # masked attention pooling over a padded batch: lengths m, 1 and 2
-    xs = Tensor(rng.normal(size=(3, m, d)))
-    mask = np.arange(m) < np.array([m, 1, 2])[:, None]
-    proj = rng.normal(size=(3, d))
-    params = dict(attn.named_parameters("attn"), x=xs)
-    results["attend_and_pool_masked"] = gradient_check(
-        lambda: _project(attend_and_pool(xs, attn, mask), proj), params)
-
-    # every op case, each from its own generator
-    for name in OP_CASES:
-        results[f"op_{name}"] = op_case_error(name, seed)
-
-    # the fused Bi-GRU op alone: its input and all eighteen gate tensors,
-    # over a padded batch of lengths 1, l and 2; the projection also weighs
-    # the held states at padded slots
-    fwd, bwd = GruGates.init(rng, d, d // 2), GruGates.init(rng, d, d // 2)
-    xs = Tensor(rng.normal(size=(3, l, d)))
-    mask = np.arange(l) < np.array([1, l, 2])[:, None]
-    proj = rng.normal(size=(3, l, d))
-    params = dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=xs)
-    results["bi_gru_masked"] = gradient_check(
-        lambda: _project(bi_gru(xs, mask, fwd, bwd), proj), params)
-    return results
+    return total, dict(params, **kl_params)
 
 
-def op_case_error(name: str, seed: int = 0) -> float:
-    """Worst relative error of the op case ``name`` of ``OP_CASES``.
+def _bi_gru_masked(rng):
+    """The fused Bi-GRU op alone: its input and all eighteen gate tensors,
+    over a padded batch; the output holds the states at padded slots too."""
+    fwd, bwd = GruGates.init(rng, _D, _D // 2), GruGates.init(rng, _D, _D // 2)
+    batch = PaddedBatch.of([rng.normal(size=(n, _D)) for n in _TOKENS])
+    x = Tensor(batch.values)
+    return (lambda: bi_gru(x, batch.mask, fwd, bwd),
+            dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=x))
 
-    The input and the output's projection come from a generator seeded by
-    ``seed`` and the name alone, so a case gives the same number wherever
-    it runs. Each input entry is kept at least 0.2 from zero, away from the
-    kinks of relu and of the l2 norm; ``relu_near_zero`` moves relu's own
-    inputs close to its kink.
-    """
-    op, shape = OP_CASES[name]
-    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    x = rng.normal(size=shape)
-    t = Tensor(x + 0.2 * np.sign(x))
-    proj = rng.normal(size=op(t).shape)
-    return gradient_check(lambda: _project(op(t), proj), {name: t})
+
+def _op(op, shape):
+    """The case of ``op`` applied to one input of ``shape``. Each input entry
+    is kept at least 0.2 from zero, away from the kinks of relu and of the
+    l2 norm; ``op_relu_near_zero`` moves relu's own inputs close to its kink."""
+    def case(rng):
+        x = rng.normal(size=shape)
+        t = Tensor(x + 0.2 * np.sign(x))
+        return (lambda: op(t)), {"x": t}
+    return case
 
 
 # a fixed irregular operand for the binary ops
@@ -276,52 +261,62 @@ _W = np.sin(np.arange(1.0, 37.0)).reshape(6, 6)
 # centre, so every input lies in [-0.09, -0.01] or [0.01, 0.09], near the kink
 _NEAR_ZERO = np.array([0.05, -0.05] * 6).reshape(3, 4)
 
-# name -> (op of one tensor, input shape); every op of autodiff has a case
-OP_CASES = {
-    "shared_matmul": (lambda t: ad.matmul(t, Tensor(_W[:4, :5])), (3, 2, 4)),
-    "gather": (lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
-    "broadcast_mul": (lambda t: ad.mul(t, Tensor(_W[:4, :1])), (4, 2)),
-    "matmul_22": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4)),
-    "matmul_rhs": (lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5)),
-    "transpose": (ad.transpose, (3, 4)),
-    "add": (lambda t: ad.add(t, Tensor(_W[:3, :4])), (3, 4)),
-    "add_rank0_lhs": (lambda t: ad.add(t, Tensor(_W[:3, :4])), ()),
-    "sub": (lambda t: ad.sub(t, Tensor(_W[:3, :4])), (3, 4)),
-    "sub_rank0_rhs": (lambda t: ad.sub(Tensor(_W[:3, :4]), t), ()),
-    "mul": (lambda t: ad.mul(t, Tensor(_W[:3, :4])), (3, 4)),
-    "mul_rank0": (lambda t: ad.mul(Tensor(_W[:3, :4]), t), ()),
-    "add_number": (lambda t: ad.add(t, 1.7), (3, 4)),
-    "sub_from_number": (lambda t: ad.sub(1.0, t), (3, 4)),
-    "mul_number": (lambda t: ad.mul(t, -2.3), (3, 4)),
-    "tanh": (ad.tanh, (3, 4)),
-    "sigmoid": (ad.sigmoid, (3, 4)),
-    "relu": (ad.relu, (3, 4)),
-    "relu_near_zero": (lambda t: ad.relu(ad.add(ad.mul(ad.tanh(t), 0.04),
-                                                Tensor(_NEAR_ZERO))), (3, 4)),
-    "sum": (ad.sum, (3, 4)),
-    "gather_2x3": (lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3)),
-    "matmul_32": (lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4)),
-    "matmul_32_rhs": (lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
-                      (4, 3)),
-    "softmax_r2": (ad.softmax_rows, (3, 4)),
-    "softmax_r1": (ad.softmax_rows, (5,)),
-    "l2_normalize": (ad.l2_normalize_rows, (3, 4)),
-    "add_row": (lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4)),
-    "add_row_v": (lambda t: ad.add(Tensor(_W[:3, :4]), t), (4,)),
-    "add_row_r3": (lambda t: ad.add(t, Tensor(_W[0, :4])), (2, 3, 4)),
-    "add_row_r3_v": (lambda t: ad.add(Tensor(_W[:4, :6].reshape(2, 3, 4)), t), (4,)),
-    "sub_col": (lambda t: ad.sub(t, Tensor(_W[:3, :1])), (3, 4)),
-    "sub_col_v": (lambda t: ad.sub(Tensor(_W[:3, :4]), t), (3, 1)),
-    "mul_col": (lambda t: ad.mul(t, Tensor(_W[:3, :1])), (3, 4)),
-    "mul_col_v": (lambda t: ad.mul(Tensor(_W[:3, :4]), t), (3, 1)),
-    "mul_outer": (lambda t: ad.mul(t, Tensor(_W[:1, :4])), (3, 1)),
-    "mul_outer_v": (lambda t: ad.mul(Tensor(_W[:3, :1]), t), (1, 4)),
-    "mul_mid_r3": (lambda t: ad.mul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t), (2, 1, 4)),
+# name -> case: a function of a generator that returns the output function
+# and the named parameters to check; every block and every op of autodiff
+# has a case
+CASES = {
+    "gru_step": _gru_step,
+    "encode_image": _encode_image,
+    "encode_text": _encode_text(real_only=False),
+    "attend_and_pool": _attend_and_pool(masked=False),
+    **{f"fusion_{fuse_type}": _fusion(fuse_type) for fuse_type in FUSE_TYPES},
+    "gcn": _gcn,
+    "consensus_embed": _consensus_embed,
+    "loss_contrastive_sum": _ranking("sum"),
+    "loss_contrastive_hardest": _ranking("hardest"),
+    "loss_kl": _kl,
+    "loss_total": _loss_total,
+    "encode_text_padded": _encode_text(real_only=True),
+    "attend_and_pool_masked": _attend_and_pool(masked=True),
+    "bi_gru_masked": _bi_gru_masked,
+    "op_shared_matmul": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :5])), (3, 2, 4)),
+    "op_gather": _op(lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
+    "op_broadcast_mul": _op(lambda t: ad.mul(t, Tensor(_W[:4, :1])), (4, 2)),
+    "op_matmul_22": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4)),
+    "op_matmul_rhs": _op(lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5)),
+    "op_transpose": _op(ad.transpose, (3, 4)),
+    "op_add": _op(lambda t: ad.add(t, Tensor(_W[:3, :4])), (3, 4)),
+    "op_add_rank0_lhs": _op(lambda t: ad.add(t, Tensor(_W[:3, :4])), ()),
+    "op_sub": _op(lambda t: ad.sub(t, Tensor(_W[:3, :4])), (3, 4)),
+    "op_sub_rank0_rhs": _op(lambda t: ad.sub(Tensor(_W[:3, :4]), t), ()),
+    "op_mul": _op(lambda t: ad.mul(t, Tensor(_W[:3, :4])), (3, 4)),
+    "op_mul_rank0": _op(lambda t: ad.mul(Tensor(_W[:3, :4]), t), ()),
+    "op_add_number": _op(lambda t: ad.add(t, 1.7), (3, 4)),
+    "op_sub_from_number": _op(lambda t: ad.sub(1.0, t), (3, 4)),
+    "op_mul_number": _op(lambda t: ad.mul(t, -2.3), (3, 4)),
+    "op_tanh": _op(ad.tanh, (3, 4)),
+    "op_sigmoid": _op(ad.sigmoid, (3, 4)),
+    "op_relu": _op(ad.relu, (3, 4)),
+    "op_relu_near_zero": _op(lambda t: ad.relu(ad.add(ad.mul(ad.tanh(t), 0.04),
+                                                       Tensor(_NEAR_ZERO))), (3, 4)),
+    "op_sum": _op(ad.sum, (3, 4)),
+    "op_gather_2x3": _op(lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3)),
+    "op_matmul_32": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4)),
+    "op_matmul_32_rhs": _op(lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+                            (4, 3)),
+    "op_softmax_r2": _op(ad.softmax_rows, (3, 4)),
+    "op_softmax_r1": _op(ad.softmax_rows, (5,)),
+    "op_l2_normalize": _op(ad.l2_normalize_rows, (3, 4)),
+    "op_add_row": _op(lambda t: ad.add(t, Tensor(_W[0, :4])), (3, 4)),
+    "op_add_row_v": _op(lambda t: ad.add(Tensor(_W[:3, :4]), t), (4,)),
+    "op_add_row_r3": _op(lambda t: ad.add(t, Tensor(_W[0, :4])), (2, 3, 4)),
+    "op_add_row_r3_v": _op(lambda t: ad.add(Tensor(_W[:4, :6].reshape(2, 3, 4)), t), (4,)),
+    "op_sub_col": _op(lambda t: ad.sub(t, Tensor(_W[:3, :1])), (3, 4)),
+    "op_sub_col_v": _op(lambda t: ad.sub(Tensor(_W[:3, :4]), t), (3, 1)),
+    "op_mul_col": _op(lambda t: ad.mul(t, Tensor(_W[:3, :1])), (3, 4)),
+    "op_mul_col_v": _op(lambda t: ad.mul(Tensor(_W[:3, :4]), t), (3, 1)),
+    "op_mul_outer": _op(lambda t: ad.mul(t, Tensor(_W[:1, :4])), (3, 1)),
+    "op_mul_outer_v": _op(lambda t: ad.mul(Tensor(_W[:3, :1]), t), (1, 4)),
+    "op_mul_mid_r3": _op(lambda t: ad.mul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
+                         (2, 1, 4)),
 }
-
-
-def _random_graph(rng: np.random.Generator, k: int, d: int) -> ConceptGraph:
-    adj = rng.uniform(0.1, 1.0, size=(k, k))
-    adj /= adj.sum(axis=1, keepdims=True)
-    return ConceptGraph([f"c{i}" for i in range(k)], [1] * k, adj,
-                        uniform_init(rng, (k, d), d))

@@ -14,7 +14,6 @@ from mhcvse.autodiff import Tape, Tensor
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import STOPWORDS, generate_synthetic, load_dataset
-from mhcvse.gradcheck import TOLERANCE, gradient_check
 from mhcvse.model import Model
 
 
@@ -281,14 +280,6 @@ class TestAttendAndPool:
         assert_allclose(attend_and_pool(one(x), p).data[0],
                         reference_attended(x, p).mean(axis=0), rtol=0, atol=1e-15)
 
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(15)
-        p = MhsaParams.init(rng, d=6, h=2)
-        t = Tensor(rng.normal(size=(1, 4, 6)))
-        probe = Tensor(rng.normal(size=6)[None])
-        worst = gradient_check(lambda: ad.sum(ad.mul(attend_and_pool(t, p), probe)), {"x": t})
-        assert worst < 1e-4
-
 
 class TestFusedOp:
     @pytest.mark.parametrize("h,lengths", [
@@ -354,18 +345,6 @@ class TestFusedOp:
         assert_allclose(pooled.data, attend_and_pool(Tensor(x), p, mask).data,
                         rtol=0, atol=1e-14)
         assert np.all(grads[t][~mask] == 0.0)
-
-    def test_gradients_of_the_input_and_every_head_tensor_on_a_masked_batch(self):
-        rng = np.random.default_rng(51)
-        p = MhsaParams.init(rng, d=8, h=2)
-        x, mask = padded(rng, (4, 1, 3), 8)
-        t = Tensor(x)
-        probe = Tensor(rng.normal(size=(3, 8)))
-        params = dict(p.named_parameters("attn"), x=t)
-        assert len(params) == 3 * 2 + 2
-        worst = gradient_check(lambda: ad.sum(ad.mul(attend_and_pool(t, p, mask), probe)),
-                               params)
-        assert worst < TOLERANCE
 
     def test_an_overflowing_input_raises(self):
         p = MhsaParams.init(np.random.default_rng(52), d=4, h=2)

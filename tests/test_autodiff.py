@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import AdamState, Tape, Tensor, adam_step
-from mhcvse.gradcheck import (OP_CASES, TOLERANCE, gradient_check, max_relative_error,
-                              op_case_error)
+import mhcvse.gradcheck as gradcheck
+from mhcvse.gradcheck import (CASES, TOLERANCE, case_error, gradient_check, max_relative_error,
+                              run_suite)
 
 # the names of ad.__all__ that are not recorded ops
 NOT_OPS = {"Tensor", "Tape", "AdamState", "adam_step"}
@@ -259,9 +260,32 @@ class TestTapeMechanics:
 
 
 class TestGradientsVsFiniteDifferences:
-    @pytest.mark.parametrize("name", OP_CASES)
+    # the op cases keep the ids they had before the blocks joined the table
+    @pytest.mark.parametrize("name", [name for name in CASES if not name.startswith("op_")])
+    def test_case_gradient(self, name):
+        assert case_error(name) < TOLERANCE
+
+    @pytest.mark.parametrize("name", [name[3:] for name in CASES if name.startswith("op_")])
     def test_op_gradient(self, name):
-        assert op_case_error(name) < TOLERANCE
+        assert case_error(f"op_{name}") < TOLERANCE
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_the_suite_is_every_case_alone_in_table_order(self, seed):
+        results = run_suite(seed)
+        assert list(results) == list(CASES)
+        # backwards, so that no case can lean on one run before it
+        assert results == {name: case_error(name, seed) for name in reversed(CASES)}
+
+    def test_no_case_checks_a_parameter_at_all_zeros(self, monkeypatch):
+        at_zero = []
+
+        def record(build, params):
+            at_zero.extend(name for name, p in params.items() if not p.data.any())
+            return 0.0
+
+        monkeypatch.setattr(gradcheck, "gradient_check", record)
+        assert len(run_suite(0)) == len(CASES)
+        assert at_zero == []
 
     def test_relu_near_zero_feeds_relu_both_sides_of_its_kink(self, monkeypatch):
         # a vjp mask that is wrong only near zero fails this case
@@ -269,7 +293,7 @@ class TestGradientsVsFiniteDifferences:
         relu = ad.relu
         monkeypatch.setattr(ad, "relu", lambda a: (seen.append(a.data.copy()), relu(a))[1])
         for seed in range(20):
-            op_case_error("relu_near_zero", seed)
+            case_error("op_relu_near_zero", seed)
             for z in seen:
                 assert ((z >= -0.1) & (z <= -1e-3)).any(), seed
                 assert ((z >= 1e-3) & (z <= 0.1)).any(), seed
@@ -284,8 +308,9 @@ class TestGradientsVsFiniteDifferences:
             return make(out_data, inputs, vjp, op)
 
         monkeypatch.setattr(ad, "_make", recording)
-        for op, shape in OP_CASES.values():
-            op(Tensor(np.ones(shape)))
+        for case in CASES.values():
+            output, _ = case(np.random.default_rng(0))
+            output()
         assert sorted(set(ad.__all__) - NOT_OPS - seen) == []
 
     def test_a_zero_size_gradient_has_no_error(self):

@@ -21,7 +21,7 @@ import mhcvse.model
 from mhcvse.cli import main
 from mhcvse.config import TrainConfig, save_config
 from mhcvse.data import load_dataset, read_features
-from mhcvse.gradcheck import OP_CASES
+from mhcvse.gradcheck import CASES
 from mhcvse.model import load_checkpoint
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
@@ -151,7 +151,10 @@ class TestBadConfig:
     @pytest.mark.parametrize("line", [
         "margin = nan", "margin = inf", "eta0 = nan", "eta0 = inf",
         "base_weights = nan,1,1,1", "base_weights = -1,1,1,1", "bogus = 1",
-        "gcn_form = conventional"],
+        "gcn_form = conventional", "feature_dim = 0", "fuse_type = mean",
+        "contrastive_mode = mean", "base_weights = 1,1,1", "concepts = 0",
+        "period_epochs = 0", "epochs = 0", "patience = 0", "seed = -1",
+        "invert_dynamic_weight = yes"],
         ids=lambda line: line.replace(" = ", "="))
     def test_train_exits_one_naming_the_file_and_the_key(self, workspace, tmp_path,
                                                          capsys, line):
@@ -503,6 +506,13 @@ class TestMalformedInputs:
         assert code == 1
         assert f"checkpoint sidecar {meta}: not UTF-8" in err
 
+    def test_a_sidecar_that_is_not_an_object_exits_one(self, sidecar, tmp_path, capsys):
+        checkpoint, meta, manifest = sidecar
+        meta.write_text(json.dumps([json.loads(meta.read_text())]))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert f"checkpoint sidecar {meta}: expected a JSON object" in err
+
     def test_truncated_sidecar_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, meta, manifest = sidecar
         meta.write_text(meta.read_text()[:12])
@@ -716,19 +726,11 @@ class TestLrCurve:
         assert not out.exists()
 
 
-# the blocks run_suite checks before the op cases; bi_gru_masked runs after them
-BLOCKS = ["gru_step", "encode_image", "encode_text", "attend_and_pool", "fusion_concat",
-          "fusion_adap_sum", "fusion_weight_sum", "fusion_global_weight_sum", "gcn",
-          "consensus_embed", "loss_contrastive_sum", "loss_contrastive_hardest", "loss_kl",
-          "loss_total", "encode_text_padded", "attend_and_pool_masked"]
-CHECK_NAMES = BLOCKS + [f"op_{name}" for name in OP_CASES] + ["bi_gru_masked"]
-
-
 class TestGradCheck:
     def test_fresh_model_passes_every_block(self, capsys):
         assert main(["grad-check", "--seed", "0"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert [line.split(":")[0] for line in out] == CHECK_NAMES
+        assert [line.split(":")[0] for line in out] == list(CASES)
         assert all(line.endswith("(ok)") for line in out)
 
     def test_a_failing_case_exits_one_and_every_line_is_printed(self, monkeypatch, capsys):
@@ -737,10 +739,12 @@ class TestGradCheck:
             return ad._make(np.maximum(x, 0.0), (t,), lambda g: (2.0 * g * (x > 0.0),),
                             "relu")
 
-        monkeypatch.setitem(OP_CASES, "relu", (relu_with_a_doubled_vjp, (3, 4)))
+        t = ad.Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        monkeypatch.setitem(CASES, "op_relu",
+                            lambda rng: (lambda: relu_with_a_doubled_vjp(t), {"x": t}))
         assert main(["grad-check", "--seed", "0"]) == 1
         out = capsys.readouterr().out.strip().splitlines()
-        assert [line.split(":")[0] for line in out] == CHECK_NAMES
+        assert [line.split(":")[0] for line in out] == list(CASES)
         failed = [line.split(":")[0] for line in out if not line.endswith("(ok)")]
         assert failed == ["op_relu"]
         assert next(line for line in out if line.startswith("op_relu:")).endswith("(FAIL)")

@@ -235,22 +235,6 @@ class TestEncodeText:
         with pytest.raises(ValueError):
             text(PaddedBatch.of([[-1]]), p)
 
-    def test_gradient_check_full_text_encoder(self):
-        rng = np.random.default_rng(17)
-        p = random_params(rng, vocab=9, embed_dim=8)
-        ids = [2, 7, 4]
-        probe = rng.normal(size=8)
-        leaves = {"word_embedding": p.word_embedding,
-                  **p.gru_forward.named_parameters("gru_forward"),
-                  **p.gru_backward.named_parameters("gru_backward")}
-
-        def forward():
-            # the probe weighs the mean of the token states
-            states = text(PaddedBatch.of([ids]), p)
-            return ad.sum(ad.mul(states, Tensor(probe[None, None] / len(ids))))
-
-        assert gradient_check(forward, leaves) < 1e-4
-
 
 def gru_loop(x, gates, reverse):
     """Reference states (n, k) of one direction over one unpadded item (n, d):
@@ -386,21 +370,6 @@ class TestBiGru:
             # state is still the zero it starts from
             assert np.all(out[i, n:, :k] == out[i, n - 1, :k])
             assert np.all(out[i, n:, k:] == 0.0)
-
-    def test_gradients_of_the_input_and_every_gate_on_a_masked_batch(self):
-        rng = np.random.default_rng(20)
-        d, k = 6, 3
-        fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
-        for gates in (fwd, bwd):
-            gates.b_z, gates.b_r, gates.b_h = (Tensor(rng.normal(size=k)) for _ in range(3))
-        batch = PaddedBatch.of([rng.normal(size=(n, d)) for n in (3, 1, 5, 2)])
-        x = Tensor(batch.values)
-        probe = Tensor(rng.normal(size=(4, 5, 2 * k)))
-        params = dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=x)
-        assert len(params) == 19
-        worst = gradient_check(
-            lambda: ad.sum(ad.mul(bi_gru(x, batch.mask, fwd, bwd), probe)), params)
-        assert worst < TOLERANCE
 
     def test_a_tied_pair_of_directions_sums_both_gradients(self):
         rng = np.random.default_rng(21)
