@@ -262,8 +262,8 @@ _W = np.sin(np.arange(1.0, 37.0)).reshape(6, 6)
 _NEAR_ZERO = np.array([0.05, -0.05] * 6).reshape(3, 4)
 
 # name -> case: a function of a generator that returns the output function
-# and the named parameters to check; every block and every op of autodiff
-# has a case
+# and the named parameters to check; every block has a case, and every op
+# of autodiff has an op_ case of its own
 CASES = {
     "gru_step": _gru_step,
     "encode_image": _encode_image,

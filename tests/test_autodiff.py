@@ -308,9 +308,11 @@ class TestGradientsVsFiniteDifferences:
             return make(out_data, inputs, vjp, op)
 
         monkeypatch.setattr(ad, "_make", recording)
-        for case in CASES.values():
-            output, _ = case(np.random.default_rng(0))
-            output()
+        # only the op cases: an op that appears only inside a block has no case
+        for name, case in CASES.items():
+            if name.startswith("op_"):
+                output, _ = case(np.random.default_rng(0))
+                output()
         assert sorted(set(ad.__all__) - NOT_OPS - seen) == []
 
     def test_a_zero_size_gradient_has_no_error(self):
