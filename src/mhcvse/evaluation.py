@@ -4,6 +4,14 @@ Image-to-text counts a hit when any caption of the query image lands in
 the top K; text-to-image looks for the single owning image. Ranking ties
 break toward the lower index, and mR is the mean of the six recalls
 (R@1/5/10 in both directions).
+
+Recalls rank by counting, not sorting: a candidate's rank is the number
+of candidates that score higher plus the number that score the same at a
+lower index, which is its place in a stable sort, so the tie rule is the
+one :func:`rank_candidates` applies. Queries are ranked in blocks of
+:data:`RANK_ROWS` rows, and :func:`evaluate` computes each block's scores
+just before it counts them, so neither the full score matrix nor a
+sorted copy of it is ever held.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ __all__ = ["RETRIEVAL_LEVELS", "RetrievalResult", "similarity_matrix", "recall_a
 RECALL_KS = (1, 5, 10)
 # embedding levels a model can be scored at
 RETRIEVAL_LEVELS = ("fused", "instance", "consensus")
+# query rows ranked at once: a block holds RANK_ROWS x candidates scores
+RANK_ROWS = 256
 
 
 @dataclass
@@ -70,45 +80,73 @@ def recall_at_k(scores, relevant, k: int) -> float:
     """Fraction of queries with a relevant candidate in the top k by score.
 
     ``relevant[i]`` is the collection of relevant column indices for query
-    row i. k larger than the candidate count retrieves everything.
+    row i; each must be an integer in [0, candidates). k larger than the
+    candidate count retrieves everything. A NaN score has no rank, so it
+    is refused.
     """
-    return _recalls(scores, relevant, (k,))[0]
-
-
-def _recalls(scores, relevant, ks) -> list[float]:
-    """:func:`recall_at_k` at each k of ``ks``, from one ranking of the scores."""
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be a rank-2 matrix")
-    if len(relevant) != scores.shape[0]:
-        raise ValueError(f"{len(relevant)} relevance sets for {scores.shape[0]} queries")
-    top = max(ks)
-    order = rank_candidates(scores)[:, :top].tolist()
-    # per query, the rank of its best-placed relevant candidate (top if none
-    # is in the top ranks); a query counts at k when that rank is below k
-    first = []
+    if np.isnan(scores).any():
+        raise ValueError("scores hold NaN")
+    return _recalls(lambda rows: scores[rows], scores.shape, relevant, (k,))[0]
+
+
+def _recalls(score_rows, shape: tuple[int, int], relevant, ks) -> list[float]:
+    """:func:`recall_at_k` at each k of ``ks`` for a (queries, candidates)
+    score matrix of ``shape``, ranked in blocks: ``score_rows(rows)`` gives
+    the scores of the query rows in slice ``rows``."""
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    n, m = shape
+    if len(relevant) != n:
+        raise ValueError(f"{len(relevant)} relevance sets for {n} queries")
+    counts, flat = [], []
     for i, rel in enumerate(relevant):
-        rel = set(rel)
+        rel = list(rel)
         if not rel:
             raise ValueError(f"query {i} has no relevant candidates")
-        first.append(next((r for r, c in enumerate(order[i]) if c in rel), top))
-    return [sum(f < k for f in first) / scores.shape[0] for k in ks]
+        for c in rel:
+            # bool is an int subclass, but True is not an index
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < m:
+                raise ValueError(f"query {i}: relevant candidate {c!r} is not an "
+                                 f"integer in [0, {m})")
+        counts.append(len(rel))
+        flat.extend(rel)
+    cand = np.array(flat, dtype=np.intp)
+    query = np.repeat(np.arange(n), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    cols = np.arange(m)
+    # per query, the rank of its best-placed relevant candidate: the one with
+    # the highest score, and the lowest index among equal scores
+    first = np.empty(n, dtype=np.intp)
+    for a in range(0, n, RANK_ROWS):
+        b = min(a + RANK_ROWS, n)
+        s = score_rows(slice(a, b))
+        pairs = slice(starts[a], starts[b])
+        q, c = query[pairs] - a, cand[pairs]
+        t = s[q, c]
+        best = np.lexsort((c, -t, q))[starts[a:b] - starts[a]]
+        r, t = c[best][:, None], t[best][:, None]
+        ahead = s > t
+        ahead |= (s == t) & (cols < r)
+        first[a:b] = np.count_nonzero(ahead, axis=1)
+    return [int(np.count_nonzero(first < k)) / n for k in ks]
 
 
 def evaluate(model, dataset, level: str | None = None) -> RetrievalResult:
     """Both retrieval directions at K = 1, 5, 10 for one split, each ranked once."""
     img, txt, image_ids, owner = model.embed_dataset(dataset, level)
-    scores = similarity_matrix(img, txt)
     n_images = len(image_ids)
     captions_of = [np.nonzero(owner == i)[0].tolist() for i in range(n_images)]
     for i, caps in enumerate(captions_of):
         if not caps:
             raise ValueError(f"image {image_ids[i]} has no captions")
-    t_r = _recalls(scores, captions_of, RECALL_KS)
-    i_r = _recalls(scores.T, [[int(o)] for o in owner], RECALL_KS)
+    t_r = _recalls(lambda rows: similarity_matrix(img[rows], txt), (len(img), len(txt)),
+                   captions_of, RECALL_KS)
+    i_r = _recalls(lambda rows: similarity_matrix(txt[rows], img), (len(txt), len(img)),
+                   [[int(o)] for o in owner], RECALL_KS)
     mr = float(np.mean(t_r + i_r))
     return RetrievalResult(t_r[0], t_r[1], t_r[2], i_r[0], i_r[1], i_r[2], mr)
 

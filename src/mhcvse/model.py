@@ -11,8 +11,10 @@ Each modality's items are padded into one :class:`PaddedBatch`, so training
 and inference run the same batched, masked code; a single query is a batch
 of one. Training compares image-side and text-side embeddings level by
 level; retrieval scores whichever level the config selects (fused by
-default). Inference embeds items in length-sorted chunks bounded by padded
-size (:data:`CHUNK_CAP`) and returns rows in the order given.
+default). Inference encodes and attention-pools items in length-sorted
+chunks bounded by padded size (:data:`CHUNK_CAP`), collects each
+modality's pooled rows in one array, runs the consensus head, fusion and
+normalization once on it, and returns rows in the order given.
 
 A saved model is two files. The checkpoint is little-endian binary: magic
 ``MHCV``, version u32, then one record per tensor (name length u32 +
@@ -52,13 +54,22 @@ CHECKPOINT_VERSION = 1
 # to n positions holds about b*n*(d + h*n) floats in each attention layer:
 # (b, n, d) activations plus h score matrices of n x n per item. CHUNK_CAP
 # bounds that product, so the working set follows padded size, not item
-# count. Sized on the bench gallery workload (64 images of 10-100 regions,
-# 320 captions of 6-19 tokens, d = 128, h = 8): after 27 gallery passes
-# peak RSS was 59.5 MB at this cap and 60.6 MB at twice it; a cap on
-# b*n**2 alone let 277 six-token captions share a chunk and peaked at
-# 63-68 MB. Here a 100-region image goes alone, 5 captions of 19 tokens
-# share a chunk, and a canonical split (16 items of 6) is one chunk.
-CHUNK_CAP = 30_000
+# count (a cap on b*n**2 alone once let 277 six-token captions share a
+# chunk). Measured on the bench gallery workload (seed 1: 64 images of
+# 10-100 regions, 320 captions of 6-19 tokens, d = 128, h = 8) on a 2-core
+# Xeon host:
+#
+#   cap      chunks (image/text)  evaluate  tracemalloc peak  RSS, 150 passes
+#   30,000   51 / 35              57.7 ms   1.99 MB           96.2 MB
+#   60,000   42 / 17              48.1 ms   1.98 MB           95.9 MB
+#   120,000  29 /  9              42.8 ms   3.06 MB           96.6 MB
+#
+# At equal pass counts RSS does not follow the cap. Up to 60,000 a wider
+# chunk ran faster with no rise in evaluate's peak; 120,000 was 11 % faster
+# again but peaked 1.1 MB higher. Here an image of 54 or more regions goes
+# alone, 11 captions of 19 tokens share a chunk, and a canonical split (16
+# items of 6) is one chunk.
+CHUNK_CAP = 60_000
 
 
 @dataclass
@@ -165,28 +176,25 @@ class Model:
     # ------------------------------------------------------------------
     # forward passes
 
-    def _image_levels(self, regions: list[np.ndarray], gcn_out: Tensor):
+    def _image_pooled(self, regions: list[np.ndarray]) -> Tensor:
         batch = PaddedBatch.of(regions)
         seq = encode_image(batch, self.image_proj, self.image_bias)
-        return self._levels(seq, batch.mask, self.attn_image, self.predictor_image, gcn_out)
+        return attend_and_pool(seq, self.attn_image, batch.mask)
 
-    def _text_levels(self, token_ids: list[list[int]], gcn_out: Tensor):
+    def _text_pooled(self, token_ids: list[list[int]]) -> Tensor:
         batch = PaddedBatch.of(token_ids)
         seq = encode_text(batch, self.word_embedding, self.gru_forward, self.gru_backward)
-        return self._levels(seq, batch.mask, self.attn_text, self.predictor_text, gcn_out)
-
-    def _levels(self, seq: Tensor, mask: np.ndarray, attn: MhsaParams,
-                predictor: Tensor, gcn_out: Tensor):
-        v = attend_and_pool(seq, attn, mask)
-        c, p = consensus_embed(v, gcn_out, predictor)
-        f = fuse(v, c, self.fusion)
-        return v, c, f, p
+        return attend_and_pool(seq, self.attn_text, batch.mask)
 
     def batch_forward(self, pairs: list[InstancePair]) -> BatchEmbeddings:
         """All three embedding levels for a batch, ready for the losses."""
         gcn_out = gcn_forward(self.graph, self.gcn_w0, self.gcn_w1)
-        vi, ci, fi, pi = self._image_levels([p.regions for p in pairs], gcn_out)
-        vt, ct, ft, pt = self._text_levels([p.token_ids for p in pairs], gcn_out)
+        vi = self._image_pooled([p.regions for p in pairs])
+        ci, pi = consensus_embed(vi, gcn_out, self.predictor_image)
+        fi = fuse(vi, ci, self.fusion)
+        vt = self._text_pooled([p.token_ids for p in pairs])
+        ct, pt = consensus_embed(vt, gcn_out, self.predictor_text)
+        ft = fuse(vt, ct, self.fusion)
         return BatchEmbeddings(v_image=vi, v_text=vt, c_image=ci, c_text=ct,
                                f_image=fi, f_text=ft, p_image=pi, p_text=pt)
 
@@ -228,19 +236,31 @@ class Model:
             raise ValueError(f"unknown retrieval level '{level}' "
                              f"(one of {RETRIEVAL_LEVELS})")
         gcn_out = gcn_forward(self.graph, self.gcn_w0, self.gcn_w1)
-        return (self._embed_rows(self._image_levels, images, level, gcn_out),
-                self._embed_rows(self._text_levels, captions, level, gcn_out))
+        return (self._embed_rows(images, self._image_pooled, self.predictor_image, level, gcn_out),
+                self._embed_rows(captions, self._text_pooled, self.predictor_text, level, gcn_out))
 
-    def _embed_rows(self, levels_of, items: list, level: str, gcn_out: Tensor) -> np.ndarray:
+    def _embed_rows(self, items: list, pooled_of, predictor: Tensor, level: str,
+                    gcn_out: Tensor) -> np.ndarray:
+        """Each chunk runs only its encoder and attention. The rest of the
+        level is row by row, so it runs once on the chunks' pooled rows."""
         cfg = self.config
-        # fused concat rows are [instance; consensus], 2d wide
-        width = cfg.embed_dim * (2 if level == "fused" and cfg.fuse_type == "concat" else 1)
-        rows = np.empty((len(items), width))
-        for chunk in _chunks([len(item) for item in items], cfg.embed_dim, cfg.heads):
-            v, c, f, _ = levels_of([items[i] for i in chunk], gcn_out)
-            out = l2_normalize_rows(v) if level == "instance" else (
-                f if level == "fused" else c)
-            rows[chunk] = out.data
+        if not items:
+            # fused concat rows are [instance; consensus], 2d wide
+            width = cfg.embed_dim * (2 if level == "fused" and cfg.fuse_type == "concat" else 1)
+            return np.empty((0, width))
+        chunks = _chunks([len(item) for item in items], cfg.embed_dim, cfg.heads)
+        pooled = [pooled_of([items[i] for i in chunk]) for chunk in chunks]
+        # one chunk's rows are used as they are, without a copy
+        v = pooled[0] if len(pooled) == 1 else Tensor.wrap(
+            np.concatenate([p.data for p in pooled]))
+        if level == "instance":
+            out = l2_normalize_rows(v)
+        else:
+            out, _ = consensus_embed(v, gcn_out, predictor)
+            if level == "fused":
+                out = fuse(v, out, self.fusion)
+        rows = np.empty_like(out.data)
+        rows[[i for chunk in chunks for i in chunk]] = out.data
         return rows
 
     def embed_dataset(self, dataset: Dataset, level: str | None = None):

@@ -227,6 +227,40 @@ class TestEmbedOrder:
                             rtol=0, atol=TOL)
 
 
+class TestTailOncePerModality:
+    # calls of (consensus_embed, fuse) per non-empty side at each level
+    CALLS = {"fused": (1, 1), "consensus": (1, 0), "instance": (0, 0)}
+
+    @pytest.mark.parametrize("level", RETRIEVAL_LEVELS)
+    def test_consensus_head_and_fusion_run_once_per_side(self, mixed, level, monkeypatch):
+        model, regions, captions = mixed
+        # two chunks per side, as in TestEmbedOrder
+        monkeypatch.setattr(mhcvse.model, "CHUNK_CAP", 1000)
+        assert len(_chunks([len(r) for r in regions], 8, 2)) == 2
+        assert len(_chunks([len(c) for c in captions], 8, 2)) == 2
+        calls = {"consensus_embed": [], "fuse": []}
+        for name, seen in calls.items():
+            real = getattr(mhcvse.model, name)
+            monkeypatch.setattr(mhcvse.model, name,
+                                lambda v, *rest, real=real, seen=seen:
+                                (seen.append(len(v.data)), real(v, *rest))[1])
+        img, txt = model.embed(regions, captions, level)
+        n_head, n_fuse = self.CALLS[level]
+        # each call takes every row of its side: four images, four captions
+        assert calls == {"consensus_embed": [4] * 2 * n_head, "fuse": [4] * 2 * n_fuse}
+        for seen in calls.values():
+            seen.clear()
+        only_images, none = model.embed(regions, [], level)
+        assert calls == {"consensus_embed": [4] * n_head, "fuse": [4] * n_fuse}
+        assert none.shape == (0, img.shape[1])
+        assert_allclose(only_images, img, rtol=0, atol=0)
+        monkeypatch.undo()
+        for i, r in enumerate(regions):
+            assert_allclose(img[i], model.embed_image(r, level), rtol=0, atol=TOL)
+        for i, ids in enumerate(captions):
+            assert_allclose(txt[i], model.embed_caption(ids, level), rtol=0, atol=TOL)
+
+
 class TestNodeCount:
     def test_tape_nodes_do_not_grow_with_the_batch(self):
         model, train, _ = tiny_setup(n_train=8)

@@ -53,11 +53,19 @@ def test_every_name_the_bench_uses_resolves():
     assert json.loads(proc.stdout) == {"params": [], "functions": [], "methods": []}
 
 
-@pytest.mark.parametrize("workload", ["train", "gallery", "cli"])
-def test_a_short_run_of_each_workload_passes_its_checks(workload):
+SHORT_RUNS = [(workload, trace) for trace in ("0", "1")
+              for workload in ("train", "gallery", "cli")]
+
+
+@pytest.mark.parametrize("workload,trace", SHORT_RUNS,
+                         ids=[w if t == "0" else f"{w}-traced" for w, t in SHORT_RUNS])
+def test_a_short_run_of_each_workload_passes_its_checks(workload, trace):
     # the bench compares outputs with the package's own at 1e-12, so a
-    # numeric change that breaks those checks fails here
-    proc = _python("bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.1")
+    # numeric change that breaks those checks fails here; a traced run also
+    # fails when the traced call counts differ between passes (its spans go
+    # to the gitignored .bench_out/)
+    proc = _python("bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.1",
+                   "--trace", trace)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from tinymodel import tiny_setup
 
+import mhcvse.evaluation
 from mhcvse.evaluation import (
     RetrievalResult,
     evaluate,
@@ -27,6 +28,29 @@ def recall_oracle(scores, relevant, k):
             for r in rel)
         hits += best_rank < k
     return hits / scores.shape[0]
+
+
+def argsort_recalls(scores, relevant, ks):
+    """Recall at each k from a stable argsort of every row, walked in order:
+    the ranking the count-based recalls replaced."""
+    order = np.argsort(-scores, axis=-1, kind="stable")[:, :max(ks)].tolist()
+    first = []
+    for i, rel in enumerate(relevant):
+        rel = set(rel)
+        first.append(next((r for r, c in enumerate(order[i]) if c in rel), max(ks)))
+    return [sum(f < k for f in first) / scores.shape[0] for k in ks]
+
+
+def tied_scores(rng, n, m):
+    """Random scores with exact ties: duplicated rows, and one value
+    repeated at several indices of many rows."""
+    scores = rng.normal(size=(n, m))
+    for i in rng.choice(n, size=n // 3, replace=False):
+        scores[i] = scores[rng.integers(n)]
+    for i in range(0, n, 2):
+        cols = rng.choice(m, size=min(m, 4), replace=False)
+        scores[i, cols] = scores[i, cols[0]]
+    return scores
 
 
 class StubModel:
@@ -154,6 +178,61 @@ class TestRecallAtK:
     def test_rank1_scores_rejected(self):
         with pytest.raises(ValueError, match="rank-2"):
             recall_at_k(np.ones(3), [[0]], 1)
+
+    @pytest.mark.parametrize("entry", [5, 3, -1, 1.0, True, "1", None])
+    def test_relevant_entry_outside_the_candidates_rejected(self, entry):
+        # each once read as a miss (5, 3, -1) or as index 1 (1.0, True)
+        s = np.array([[0.1, 0.5, 0.3], [0.2, 0.1, 0.9]])
+        with pytest.raises(ValueError, match=r"query 1: .* not an integer in \[0, 3\)"):
+            recall_at_k(s, [[0], [2, entry]], 1)
+
+    def test_nan_scores_rejected(self):
+        # no candidate scores higher than NaN, so counting would rank it first
+        s = np.array([[0.1, np.nan, 0.3]])
+        with pytest.raises(ValueError, match="NaN"):
+            recall_at_k(s, [[1]], 1)
+
+    def test_numpy_integer_entries_accepted(self):
+        s = np.array([[0.1, 0.5, 0.3]])
+        assert recall_at_k(s, [np.array([1])], 1) == 1.0
+        assert recall_at_k(s, [[np.int32(2)]], 1) == 0.0
+
+
+class TestCountedRanksMatchArgsort:
+    """The count-based recalls against a stable argsort of every row, with
+    blocks smaller than the query count so block edges are crossed."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 256])
+    def test_random_scores_with_ties(self, rows, monkeypatch):
+        monkeypatch.setattr(mhcvse.evaluation, "RANK_ROWS", rows)
+        rng = np.random.default_rng([89, rows])
+        for _ in range(40):
+            n, m = int(rng.integers(2, 20)), int(rng.integers(1, 15))
+            scores = tied_scores(rng, n, m)
+            # several relevant candidates per query, repeats included
+            relevant = [rng.choice(m, size=int(rng.integers(1, 6))).tolist()
+                        for _ in range(n)]
+            ks = (1, 2, 5, m, m + 3)
+            got = [recall_at_k(scores, relevant, k) for k in ks]
+            assert got == argsort_recalls(scores, relevant, ks)
+            assert all(type(g) is float for g in got)
+
+    def test_evaluate_ranks_both_directions_in_blocks(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        img = rng.normal(size=(11, 4))
+        txt = rng.normal(size=(33, 4))
+        img[5] = img[2]
+        txt[[7, 20, 31]] = txt[4]
+        txt[9] = img[0]
+        owner = rng.permutation(np.repeat(np.arange(11), 3))
+        monkeypatch.setattr(mhcvse.evaluation, "RANK_ROWS", 4)
+        r = evaluate(StubModel(img, txt, owner), dataset=None)
+        scores = img @ txt.T
+        text = argsort_recalls(scores, [np.flatnonzero(owner == i) for i in range(11)],
+                               (1, 5, 10))
+        image = argsort_recalls(scores.T, [[o] for o in owner], (1, 5, 10))
+        assert [r.text_r1, r.text_r5, r.text_r10] == text
+        assert [r.image_r1, r.image_r5, r.image_r10] == image
 
 
 class TestEvaluate:
