@@ -9,10 +9,10 @@ tape did not make, such as a parameter, is a leaf, and the tape never
 writes to it. The op set is deliberately small and holds only the
 forms a caller runs -- matrix products (one matrix applied to a rank-3
 batch's rows too), add/sub/mul with numpy broadcasting, elementwise
-nonlinearities, a sum, a row gather, a stable softmax of a vector or of
-rows and row L2 normalization -- and everything downstream is composed
-from it, apart from the fused blocks (the Bi-GRU, attention, the fusion
-blend and the losses) that record one op with a hand-written vjp through
+nonlinearities, a sum, a stable softmax of a vector or of rows and row
+L2 normalization -- and everything downstream is composed from it, apart
+from the fused blocks (the text encoder, attention, the fusion blend and
+the losses) that record one op with a hand-written vjp through
 :func:`_make`. Tensors have no operator methods:
 every op is called by name. Adam with bias correction lives here too,
 since every other module optimizes through this engine.
@@ -29,7 +29,7 @@ __all__ = [
     "Tensor", "Tape", "AdamState", "adam_step",
     "matmul", "transpose", "add", "sub", "mul",
     "tanh", "sigmoid", "relu",
-    "sum", "gather",
+    "sum",
     "softmax_rows", "l2_normalize_rows",
 ]
 
@@ -350,33 +350,6 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the op name used throughou
     shape = a.data.shape
     return _make(np.asarray(a.data.sum()), (a,),
                  lambda g: (np.broadcast_to(g, shape),), "sum")
-
-
-# ---------------------------------------------------------------------------
-# row gather
-
-def gather(table: Tensor, ids) -> Tensor:
-    """Rows of a (V, d) table at integer ``ids`` of rank 1-2: ids.shape + (d,).
-
-    The gradient scatters back into one (V, d) array; repeated ids add up.
-    """
-    _check(table, "table", "gather")
-    ids = np.asarray(ids)
-    if table.data.ndim != 2:
-        raise ValueError(f"gather needs a rank-2 table, got rank {table.data.ndim}")
-    if ids.ndim not in (1, 2) or not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"gather needs integer ids of rank 1 or 2, got {ids.dtype} "
-                         f"of rank {ids.ndim}")
-    v = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise ValueError(f"gather ids outside [0, {v})")
-    shape = table.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, ids, g)
-        return (z,)
-    return _make(table.data[ids], (table,), vjp, "gather")
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,17 @@ def read_captions_jsonl(path) -> list[tuple[int, int, list[str]]]:
     return out
 
 
+def _read_named(read, path: Path, label: str, key: str):
+    """``read(path)`` of the file a manifest's ``key`` names; an OS error
+    names the manifest and the key, and a missing file stays one."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path}, named by key '{key}' of {label}") from None
+    except OSError as err:
+        raise OSError(f"{label}: key '{key}' names {path}: {err.strerror or err}") from None
+
+
 def load_dataset(manifest, vocab: Vocabulary | None = None,
                  feature_dim: int | None = None) -> Dataset:
     """Load the split a manifest file names; builds the vocabulary from its
@@ -345,7 +356,7 @@ def load_dataset(manifest, vocab: Vocabulary | None = None,
     base, label = path.parent, f"manifest {path}"
     manifest = DatasetManifest.load(path)
     features_path = base / manifest.features
-    features = read_features(features_path)
+    features = _read_named(read_features, features_path, label, "features")
     want = f"feature_dim is {feature_dim}"
     for image_id, regions in features.items():
         if feature_dim is None:
@@ -353,7 +364,7 @@ def load_dataset(manifest, vocab: Vocabulary | None = None,
         if regions.shape[1] != feature_dim:
             raise ValueError(f"feature file {features_path}: image {image_id} has "
                              f"{regions.shape[1]} features per region, but {want}")
-    captions = read_captions_jsonl(base / manifest.captions)
+    captions = _read_named(read_captions_jsonl, base / manifest.captions, label, "captions")
     caption_images = {img for _, img, _ in captions}
     orphan_captions = caption_images - features.keys()
     if orphan_captions:

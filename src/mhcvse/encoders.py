@@ -8,17 +8,18 @@ scratch.
 
 Both work on a :class:`PaddedBatch`: B items of different lengths padded
 with zeros to the longest, plus a (B, n_max) mask of the real positions.
-The image side is then one (B·M, F) @ (F, d) product. The Bi-GRU is one
-recorded op, :func:`bi_gru`: it projects the inputs of all token slots at
-once, then one numpy loop of L steps advances both directions, the
-forward one at slot t and the backward one at slot L-1-t, as one
-(2, B, d/2) state. A sequence that has ended holds its state, so each
-backward pass starts at its own last token from a zero state. Its vjp is
-a hand-written backpropagation through time, one reverse loop over both
-directions. Every product and sum is the one a direction alone would
-run, so the states and gradients are the same bits as one direction at
-a time. :func:`gru_step` is the same step composed from tape ops, kept
-as the reference. A single image or caption is a batch of one.
+The image side is then one (B·M, F) @ (F, d) product. The text side is
+one recorded op, :func:`encode_text`: it projects each distinct token
+id's word row once per gate and direction, then one numpy loop of L
+steps advances both directions, the forward one at slot t and the
+backward one at slot L-1-t, as one (2, B, d/2) state. A sequence that
+has ended holds its state, so each backward pass starts at its own last
+token from a zero state. Its vjp is a hand-written backpropagation
+through time, one reverse loop over both directions. Every product and
+sum is the one a direction alone would run, so the states and gradients
+are the same bits as one direction at a time. :func:`gru_step` is the
+same step composed from tape ops, kept as the reference. A single image
+or caption is a batch of one.
 
 Each encoder takes the tensors it uses: :func:`encode_image` the (F, d)
 projection and its bias, :func:`encode_text` the word embeddings and the
@@ -34,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tensor, _make, _recording, _sigmoid, add, gather, matmul, mul, sigmoid, sub, tanh,
+    Tensor, _make, _recording, _sigmoid, add, matmul, mul, sigmoid, sub, tanh,
 )
 
 __all__ = [
     "PaddedBatch", "GruGates",
-    "encode_image", "gru_step", "bi_gru", "encode_text", "uniform_init",
+    "encode_image", "gru_step", "encode_text", "uniform_init",
 ]
 
 
@@ -98,10 +99,7 @@ class GruGates:
             return (uniform_init(rng, (d_in, d_hidden), d_in),
                     uniform_init(rng, (d_hidden, d_hidden), d_hidden),
                     Tensor(np.zeros(d_hidden)))
-        w_z, u_z, b_z = gate()
-        w_r, u_r, b_r = gate()
-        w_h, u_h, b_h = gate()
-        return cls(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
+        return cls(*gate(), *gate(), *gate())
 
     def tensors(self) -> tuple[Tensor, ...]:
         """The nine gate tensors, in :attr:`NAMES` order."""
@@ -155,7 +153,7 @@ def _non_finite(a: np.ndarray, gates: str, slots: tuple) -> FloatingPointError:
     its direction's slot in ``slots``."""
     gate, i = next((gate, i) for i in range(2) for gate, a_gate in zip(gates, a[:, i])
                    if not np.isfinite(a_gate).all())
-    return FloatingPointError(f"non-finite {gate} pre-activation in bi_gru at slot "
+    return FloatingPointError(f"non-finite {gate} pre-activation in encode_text at slot "
                               f"{slots[i]} ({('forward', 'backward')[i]} direction)")
 
 
@@ -245,50 +243,51 @@ def _bptt(g: np.ndarray, hs: np.ndarray, zr: np.ndarray, cand: np.ndarray,
     return da
 
 
-def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -> Tensor:
-    """Both GRU directions over a padded batch, as one recorded op.
+def encode_text(caption: PaddedBatch, word_embedding: Tensor, forward: GruGates,
+                backward: GruGates) -> Tensor:
+    """Bi-GRU over token ids, as one recorded op.
 
-    ``x`` (B, L, d_in) holds the inputs and ``mask`` (B, L) is True on the
-    real positions. Returns the token states (B, L, 2k), the forward state
-    at t next to the backward state at t, for gates of hidden width k. Each
-    direction starts from a zero state, and a row holds its state through
-    its padded slots. The states match a loop of :func:`gru_step` over
-    each item alone; the vjp gives the gradients of ``x`` and of all
-    eighteen gate tensors. A non-finite gate pre-activation raises
+    For a padded batch of ids (B, L) returns the token states (B, L, 2k)
+    for gates of hidden width k, the forward state at t next to the
+    backward state at t, over each id's row of the (V, d)
+    ``word_embedding``. A caption holds its state through its padded
+    slots, whose states are left to the caller's mask. The states match a
+    loop of :func:`gru_step` over each caption's rows alone, and are the
+    same bits as one direction at a time: each distinct id is projected
+    once per gate and direction, and :func:`_recurrence` and :func:`_bptt`
+    keep each direction's own products and sums. The vjp gives the
+    gradients of the word embedding, where repeated ids add up, and of
+    all eighteen gate tensors. A non-finite gate pre-activation raises
     ``FloatingPointError``.
-
-    One loop of L steps advances both directions (:func:`_recurrence`), so
-    the state is (2, B, k) and one sigmoid and one tanh serve both. The
-    products stay :func:`gru_step`'s own, one (B, k) @ (k, k) product per
-    gate and direction; every sum keeps the form and order (x·w + h·u) + b,
-    and the vjp keeps the order of a backpropagation through time per
-    direction. So states and gradients are the same bits as one direction
-    at a time.
     """
-    if not isinstance(x, Tensor):
-        raise TypeError(f"bi_gru: x must be a Tensor, got {type(x).__name__}")
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 3 or mask.shape != x.shape[:2]:
-        raise ValueError(f"bi_gru needs (B, L, d) inputs and a (B, L) mask, "
-                         f"got {x.shape} and {mask.shape}")
-    b, length, d_in = x.shape
+    ids, mask = caption.values, caption.mask
+    if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"token batch must be (B, L) integer ids, got {ids.dtype} "
+                         f"of shape {ids.shape}")
+    table = word_embedding.data
+    bad = (ids < 0) | (ids >= len(table))
+    if np.any(bad):
+        raise ValueError(f"token id {ids[bad][0]} outside vocabulary of {len(table)}")
+    b, length = ids.shape
     params = forward.tensors() + backward.tensors()
     # each gate array as a (forward, backward) pair
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = zip(
         *(tuple(p.data for p in half) for half in (params[:9], params[9:])))
     k = u_z[0].shape[0]
     # the input projections in step order, (gate, direction, L, B, k): per
-    # direction and gate one product over all L·B rows, time-major and, for
-    # the backward direction, from the last slot back
-    proj = np.empty((3, 2, length * b, k))
-    for i, order in enumerate((slice(None), slice(None, None, -1))):
-        rows = x.data[:, order].transpose(1, 0, 2).reshape(length * b, d_in)
+    # direction and gate one product over the distinct ids' rows, taken to
+    # each step's slots, for the backward direction from the last slot back
+    # (np.take buffers its output unless an index out of range may be clipped)
+    distinct, row_of = np.unique(ids, return_inverse=True)
+    steps = row_of.reshape(b, length).T
+    rows = table[distinct]
+    proj = np.empty((3, 2, length, b, k))
+    for i, order in enumerate((steps, steps[::-1])):
         for j, w in enumerate((w_z, w_r, w_h)):
-            np.matmul(rows, w[i], out=proj[j, i])
-        del rows
+            np.take(rows @ w[i], order, axis=0, out=proj[j, i], mode="clip")
+    del rows
     # step t's real rows, (L, 2, B, 1): slot t forward, slot L-1-t backward
     live = np.stack((mask.T, mask.T[::-1]), axis=1)[..., None]
-    proj = proj.reshape(3, 2, length, b, k)
     saved = _recurrence(proj, live, u_z, u_r, u_h, np.stack((b_z, b_r))[:, :, None],
                         np.stack(b_h)[:, None], _recording())
     out = np.empty((b, length, 2 * k))
@@ -315,7 +314,7 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
         r_before = [np.multiply(r, h.reshape(length, b, k), out=np.empty((length, b, k)))
                     .reshape(flat) for r, h in zip((zr[:, 1, 0], zr[::-1, 1, 1]), before)]
         del hs, zr, cand
-        rows = x.data.transpose(1, 0, 2).reshape(length * b, d_in)
+        rows = table[ids.T.ravel()]  # each slot's looked-up row, time-major (L·B, d)
         d_rows, grads = [], ()
         for i in range(2):
             da_z, da_r, da_h = np.split(da[i].reshape(length * b, 3 * k), 3, axis=1)
@@ -325,28 +324,9 @@ def bi_gru(x: Tensor, mask: np.ndarray, forward: GruGates, backward: GruGates) -
                       rows.T @ da_h, r_before[i].T @ da_h, da_h.sum(axis=0))
             # free this direction's arrays before the next one's products
             da[i] = before[i] = r_before[i] = da_z = da_r = da_h = None
-        d_x = (d_rows[0] + d_rows[1]).reshape(length, b, d_in).transpose(1, 0, 2)
-        return (d_x,) + grads
-    return _make(out, (x,) + params, vjp, "bi_gru")
-
-
-def encode_text(caption: PaddedBatch, word_embedding: Tensor, forward: GruGates,
-                backward: GruGates) -> Tensor:
-    """Bi-GRU over token ids.
-
-    For a padded batch of ids (B, L) returns the per-token states (B, L, d):
-    each id looks up its row of the (V, d) ``word_embedding``, and
-    :func:`bi_gru` runs the ``forward`` and ``backward`` gates over them.
-    Each token state is the concatenation of the forward state at t and the
-    backward state at t; the states at padded slots are left to the
-    caller's mask.
-    """
-    ids, mask = caption.values, caption.mask
-    if ids.ndim != 2:
-        raise ValueError(f"token batch must be (B, L) ids, got {ids.shape}")
-    vocab_size = word_embedding.shape[0]
-    bad = (ids < 0) | (ids >= vocab_size)
-    if np.any(bad & mask):
-        raise ValueError(f"token id {ids[bad & mask][0]} outside vocabulary "
-                         f"of {vocab_size}")
-    return bi_gru(gather(word_embedding, ids), mask, forward, backward)
+        # each slot's input gradient adds into its id's row; repeated ids add up
+        d_x = np.add(*d_rows, out=d_rows[0]).reshape(length, b, -1)
+        d_table = np.zeros(table.shape)
+        np.add.at(d_table, ids, d_x.transpose(1, 0, 2))
+        return (d_table,) + grads
+    return _make(out, (word_embedding,) + params, vjp, "encode_text")

@@ -97,6 +97,9 @@ def _recalls(score_rows, shape: tuple[int, int], relevant, ks) -> list[float]:
     score matrix of ``shape``, ranked in blocks: ``score_rows(rows)`` gives
     the scores of the query rows in slice ``rows``."""
     for k in ks:
+        # bool is an int subclass, but True is not a rank
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
     n, m = shape

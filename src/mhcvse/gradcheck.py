@@ -25,8 +25,7 @@ from . import autodiff as ad
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tape, Tensor
 from .consensus import ConceptGraph, consensus_embed, gcn_forward
-from .encoders import (GruGates, PaddedBatch, bi_gru, encode_image, encode_text, gru_step,
-                       uniform_init)
+from .encoders import GruGates, PaddedBatch, encode_image, encode_text, gru_step, uniform_init
 from .fusion import FUSE_TYPES, FusionParams, fuse
 from .losses import contrastive_loss, dynamic_weight, kl_loss
 
@@ -234,16 +233,6 @@ def _loss_total(rng):
     return total, dict(params, **kl_params)
 
 
-def _bi_gru_masked(rng):
-    """The fused Bi-GRU op alone: its input and all eighteen gate tensors,
-    over a padded batch; the output holds the states at padded slots too."""
-    fwd, bwd = GruGates.init(rng, _D, _D // 2), GruGates.init(rng, _D, _D // 2)
-    batch = PaddedBatch.of([rng.normal(size=(n, _D)) for n in _TOKENS])
-    x = Tensor(batch.values)
-    return (lambda: bi_gru(x, batch.mask, fwd, bwd),
-            dict(fwd.named_parameters("forward"), **bwd.named_parameters("backward"), x=x))
-
-
 def _op(op, shape):
     """The case of ``op`` applied to one input of ``shape``. Each input entry
     is kept at least 0.2 from zero, away from the kinks of relu and of the
@@ -278,9 +267,7 @@ CASES = {
     "loss_total": _loss_total,
     "encode_text_padded": _encode_text(real_only=True),
     "attend_and_pool_masked": _attend_and_pool(masked=True),
-    "bi_gru_masked": _bi_gru_masked,
     "op_shared_matmul": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :5])), (3, 2, 4)),
-    "op_gather": _op(lambda t: ad.gather(t, np.array([[1, 0], [1, 3]])), (4, 3)),
     "op_broadcast_mul": _op(lambda t: ad.mul(t, Tensor(_W[:4, :1])), (4, 2)),
     "op_matmul_22": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (5, 4)),
     "op_matmul_rhs": _op(lambda t: ad.matmul(Tensor(_W[:3, :4]), t), (4, 5)),
@@ -300,7 +287,6 @@ CASES = {
     "op_relu_near_zero": _op(lambda t: ad.relu(ad.add(ad.mul(ad.tanh(t), 0.04),
                                                        Tensor(_NEAR_ZERO))), (3, 4)),
     "op_sum": _op(ad.sum, (3, 4)),
-    "op_gather_2x3": _op(lambda t: ad.gather(t, np.array([[2, 0, 2], [1, 2, 3]])), (4, 3)),
     "op_matmul_32": _op(lambda t: ad.matmul(t, Tensor(_W[:4, :3])), (2, 5, 4)),
     "op_matmul_32_rhs": _op(lambda t: ad.matmul(Tensor(_W[:4, :6].reshape(2, 3, 4)), t),
                             (4, 3)),

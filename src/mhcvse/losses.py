@@ -27,14 +27,16 @@ __all__ = [
 CONTRASTIVE_MODES = ("sum", "hardest")
 
 
-def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Tensor:
+def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest", image_ids=None) -> Tensor:
     """Bidirectional hinge ranking loss on a (B, B) similarity matrix, one op.
 
     Row i / column i hold the matched pair. Per query the violation is
-    [margin - s(i,i) + s(i,j)]_+ over the negatives j != i; ``sum`` averages
-    them, ``hardest`` keeps the worst one (VSE++). Both directions are added
-    and the result is averaged over the batch. A hardest negative that ties
-    with another takes the whole gradient at the first index.
+    [margin - s(i,i) + s(i,j)]_+ over the negatives j, the pairs of other
+    images by ``image_ids`` (each pair its own image when None); ``sum``
+    averages them, ``hardest`` keeps the worst one (VSE++), and a query
+    with none adds 0. Both directions are added and the result is
+    averaged over the batch. A hardest negative that ties with another
+    takes the whole gradient at the first index.
     """
     if mode not in CONTRASTIVE_MODES:
         raise ValueError(f"unknown contrastive mode '{mode}' (one of {CONTRASTIVE_MODES})")
@@ -47,21 +49,25 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
     b = scores.shape[0]
     if b < 2:
         raise ValueError(f"contrastive loss needs a batch of >= 2, got {b}")
+    ids = np.arange(b) if image_ids is None else np.asarray(image_ids)
+    if ids.shape != (b,):
+        raise ValueError(f"image ids of shape {ids.shape} for a batch of {b}")
 
     # the numpy operations and the vjp's gradient sums run in a fixed order
     # that checkpoints depend on bit for bit; the transpose is copied so its
     # sum runs in row order
     x = scores.data
     diag = np.diag(x)[:, None].copy()  # (B, 1): each row's matched score
-    off_diag = 1.0 - np.eye(b)
+    # 1 where column j is a negative of row i: a pair of another image
+    negative = (ids[:, None] != ids) * 1.0
     # image -> text: row i against its caption's column
     hinge_t = (x - diag) + margin
     # text -> image: column i against its image's row
     hinge_i = (x.T.copy() - diag) + margin
-    viol_t = np.maximum(hinge_t, 0.0) * off_diag
-    viol_i = np.maximum(hinge_i, 0.0) * off_diag
+    viol_t = np.maximum(hinge_t, 0.0) * negative
+    viol_i = np.maximum(hinge_i, 0.0) * negative
     if mode == "sum":
-        n = float(b * (b - 1))
+        n = max(negative.sum(), 1.0)
         total = viol_t.sum() + viol_i.sum()
     else:
         n = float(b)
@@ -76,8 +82,8 @@ def contrastive_loss(scores: Tensor, margin: float, mode: str = "hardest") -> Te
             g_t, g_i = np.zeros((b, b)), np.zeros((b, b))
             g_t[rows, first_t] = g
             g_i[rows, first_i] = g
-        g_t = g_t * off_diag * (hinge_t > 0.0)
-        g_i = g_i * off_diag * (hinge_i > 0.0)
+        g_t = g_t * negative * (hinge_t > 0.0)
+        g_i = g_i * negative * (hinge_i > 0.0)
         # each negative's score, then each matched score, which both
         # directions' hinges subtract
         matched = (-g_i).sum(axis=1) + (-g_t).sum(axis=1)

@@ -206,9 +206,10 @@ class Model:
                         transpose(l2_normalize_rows(batch.v_text)))
         s_cons = matmul(batch.c_image, transpose(batch.c_text))
         s_fused = matmul(batch.f_image, transpose(batch.f_text))
-        l_inst = contrastive_loss(s_inst, cfg.margin, cfg.contrastive_mode)
-        l_cons = contrastive_loss(s_cons, cfg.margin, cfg.contrastive_mode)
-        l_fused = contrastive_loss(s_fused, cfg.margin, cfg.contrastive_mode)
+        images = [p.image_id for p in pairs]
+        l_inst = contrastive_loss(s_inst, cfg.margin, cfg.contrastive_mode, images)
+        l_cons = contrastive_loss(s_cons, cfg.margin, cfg.contrastive_mode, images)
+        l_fused = contrastive_loss(s_fused, cfg.margin, cfg.contrastive_mode, images)
         l_kl = kl_loss(batch.p_text, batch.p_image)
         return total_loss(l_inst, l_cons, l_fused, l_kl, cfg.base_weights,
                           cfg.invert_dynamic_weight)

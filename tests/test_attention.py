@@ -353,7 +353,7 @@ class TestFusedOp:
                 FloatingPointError, match="attention scores"):
             attend_and_pool(x, p)
 
-    def test_a_canonical_step_records_43_tape_nodes(self, tmp_path, monkeypatch):
+    def test_a_canonical_step_records_42_tape_nodes(self, tmp_path, monkeypatch):
         generate_synthetic(tmp_path)
         train = load_dataset(tmp_path / "train.manifest.json")
         cfg = TrainConfig()
@@ -372,11 +372,13 @@ class TestFusedOp:
                 return out
             monkeypatch.setattr(mhcvse.model, name, call)
 
-        for name in ("attend_and_pool", "fuse", "contrastive_loss", "kl_loss"):
+        for name in ("encode_text", "attend_and_pool", "fuse", "contrastive_loss", "kl_loss"):
             counted(name)
         with Tape() as tape:
             model.loss_terms(train.pairs[:cfg.batch_size])
         assert cfg.batch_size == 32
+        # the word lookup and the Bi-GRU are one op
+        assert added["encode_text"] == [1]
         # one op per modality; the 3·8 head tensors and W_out are its leaves,
         # not nodes, so the count does not grow with the heads
         assert added["attend_and_pool"] == [1, 1]
@@ -385,7 +387,7 @@ class TestFusedOp:
         # each loss term is one op over tensors already on the tape
         assert added["contrastive_loss"] == [1, 1, 1]
         assert added["kl_loss"] == [1]
-        assert len(tape) == 43
+        assert len(tape) == 42
 
 
 class TestMemory:

@@ -336,6 +336,32 @@ class TestMalformedInputs:
         assert code == 1
         assert str(manifest) in err and "'images'" in err
 
+    @pytest.mark.parametrize("key", ["features", "captions"])
+    def test_a_manifest_key_naming_a_directory_exits_one_naming_both(self, split, tmp_path,
+                                                                    capsys, key):
+        # eval exited 1 with "[Errno 21] Is a directory: '<dir>'" alone
+        data, checkpoint = split
+        manifest = data / "test.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw[key] = "."
+        manifest.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 1
+        assert f"manifest {manifest}: key '{key}' names {data}" in err
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("key", ["features", "captions"])
+    def test_a_manifest_key_naming_a_missing_file_exits_two_naming_both(self, split, tmp_path,
+                                                                       capsys, key):
+        data, checkpoint = split
+        manifest = data / "test.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw[key] = "gone.bin"
+        manifest.write_text(json.dumps(raw))
+        code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
+        assert code == 2
+        assert f"{data / 'gone.bin'}, named by key '{key}' of manifest {manifest}" in err
+
     @pytest.mark.parametrize("key", ["images", "captions_per_image"])
     def test_manifest_count_that_misstates_the_files_exits_one(self, split, tmp_path,
                                                                capsys, key):

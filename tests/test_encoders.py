@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import mhcvse.autodiff as ad
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.encoders import (
-    GruGates, PaddedBatch, bi_gru, encode_image, encode_text, gru_step, uniform_init,
+    GruGates, PaddedBatch, encode_image, encode_text, gru_step, uniform_init,
 )
 from mhcvse.gradcheck import TOLERANCE, gradient_check
 
@@ -53,6 +53,26 @@ def text_one(ids, p):
     """encode_text of a batch of one caption: (L, d) states, (d,) mean state."""
     states = text(PaddedBatch.of([ids]), p).data[0]
     return states, states.mean(axis=0)
+
+
+def own_rows(x, mask):
+    """Ids and a word table with one row per slot of a padded (B, L, d)
+    input ``x``: encode_text over them reads each slot's row of ``x``, and
+    the table's gradient, reshaped to (B, L, d), is the gradient of x."""
+    b, length, d = x.shape
+    ids = np.arange(b * length).reshape(b, length)
+    return PaddedBatch(ids, np.asarray(mask, dtype=bool)), Tensor(x.reshape(b * length, d))
+
+
+def peak(run):
+    """The tracemalloc peak of ``run()``, in bytes above what was held before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def step_one(x, h_prev, gates):
@@ -255,15 +275,15 @@ def logistic(x):
 
 
 def per_direction_bi_gru(x, mask, forward, backward, g):
-    """bi_gru in plain numpy, one direction after the other: its states and
-    the gradients of x and of the eighteen gate arrays for an output
-    gradient ``g``.
+    """encode_text over the rows of x in plain numpy, one direction after the
+    other: its states and the gradients of x and of the eighteen gate
+    arrays for an output gradient ``g``.
 
     Each direction projects the time-major input rows once per gate, steps
     its (B, k) state through its slots, then runs its own reverse loop; its
     weight gradients are one product or sum over all slots in slot order,
     and the two input gradients add as forward + backward. The stacked
-    loop of bi_gru must give the same bits.
+    loop of encode_text must give the same bits.
     """
     b, length, d_in = x.shape
     rows = x.transpose(1, 0, 2).reshape(length * b, d_in)
@@ -332,13 +352,14 @@ class TestBiGru:
             gates.b_z, gates.b_r, gates.b_h = (Tensor(rng.normal(size=k)) for _ in range(3))
         batch = PaddedBatch.of([rng.normal(size=(n, d)) for n in lengths])
         probe = rng.normal(size=batch.values.shape[:2] + (2 * k,))
-        x = Tensor(batch.values)
-        untaped = bi_gru(x, batch.mask, fwd, bwd).data
+        ids, table = own_rows(batch.values, batch.mask)
+        untaped = encode_text(ids, table, fwd, bwd).data
         with Tape() as tape:
-            out = bi_gru(x, batch.mask, fwd, bwd)
+            out = encode_text(ids, table, fwd, bwd)
             grads = tape.backward(ad.sum(ad.mul(out, Tensor(probe))))
-        leaves = (x,) + fwd.tensors() + (() if tied else bwd.tensors())
+        leaves = (table,) + fwd.tensors() + (() if tied else bwd.tensors())
         got = [grads[t] for t in leaves]
+        got[0] = got[0].reshape(batch.values.shape)
         states, want = per_direction_bi_gru(
             batch.values, batch.mask, tuple(t.data for t in fwd.tensors()),
             tuple(t.data for t in bwd.tensors()), probe)
@@ -358,7 +379,7 @@ class TestBiGru:
         fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
         items = [rng.normal(size=(n, d)) for n in lengths]
         batch = PaddedBatch.of(items)
-        out = bi_gru(Tensor(batch.values), batch.mask, fwd, bwd).data
+        out = encode_text(*own_rows(batch.values, batch.mask), fwd, bwd).data
         assert out.shape == (len(lengths), max(lengths), 2 * k)
         for i, x in enumerate(items):
             n = len(x)
@@ -375,10 +396,10 @@ class TestBiGru:
         rng = np.random.default_rng(21)
         gates = GruGates.init(rng, 4, 2)
         batch = PaddedBatch.of([rng.normal(size=(n, 4)) for n in (2, 3)])
-        x = Tensor(batch.values)
+        ids, table = own_rows(batch.values, batch.mask)
         probe = Tensor(rng.normal(size=(2, 3, 4)))
         worst = gradient_check(
-            lambda: ad.sum(ad.mul(bi_gru(x, batch.mask, gates, gates), probe)),
+            lambda: ad.sum(ad.mul(encode_text(ids, table, gates, gates), probe)),
             gates.named_parameters("gru"))
         assert worst < TOLERANCE
 
@@ -396,8 +417,9 @@ class TestBiGru:
         x[0, 1] = 1e10
         with np.errstate(over="ignore"), pytest.raises(
                 FloatingPointError,
-                match=rf"{gate[-1]} pre-activation in bi_gru at slot 1 \({direction} direction\)"):
-            bi_gru(Tensor(x), np.ones((1, 4), dtype=bool), gates["forward"], gates["backward"])
+                match=rf"{gate[-1]} pre-activation in encode_text at slot 1 "
+                      rf"\({direction} direction\)"):
+            encode_text(*own_rows(x, np.ones((1, 4))), gates["forward"], gates["backward"])
 
     def test_states_and_gradients_do_not_depend_on_a_tape(self):
         # without a tape the per-step activations only the vjp reads are
@@ -410,14 +432,14 @@ class TestBiGru:
         params = fwd.tensors() + bwd.tensors()
 
         def taped():
-            x = Tensor(batch.values)
+            ids, table = own_rows(batch.values, batch.mask)
             with Tape() as tape:
-                out = bi_gru(x, batch.mask, fwd, bwd)
+                out = encode_text(ids, table, fwd, bwd)
                 grads = tape.backward(ad.sum(ad.mul(out, probe)))
-            return out.data, [grads[t] for t in (x,) + params]
+            return out.data, [grads[t] for t in (table,) + params]
 
         states, grads = taped()
-        untaped = bi_gru(Tensor(batch.values), batch.mask, fwd, bwd).data
+        untaped = encode_text(*own_rows(batch.values, batch.mask), fwd, bwd).data
         assert np.array_equal(untaped, states)
         again_states, again = taped()
         assert np.array_equal(again_states, states)
@@ -425,49 +447,45 @@ class TestBiGru:
         assert all(np.array_equal(a, b) for a, b in zip(again, grads))
 
     def test_memory_peaks_stay_within_the_arrays_the_op_needs(self):
-        # the canonical text batch: 32 captions of 6 tokens, d = 128, k = 64;
-        # one (L, B, k) array of float64 is 98 KB
+        # the canonical text batch: 32 captions of 6 tokens, d = 128, k = 64,
+        # each slot its own row of the word table; one (L, B, k) array of
+        # float64 is 98 KB
         b, length, d, k = 32, 6, 128, 64
         unit = length * b * k * 8
         rng = np.random.default_rng(26)
         fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
-        x = Tensor(rng.normal(size=(b, length, d)))
-        mask = np.ones((b, length), dtype=bool)
+        ids, table = own_rows(rng.normal(size=(b, length, d)), np.ones((b, length)))
         probe = Tensor(rng.normal(size=(b, length, 2 * k)))
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                run()
-                return (tracemalloc.get_traced_memory()[1] - start) / unit
-            finally:
-                tracemalloc.stop()
 
         def taped():
             with Tape() as tape:
-                loss = ad.sum(ad.mul(bi_gru(x, mask, fwd, bwd), probe))
+                loss = ad.sum(ad.mul(encode_text(ids, table, fwd, bwd), probe))
             tape.backward(loss)
 
-        # untaped: the six input projections (6 units), the output (2) and
-        # the step buffers. The op needs no copy of the input, which alone
-        # is 2 units: a reordered copy of it, or of the projections, fails
-        assert peak(lambda: bi_gru(x, mask, fwd, bwd)) < 10
+        # untaped: the distinct ids' rows (2 units), the six input
+        # projections (6), one gate's product over the distinct rows (1)
+        # and the step buffers, then the output (2). A reordered copy of
+        # the projections, or a buffered one of a gate's product, fails
+        assert peak(lambda: encode_text(ids, table, fwd, bwd)) / unit < 10
         # taped forward and backward, with the probe's product and sum: the
         # step keeps z, r and the candidates (6 units), and the backward
         # pass makes the per-slot gate gradients (6), the state before each
-        # step and the input's time-major rows (2 each). A per-direction
-        # op that kept the input rows and the states before each slot
-        # peaked near 29 units; a reordered copy of the input, the states
-        # or any saved array (at least 2 units) crosses 26
-        assert peak(taped) < 26
+        # step, the looked-up rows and the table's gradient (2 each). A
+        # per-direction op that kept the input rows and the states before
+        # each slot peaked near 29 units; a reordered copy of the states or
+        # any saved array (at least 2 units) crosses 26
+        assert peak(taped) / unit < 26
 
     def test_shape_guards(self):
         gates = GruGates.init(np.random.default_rng(23), 4, 2)
-        with pytest.raises(ValueError, match="mask"):
-            bi_gru(Tensor(np.zeros((2, 3, 4))), np.ones((2, 2), dtype=bool), gates, gates)
-        with pytest.raises(ValueError, match="mask"):
-            bi_gru(Tensor(np.zeros((3, 4))), np.ones((3, 4), dtype=bool), gates, gates)
+        table = Tensor(np.zeros((6, 4)))
+        with pytest.raises(ValueError, match=r"\(B, L\) integer ids"):
+            encode_text(PaddedBatch(np.zeros(3, dtype=int), np.ones(3, dtype=bool)),
+                        table, gates, gates)
+        with pytest.raises(ValueError, match=r"\(B, L\) integer ids"):
+            encode_text(PaddedBatch.of([[0.0, 1.0]]), table, gates, gates)
+        with pytest.raises(ValueError, match="outside vocabulary of 6"):
+            encode_text(PaddedBatch.of([[0, 3], [6]]), table, gates, gates)
 
     def test_text_encoder_nodes_do_not_grow_with_caption_length(self):
         p = random_params(np.random.default_rng(24))
@@ -476,5 +494,43 @@ class TestBiGru:
             with Tape() as tape:
                 text(PaddedBatch.of([[1] * length, [2, 3]]), p)
             counts.append(len(tape))
-        # gather and bi_gru; the embedding and gate tensors are leaves
-        assert counts == [2, 2, 2]
+        # one op; the embedding and gate tensors are leaves
+        assert counts == [1, 1, 1]
+
+    def test_repeated_ids_add_their_slots_input_gradients(self):
+        # the word table's gradient is np.add.at of the per-slot input
+        # gradients of the numpy reference, bit for bit
+        rng = np.random.default_rng(28)
+        p = random_params(rng, vocab=5)
+        batch = PaddedBatch.of([[2, 0, 2, 4], [2, 2], [1, 4, 4]])
+        probe = rng.normal(size=batch.values.shape + (8,))
+        with Tape() as tape:
+            grads = tape.backward(ad.sum(ad.mul(text(batch, p), Tensor(probe))))
+        x = p.word_embedding.data[batch.values]
+        _, want = per_direction_bi_gru(
+            x, batch.mask, tuple(t.data for t in p.gru_forward.tensors()),
+            tuple(t.data for t in p.gru_backward.tensors()), probe)
+        want_table = np.zeros((5, 8))
+        np.add.at(want_table, batch.values, want[0])
+        assert np.array_equal(grads[p.word_embedding], want_table)
+        assert not want_table[3].any()
+
+    def test_repeated_ids_give_the_rows_of_one_row_per_slot(self):
+        rng = np.random.default_rng(29)
+        p = random_params(rng, vocab=6)
+        batch = PaddedBatch.of([[5, 1, 5, 5], [1], [3, 1, 3]])
+        own = encode_text(*own_rows(p.word_embedding.data[batch.values], batch.mask),
+                          p.gru_forward, p.gru_backward)
+        assert np.array_equal(text(batch, p).data, own.data)
+
+    def test_the_forward_peak_of_a_default_width_caption_batch(self):
+        # 32 captions of 6 to 19 tokens out of 2,001 word rows, d = 128: the
+        # gather and the separate Bi-GRU op this op replaces peaked at
+        # 2,953,344 bytes
+        rng = np.random.default_rng(27)
+        d, k, vocab = 128, 64, 2001
+        table = uniform_init(rng, (vocab, d), d)
+        fwd, bwd = GruGates.init(rng, d, k), GruGates.init(rng, d, k)
+        batch = PaddedBatch.of([rng.integers(0, vocab, size=n)
+                                for n in rng.integers(6, 20, size=32)])
+        assert peak(lambda: encode_text(batch, table, fwd, bwd)) <= 2_953_344

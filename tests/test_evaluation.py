@@ -167,6 +167,15 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="k must be >= 1"):
             recall_at_k(np.eye(2), [[0], [1]], 0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        # 1.5, 2.0 and True each once ranked as if k were an integer
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            recall_at_k(np.array([[0.1, 0.5, 0.3]]), [[1]], k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert recall_at_k(np.array([[0.1, 0.5, 0.3]]), [[2]], np.int64(2)) == 1.0
+
     def test_empty_relevance_set_rejected(self):
         with pytest.raises(ValueError, match="no relevant"):
             recall_at_k(np.eye(2), [[0], []], 1)

@@ -27,28 +27,32 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def hinge_oracle(s, margin, mode):
-    """Exhaustive double loop over queries and negatives in both directions."""
+def hinge_oracle(s, margin, mode, images=None):
+    """Exhaustive double loop over queries and negatives in both directions;
+    the negatives of pair i are the pairs of other ``images`` (each pair
+    its own image when None)."""
     b = s.shape[0]
-    t_rows = [[max(0.0, margin - s[i, i] + s[i, j]) for j in range(b) if j != i]
-              for i in range(b)]
-    i_rows = [[max(0.0, margin - s[i, i] + s[j, i]) for j in range(b) if j != i]
-              for i in range(b)]
+    images = range(b) if images is None else images
+    others = [[j for j in range(b) if images[j] != images[i]] for i in range(b)]
+    t_rows = [[max(0.0, margin - s[i, i] + s[i, j]) for j in others[i]] for i in range(b)]
+    i_rows = [[max(0.0, margin - s[i, i] + s[j, i]) for j in others[i]] for i in range(b)]
     if mode == "sum":
-        return (sum(map(sum, t_rows)) + sum(map(sum, i_rows))) / (b * (b - 1))
-    return (sum(map(max, t_rows)) + sum(map(max, i_rows))) / b
+        return (sum(map(sum, t_rows)) + sum(map(sum, i_rows))) / max(sum(map(len, others)), 1)
+    return (sum(max(r, default=0.0) for r in t_rows)
+            + sum(max(r, default=0.0) for r in i_rows)) / b
 
 
-def hinge_grad_oracle(s, margin, mode):
+def hinge_grad_oracle(s, margin, mode, images=None):
     """Gradient of ``hinge_oracle`` by the same double loop: each active
     hinge adds 1/n at its negative's score and takes 1/n from the matched
     score; ``hardest`` keeps each query's first worst negative only."""
     b = s.shape[0]
-    n = b * (b - 1) if mode == "sum" else b
+    images = range(b) if images is None else images
+    others = [[j for j in range(b) if images[j] != images[i]] for i in range(b)]
+    n = max(sum(map(len, others)), 1) if mode == "sum" else b
     grad = np.zeros_like(s)
     for i in range(b):
-        others = [j for j in range(b) if j != i]
-        for cells in ([(i, j) for j in others], [(j, i) for j in others]):
+        for cells in ([(i, j) for j in others[i]], [(j, i) for j in others[i]]):
             hinges = [(margin - s[i, i] + s[cell], cell) for cell in cells]
             active = [cell for v, cell in hinges if v > 0.0]
             if mode == "hardest" and active:
@@ -134,6 +138,47 @@ class TestContrastiveLoss:
             mean = contrastive_loss(Tensor(s), 0.2, "sum").item()
             assert hard <= mean * (b - 1) + 1e-12
             assert hard >= mean / (b - 1) - 1e-12
+
+    @pytest.mark.parametrize("mode", CONTRASTIVE_MODES)
+    def test_a_captions_own_image_is_not_its_negative(self, mode):
+        # captions 0, 2 and 3 share an image, as do 1 and 5: none of them
+        # is a negative of another, in either direction
+        rng = np.random.default_rng(57)
+        images = [7, 4, 7, 7, 9, 4]
+        for _ in range(20):
+            s = rng.normal(size=(6, 6))
+            value, (grad,) = loss_and_grad(
+                lambda t: contrastive_loss(t, 0.2, mode, images), s)
+            assert_allclose(value, hinge_oracle(s, 0.2, mode, images), rtol=0, atol=1e-12)
+            assert_allclose(grad, hinge_grad_oracle(s, 0.2, mode, images),
+                            rtol=0, atol=1e-15)
+        # each caption scores its own image's other captions at the margin:
+        # a loss that read them as negatives would not be 0
+        s = np.where(np.equal.outer(images, images), 1.0, 0.0)
+        assert contrastive_loss(Tensor(s), 0.2, mode, images).item() == 0.0
+
+    @pytest.mark.parametrize("mode", CONTRASTIVE_MODES)
+    def test_distinct_images_give_the_bits_of_one_image_per_pair(self, mode):
+        rng = np.random.default_rng(59)
+        s = rng.normal(size=(5, 5))
+        value, (grad,) = loss_and_grad(lambda t: contrastive_loss(t, 0.2, mode), s)
+        for images in ([80, 3, 11, 0, 5], np.arange(5)):
+            got, (got_grad,) = loss_and_grad(
+                lambda t: contrastive_loss(t, 0.2, mode, images), s)
+            assert got == value and np.array_equal(got_grad, grad)
+        # the value the loss had before it took image ids
+        assert value.hex() == {"sum": "0x1.6a402d4143b46p+0",
+                               "hardest": "0x1.9e3e009c51200p+1"}[mode]
+
+    @pytest.mark.parametrize("mode", CONTRASTIVE_MODES)
+    def test_a_batch_of_one_image_has_no_negative(self, mode):
+        value, (grad,) = loss_and_grad(
+            lambda t: contrastive_loss(t, 0.2, mode, [3, 3, 3]), np.ones((3, 3)))
+        assert value == 0.0 and not grad.any()
+
+    def test_image_ids_must_match_the_batch(self):
+        with pytest.raises(ValueError, match="image ids of shape"):
+            contrastive_loss(Tensor(np.eye(3)), 0.2, "sum", [0, 1])
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="batch of >= 2"):

@@ -1,5 +1,6 @@
 """Model assembly: parameter registry, forward wiring, save/load."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,14 @@ from numpy.testing import assert_allclose
 
 from tinymodel import snapshot, states_equal, tiny_setup
 
+import mhcvse.model
 from mhcvse.autodiff import AdamState, adam_step
 from mhcvse.config import TrainConfig
 from mhcvse.consensus import build_graph
 from mhcvse.data import Vocabulary
 from mhcvse.evaluation import similarity_matrix
 from mhcvse.fusion import FUSE_TYPES
+from mhcvse.losses import contrastive_loss
 from mhcvse.model import Model, load_checkpoint, load_model, save_checkpoint, save_model
 
 
@@ -166,6 +169,21 @@ class TestForward:
         assert np.isfinite(terms.total.item())
         for lam, w in zip(terms.effective_weights, model.config.base_weights):
             assert 0.0 < lam < w
+
+    def test_two_captions_of_one_image_are_not_each_others_negatives(self, monkeypatch):
+        model, train, _ = tiny_setup()
+        pairs = train.pairs[:4]
+        pairs[2] = dataclasses.replace(pairs[2], image_id=pairs[0].image_id,
+                                       regions=pairs[0].regions)
+        seen = []
+
+        def recorded(scores, margin, mode, images):
+            seen.append(list(images))
+            return contrastive_loss(scores, margin, mode, images)
+        monkeypatch.setattr(mhcvse.model, "contrastive_loss", recorded)
+        model.loss_terms(pairs)
+        assert seen == [[p.image_id for p in pairs]] * 3
+        assert seen[0][0] == seen[0][2] != seen[0][1]
 
     def test_embedding_levels_and_shapes(self):
         model, train, _ = tiny_setup()
