@@ -392,11 +392,88 @@ def load_dataset(manifest, vocab: Vocabulary | None = None,
 # synthetic paired data
 
 _CANDIDATE_BUDGET = 10_000  # candidate latents tried per pair before giving up
-# Candidates drawn and screened together. The canonical call ran fastest
-# near 32 (37 ms, against 78 ms at 256, on a 2-core x86-64 machine): a
-# larger block spends more draws and distance tests on candidates after
-# its first survivor.
-_SCREEN_BLOCK = 32
+# Candidates screened per block: a larger block spends more distance tests
+# on candidates after its first survivor, a smaller one more calls. Medians
+# of interleaved in-process runs on a 2-core x86-64 machine: 96 pairs took
+# 9.9 ms at 64 and 128 and 10.3 ms at 32; 250 pairs 107 ms at 64, 122 ms
+# at 32 and 103 ms at 128; 600 pairs of length 8 84 ms at 64, 82 ms at 32
+# and 95 ms at 128.
+_SCREEN_BLOCK = 64
+# Standard normals drawn per refill of the generator's stream. The unread
+# rest of the last refill is drawn for nothing: in the fastest of 40
+# interleaved canonical calls, 1 << 12 took 9.7 ms, 1 << 14 10.1 ms and
+# 1 << 16 11.1 ms.
+_DRAW_AHEAD = 1 << 12
+
+
+class _NormalStream:
+    """A generator's standard normals in the order it draws them, drawn
+    ahead in chunks so a caller can look at values before it consumes them.
+
+    ``Generator.normal`` keeps no spare value between calls, so the values
+    read here are the ones a ``normal()`` call per read would return.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` values, left unread."""
+        if self._pos + n > len(self._buf):
+            fresh = self._rng.normal(size=max(n, _DRAW_AHEAD))
+            self._buf = np.concatenate([self._buf[self._pos:], fresh])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + n]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` values, read."""
+        out = self.peek(n)
+        self._pos += n
+        return out
+
+
+class _Screen:
+    """The separation test against the latents placed so far: for each
+    candidate z, whether some placed latent ``prev`` has
+    ``np.linalg.norm(z - prev) < separation``.
+
+    A block of candidates is screened with one product, as
+    ‖z‖² + ‖prev‖² − 2 z·prev. That is off by about l·eps·(‖z‖² + ‖prev‖²),
+    and ‖z‖² ≤ 2d² + 2‖prev‖², so by at most l·eps·(2d² + 3‖prev‖²). A
+    candidate whose nearest squared distance lands within
+    1e-9·(1 + 3·separation² + 3·max ‖prev‖²) of separation², far wider
+    than that for any practical l, or is not finite, is decided again by
+    the exact test; so every decision is the exact test's.
+    """
+
+    def __init__(self, placed: np.ndarray, separation: float):
+        self._placed, self._separation = placed, separation
+        self._sq = np.vecdot(placed, placed)
+        self._cross = -2.0 * placed.T
+        limit = float(separation) * float(separation)  # inf when it overflows
+        band = 1e-9 * (1.0 + 3.0 * limit + 3.0 * float(self._sq.max(initial=0.0)))
+        self._below, self._above = limit - band, limit + band  # NaN, inf past overflow
+
+    def crowded(self, candidates: np.ndarray) -> np.ndarray:
+        """One bool per candidate row: True if it is too close to a placed latent."""
+        if not len(self._placed):
+            return np.zeros(len(candidates), dtype=bool)
+        gap = candidates @ self._cross  # ‖prev‖² − 2 z·prev, once added
+        gap += self._sq
+        nearest = gap.min(axis=1) + np.vecdot(candidates, candidates)
+        crowded = nearest < self._below
+        if crowded.all():
+            return crowded
+        unsure = ~(crowded | (nearest > self._above))  # NaN is unsure too
+        if unsure.any():
+            diff = candidates[unsure, None, :] - self._placed[None]
+            # vecdot runs the BLAS dot that np.linalg.norm of one vector runs
+            exact = np.sqrt(np.vecdot(diff, diff)) < self._separation
+            crowded[unsure] = exact.any(axis=1)
+        return crowded
+
 
 def _split_sizes(n_pairs: int) -> tuple[int, int, int]:
     # roughly 4:1:1; n_pairs=96 gives the canonical 64/16/16
@@ -441,8 +518,8 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rng = np.random.default_rng(seed)
-    projections = rng.normal(size=(m, f, l)) / np.sqrt(l)
+    normals = _NormalStream(np.random.default_rng(seed))
+    projections = normals.take(m * f * l).reshape(m, f, l) / np.sqrt(l)
     buckets = vocab // l
     # equal-occupancy bucket edges under the standard normal latent
     edges = np.array([NormalDist().inv_cdf(i / buckets) for i in range(1, buckets)])
@@ -452,36 +529,40 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
     codes = np.empty((n_pairs, l), dtype=np.int64)   # token t is f"w{code:03d}"
     in_train = np.zeros(l * buckets, dtype=bool)     # codes used by train captions
 
-    def draw_pair(placed: int, check_coverage: bool) -> tuple[np.ndarray, np.ndarray]:
-        # Candidates are screened for separation a block at a time. The
-        # generator is then rewound and redrawn for exactly the candidates
-        # examined (normal() keeps no spare value between calls), so the
-        # stream, and every file, is the same as drawing one at a time.
-        prev_latents, prev_codes = latents[:placed], codes[:placed]
+    def draw_pair(placed: int, split: str) -> tuple[np.ndarray, np.ndarray]:
+        # Candidates are screened for separation a block at a time straight
+        # from the stream; the first one clear of every placed latent is
+        # read, with the jitter that follows it, and the rest stay unread.
+        screen, prev_codes = _Screen(latents[:placed], separation), codes[:placed]
+        rejected = dict.fromkeys(("separation", "caption distance", "coverage"), 0)
         tried = 0
         while tried < _CANDIDATE_BUDGET:
-            state = rng.bit_generator.state
-            block = rng.normal(size=(min(_SCREEN_BLOCK, _CANDIDATE_BUDGET - tried), l))
-            diff = block[:, None, :] - prev_latents[None]
-            # vecdot runs the BLAS dot behind np.linalg.norm of one vector,
-            # so each distance is bit-identical to the one-at-a-time test
-            clear = ~(np.sqrt(np.vecdot(diff, diff)) < separation).any(axis=1)
-            if not clear.any():
-                tried += len(block)
+            rows = min(_SCREEN_BLOCK, _CANDIDATE_BUDGET - tried)
+            block = normals.peek(rows * l).reshape(rows, l)
+            crowded = screen.crowded(block)
+            first = int(crowded.argmin())  # the first clear candidate, if any
+            if crowded[first]:
+                normals.take(rows * l)
+                tried += rows
+                rejected["separation"] += rows
                 continue
-            first = int(clear.argmax())
-            rng.bit_generator.state = state
-            z = rng.normal(size=(first + 1, l))[first]
+            z = normals.take((first + 1) * l)[-l:]
             tried += first + 1
-            code = offsets + np.searchsorted(edges, z + noise * rng.normal(size=l))
+            rejected["separation"] += first
+            code = offsets + np.searchsorted(edges, z + noise * normals.take(l))
             if ((prev_codes != code).sum(axis=1) < 2).any():
+                rejected["caption distance"] += 1
                 continue
-            if check_coverage and not in_train[code].all():
+            if split != "train" and not in_train[code].all():
+                rejected["coverage"] += 1
                 continue
             latents[placed], codes[placed] = z, code
             return z, code
+        counts = ", ".join(f"{n} by {test}" for test, n in rejected.items())
         raise ValueError(f"could not place {n_pairs} latents with pairwise "
-                         f"separation {separation} in {l} dimensions")
+                         f"separation {separation} in {l} dimensions: all "
+                         f"{_CANDIDATE_BUDGET} candidates for pair {placed + 1} of "
+                         f"{n_pairs} ({split} split) were rejected, {counts}")
 
     sizes = _split_sizes(n_pairs)
     manifests = []
@@ -492,10 +573,10 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
         for _ in range(size):
             pair_id = next_id
             next_id += 1
-            z, code = draw_pair(pair_id, check_coverage=split != "train")
+            z, code = draw_pair(pair_id, split)
             if split == "train":
                 in_train[code] = True
-            regions = projections @ z + noise * rng.normal(size=(m, f))
+            regions = projections @ z + noise * normals.take(m * f).reshape(m, f)
             features[pair_id] = regions
             captions.append((pair_id, pair_id, [f"w{c:03d}" for c in code.tolist()]))
         write_features(out_dir / f"{split}.features.rgft", features)

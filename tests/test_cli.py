@@ -87,6 +87,18 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_pair_no_candidate_fits_is_named_with_each_test_count(self, tmp_path,
+                                                                    capsys):
+        # at seed 0 coverage, not separation, rejects most of the val pair's
+        # candidates, so a message naming separation alone would mislead
+        code = main(["synth", "--out", str(tmp_path / "x"), "--pairs", "4",
+                     "--seed", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "could not place 4 latents" in err
+        assert "all 10000 candidates for pair 3 of 4 (val split)" in err
+        assert "4708 by separation, 0 by caption distance, 5292 by coverage" in err
+
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 279. TiB for an array with shape (100000000000, 6, 64)",
          "error: out of memory: Unable to allocate 279. TiB"),

@@ -30,6 +30,7 @@ from mhcvse.data import (
     Dataset,
     DatasetManifest,
     Vocabulary,
+    _Screen,
     _split_sizes,
     generate_synthetic,
     load_dataset,
@@ -457,32 +458,38 @@ def reference_synthetic(out_dir, n_pairs, m=6, f=64, l=6, vocab=60, noise=0.03,
     accepted, codes, train_tokens = [], [], set()
     rejected = Counter()
 
-    def draw_pair(check_coverage):
+    def draw_pair(split):
+        here = Counter()  # this pair's rejections
         for _ in range(budget):
             z = rng.normal(size=l)
             if any(np.linalg.norm(z - prev) < separation for prev in accepted):
-                rejected["separation"] += 1
+                here["separation"] += 1
                 continue
             jittered = z + noise * rng.normal(size=l)
             tokens = [f"w{pos * buckets + int(np.searchsorted(edges, zv)):03d}"
                       for pos, zv in enumerate(jittered)]
             if any(sum(a != b for a, b in zip(tokens, prev)) < 2 for prev in codes):
-                rejected["caption distance"] += 1
+                here["caption distance"] += 1
                 continue
-            if check_coverage and not train_tokens.issuperset(tokens):
-                rejected["coverage"] += 1
+            if split != "train" and not train_tokens.issuperset(tokens):
+                here["coverage"] += 1
                 continue
+            rejected.update(here)
             accepted.append(z)
             codes.append(tokens)
             return z, tokens
-        raise ValueError(f"could not place {n_pairs} latents with pairwise "
-                         f"separation {separation} in {l} dimensions")
+        raise ValueError(
+            f"could not place {n_pairs} latents with pairwise separation "
+            f"{separation} in {l} dimensions: all {budget} candidates for pair "
+            f"{len(accepted) + 1} of {n_pairs} ({split} split) were rejected, "
+            f"{here['separation']} by separation, {here['caption distance']} by "
+            f"caption distance, {here['coverage']} by coverage")
 
     pair_id = 0
     for split, size in zip(("train", "val", "test"), _split_sizes(n_pairs)):
         features, captions = {}, []
         for _ in range(size):
-            z, tokens = draw_pair(check_coverage=split != "train")
+            z, tokens = draw_pair(split)
             if split == "train":
                 train_tokens.update(tokens)
             features[pair_id] = projections @ z + noise * rng.normal(size=(m, f))
@@ -513,6 +520,21 @@ CANONICAL_SYNTH_SHA256 = {
     "val.manifest.json": "e4fed6d10f743a3f65bc993151452429da9be3533bf2968df4974d735dffd873",
 }
 
+# SHA-256 of each file of generate_synthetic(n_pairs=250, seed=7) as written by
+# the generator that screened each candidate with one norm per placed latent:
+# late pairs need many screening blocks each, and the stream is refilled often
+LARGE_SYNTH_SHA256 = {
+    "test.captions.jsonl": "787a0fb17c15502367a5f26c2e7e3cf18598d3a8ddbf051308dcedb775cb5aea",
+    "test.features.rgft": "9b5e6dd7b0e18670d9b59f78c9ff775a54e3d6a7fede8bceb0876ac2c090ff49",
+    "test.manifest.json": "c5806b5d3d23c4150bd8befa4b48e115b959d180fda7ac2201c6048aba2a99b6",
+    "train.captions.jsonl": "da07c2ffb6386aea7ce0b863821062001f5bd1477c647cd516b6464f49b9d2f3",
+    "train.features.rgft": "d389c967b35b0cede22c5cd5b4cf443bbdf0e3c6cba097b2db56b387e3671f0f",
+    "train.manifest.json": "968e5f06b61eedd4a030e3b05a54c988dfb868bed485337eee40fe081ffa351f",
+    "val.captions.jsonl": "a650c953e1db8170f8d535e18b652680408f253275a1598880570f9e3f28aff5",
+    "val.features.rgft": "c472a328a130101a9a2b6296779f465818b5953c14ef695b7b59f6ee063f7e6a",
+    "val.manifest.json": "9a183e0ab7dc853c86f6c97ce0e48f3ea32d0e22645755b99bb2428599f593fd",
+}
+
 # (generator arguments, the rejection test the config must exercise)
 REFERENCE_CASES = [
     pytest.param(dict(n_pairs=96, seed=7), "caption distance", id="canonical"),
@@ -524,12 +546,21 @@ REFERENCE_CASES = [
 ]
 
 
+def _digests(directory: Path) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in _files(directory).items()}
+
+
 class TestSyntheticMatchesReference:
     def test_canonical_files_hash_as_recorded(self, tmp_path):
         generate_synthetic(tmp_path, n_pairs=96, seed=7)
-        digests = {name: hashlib.sha256(data).hexdigest()
-                   for name, data in _files(tmp_path).items()}
-        assert digests == CANONICAL_SYNTH_SHA256
+        assert _digests(tmp_path) == CANONICAL_SYNTH_SHA256
+
+    def test_large_files_hash_as_recorded(self, tmp_path):
+        # too slow for the reference; stands in for it at a size where
+        # separation rejects most candidates
+        generate_synthetic(tmp_path, n_pairs=250, seed=7)
+        assert _digests(tmp_path) == LARGE_SYNTH_SHA256
 
     @pytest.mark.parametrize("kwargs, fired", REFERENCE_CASES)
     def test_files_match_the_reference(self, tmp_path, kwargs, fired):
@@ -543,6 +574,16 @@ class TestSyntheticMatchesReference:
         reference_synthetic(tmp_path / "ref", n_pairs=24, l=5, vocab=15,
                             separation=1.0, seed=3)
         monkeypatch.setattr(mhcvse.data, "_SCREEN_BLOCK", block)
+        generate_synthetic(tmp_path / "new", n_pairs=24, l=5, vocab=15,
+                           separation=1.0, seed=3)
+        assert _files(tmp_path / "new") == _files(tmp_path / "ref")
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_draw_ahead_does_not_change_the_files(self, tmp_path, monkeypatch, chunk):
+        # every read past the buffered normals refills the stream
+        reference_synthetic(tmp_path / "ref", n_pairs=24, l=5, vocab=15,
+                            separation=1.0, seed=3)
+        monkeypatch.setattr(mhcvse.data, "_DRAW_AHEAD", chunk)
         generate_synthetic(tmp_path / "new", n_pairs=24, l=5, vocab=15,
                            separation=1.0, seed=3)
         assert _files(tmp_path / "new") == _files(tmp_path / "ref")
@@ -569,6 +610,59 @@ class TestSyntheticMatchesReference:
             reference_synthetic(tmp_path / "ref388", budget=388, **kwargs)
         with pytest.raises(ValueError, match="could not place"):
             generate_synthetic(tmp_path / "new388", **kwargs)
+
+
+def _ulps(x: float, n: int) -> float:
+    """x moved n units in the last place (toward +inf when n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
+class TestSeparationScreen:
+    """Each decision of the one-product screen equals the exact test,
+    np.linalg.norm(z - prev) < separation, also where the product's
+    rounding would decide otherwise."""
+
+    @staticmethod
+    def _check(placed, candidates, separation):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _Screen(placed, separation).crowded(candidates)
+            want = [any(np.linalg.norm(z - prev) < separation for prev in placed)
+                    for z in candidates]
+        assert got.tolist() == want
+
+    @staticmethod
+    def _around(prev, separation, direction):
+        # candidates at separation and a few ulps inside and outside it
+        step = direction / np.linalg.norm(direction)
+        return np.array([prev + _ulps(separation, n) * step for n in range(-3, 4)])
+
+    @pytest.mark.parametrize("separation", [2.5, 1.0, 0.3])
+    @pytest.mark.parametrize("axis", [True, False], ids=["axis", "diagonal"])
+    def test_candidates_at_the_boundary(self, separation, axis):
+        rng = np.random.default_rng(11)
+        l = 6
+        direction = np.eye(l)[2] if axis else np.ones(l)
+        for _ in range(40):
+            prev = rng.normal(size=l)
+            self._check(prev[None], self._around(prev, separation, direction),
+                        separation)
+
+    def test_zero_separation_crowds_nothing(self):
+        prev = np.array([[0.3, -1.2, 0.7]])
+        candidates = np.array([[0.3, -1.2, 0.7], [0.3, -1.2, _ulps(0.7, 1)],
+                               [1.0, 1.0, 1.0]])
+        self._check(prev, candidates, 0.0)
+        assert not _Screen(prev, 0.0).crowded(candidates).any()
+
+    def test_a_separation_whose_square_overflows(self):
+        separation = 1e200
+        prev = np.array([[1e199, -3.0, 0.5]])
+        candidates = np.vstack([self._around(prev[0], separation, np.eye(3)[0]),
+                                self._around(prev[0], separation, np.ones(3)),
+                                prev + 1.0])
+        self._check(prev, candidates, separation)
 
 
 class TestConfig:
