@@ -13,10 +13,7 @@ recall on the held-out test split in well under a minute on a laptop.
 import tempfile
 import time
 
-import numpy as np
-
-from mhcvse import Model, TrainConfig, build_graph, evaluate, fit, generate_synthetic, load_dataset, similarity_matrix
-from mhcvse.data import STOPWORDS
+from mhcvse import TrainConfig, evaluate, fit, generate_synthetic, load_dataset, model_for, similarity_matrix
 from mhcvse.evaluation import rank_candidates
 
 with tempfile.TemporaryDirectory() as workdir:
@@ -29,14 +26,10 @@ with tempfile.TemporaryDirectory() as workdir:
     print(f"splits: {len(train.pairs)} train / {len(val.pairs)} val / "
           f"{len(test.pairs)} test pairs, vocab {len(train.vocab)}")
 
-    # 2. Concept graph from the training captions, then the model. The two
-    #    take independent seeds so changing the concept list never
-    #    reshuffles the encoder initialization.
+    # 2. The model exactly as `mhcvse train` builds it: a concept graph from
+    #    the training captions, then the encoders, attention, GCN and fusion.
     cfg = TrainConfig()
-    graph = build_graph((tokens for _, _, tokens in train.captions),
-                        cfg.concepts, cfg.embed_dim,
-                        np.random.default_rng(cfg.seed), STOPWORDS)
-    model = Model(cfg, train.vocab, graph)
+    model = model_for(cfg, train)
 
     # 3. Untrained baseline: retrieval is at chance (R@1 around 1/16 on a
     #    16-item test split).

@@ -17,7 +17,7 @@ from .evaluation import RetrievalResult, evaluate, recall_at_k, similarity_matri
 from .fusion import FusionParams, fuse
 from .gradcheck import gradient_check, run_suite
 from .losses import LossTerms, contrastive_loss, dynamic_weight, kl_loss, total_loss
-from .model import Model, load_checkpoint, load_model, save_checkpoint, save_model
+from .model import Model, load_checkpoint, load_model, model_for, save_checkpoint, save_model
 from .training import FitResult, LrSchedule, fit, lr_at
 
 __version__ = "0.1.0"
@@ -34,6 +34,6 @@ __all__ = [
     "FusionParams", "fuse",
     "gradient_check", "run_suite",
     "LossTerms", "contrastive_loss", "dynamic_weight", "kl_loss", "total_loss",
-    "Model", "load_checkpoint", "load_model", "save_checkpoint", "save_model",
+    "Model", "load_checkpoint", "load_model", "model_for", "save_checkpoint", "save_model",
     "FitResult", "LrSchedule", "fit", "lr_at",
 ]

@@ -13,15 +13,13 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import load_config
-from .consensus import build_graph, export_adjacency_csv, export_concepts_csv
-from .data import STOPWORDS, generate_synthetic, load_dataset
+from .consensus import export_adjacency_csv, export_concepts_csv
+from .data import generate_synthetic, load_dataset
 from .evaluation import (RETRIEVAL_LEVELS, evaluate, rank_candidates, similarity_matrix,
                          write_eval_report)
 from .gradcheck import TOLERANCE, run_suite
-from .model import Model, load_model, save_model
+from .model import load_model, model_for, save_model
 from .training import LrSchedule, fit, write_lr_curve, write_train_log
 
 USAGE_ERROR = 2
@@ -107,12 +105,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     train_ds = load_dataset(args.train, feature_dim=cfg.feature_dim)
     val_ds = load_dataset(args.val, vocab=train_ds.vocab, feature_dim=cfg.feature_dim)
-    # graph and model are seeded independently so concept-vocabulary changes
-    # do not reshuffle the encoder initialization
-    graph = build_graph((tokens for _, _, tokens in train_ds.captions),
-                        cfg.concepts, cfg.embed_dim,
-                        np.random.default_rng(cfg.seed), STOPWORDS)
-    model = Model(cfg, train_ds.vocab, graph)
+    model = model_for(cfg, train_ds)
     # an unusable output path fails before the fit, not after it
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,8 +113,8 @@ def _cmd_train(args) -> int:
 
     save_model(out_dir / "checkpoint.mhcv", model)
     write_train_log(out_dir / "train_log.csv", result.history)
-    export_concepts_csv(graph, out_dir / "concepts.csv")
-    export_adjacency_csv(graph, out_dir / "adjacency.csv")
+    export_concepts_csv(model.graph, out_dir / "concepts.csv")
+    export_adjacency_csv(model.graph, out_dir / "adjacency.csv")
     print(f"best epoch {result.best_epoch} with validation mR "
           f"{result.best_mr:.4f} after {len(result.history)} epochs")
     print(out_dir / "checkpoint.mhcv")

@@ -502,7 +502,8 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
     occur in the training captions, so out-of-vocabulary fallback never
     confounds retrieval on the generated sets. Each pair may try 10,000
     candidate latents before the call fails. Splits are disjoint by pair.
-    Returns the three manifest paths.
+    Every pair is placed before the first file is written, so a call that
+    fails leaves ``out_dir`` as it was. Returns the three manifest paths.
     """
     if n_pairs < 4:
         raise ValueError(f"need n_pairs >= 4, got {n_pairs}")
@@ -515,8 +516,6 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if not 0.0 <= separation < math.inf:
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     normals = _NormalStream(np.random.default_rng(seed))
     projections = normals.take(m * f * l).reshape(m, f, l) / np.sqrt(l)
@@ -564,10 +563,9 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
                          f"{_CANDIDATE_BUDGET} candidates for pair {placed + 1} of "
                          f"{n_pairs} ({split} split) were rejected, {counts}")
 
-    sizes = _split_sizes(n_pairs)
-    manifests = []
+    splits = []
     next_id = 0
-    for split, size in zip(("train", "val", "test"), sizes):
+    for split, size in zip(("train", "val", "test"), _split_sizes(n_pairs)):
         features: dict[int, np.ndarray] = {}
         captions = []
         for _ in range(size):
@@ -579,11 +577,14 @@ def generate_synthetic(out_dir, n_pairs: int = 96, m: int = 6, f: int = 64,
             regions = projections @ z + noise * normals.take(m * f).reshape(m, f)
             features[pair_id] = regions
             captions.append((pair_id, pair_id, [f"w{c:03d}" for c in code.tolist()]))
+        splits.append((split, features, captions))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifests = []
+    for split, features, captions in splits:
         write_features(out_dir / f"{split}.features.rgft", features)
         write_captions_jsonl(out_dir / f"{split}.captions.jsonl", captions)
-        manifest = DatasetManifest(split, f"{split}.features.rgft",
-                                   f"{split}.captions.jsonl", size, 1)
-        manifest_path = out_dir / f"{split}.manifest.json"
-        manifest.save(manifest_path)
-        manifests.append(manifest_path)
+        manifests.append(out_dir / f"{split}.manifest.json")
+        DatasetManifest(split, f"{split}.features.rgft", f"{split}.captions.jsonl",
+                        len(captions), 1).save(manifests[-1])
     return tuple(manifests)

@@ -37,14 +37,14 @@ import numpy as np
 from .attention import MhsaParams, attend_and_pool
 from .autodiff import Tensor, l2_normalize_rows, matmul, transpose
 from .config import TrainConfig, format_config_text, parse_config_text
-from .consensus import ConceptGraph, consensus_embed, gcn_forward
-from .data import BinaryReader, Dataset, InstancePair, Vocabulary, read_text
+from .consensus import ConceptGraph, build_graph, consensus_embed, gcn_forward
+from .data import STOPWORDS, BinaryReader, Dataset, InstancePair, Vocabulary, read_text
 from .encoders import GruGates, PaddedBatch, encode_image, encode_text, uniform_init
 from .evaluation import RETRIEVAL_LEVELS
 from .fusion import TENSOR_NAMES, FusionParams, fuse
 from .losses import LossTerms, contrastive_loss, kl_loss, total_loss
 
-__all__ = ["Model", "BatchEmbeddings", "save_model", "load_model",
+__all__ = ["Model", "BatchEmbeddings", "model_for", "save_model", "load_model",
            "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_MAGIC = b"MHCV"
@@ -278,6 +278,17 @@ class Model:
         img_pos = {img: i for i, img in enumerate(image_ids)}
         owner = np.array([img_pos[img] for _, img, _ in dataset.captions])
         return img_rows, txt_rows, image_ids, owner
+
+
+def model_for(config: TrainConfig, train: Dataset) -> Model:
+    """The untrained model ``mhcvse train`` fits: a concept graph from
+    ``train``'s captions, stopwords left out, and the model on its vocabulary.
+    The two are seeded apart, each from ``config.seed``, so a change to the
+    concept list does not reshuffle the encoder initialization."""
+    graph = build_graph((tokens for _, _, tokens in train.captions),
+                        config.concepts, config.embed_dim,
+                        np.random.default_rng(config.seed), STOPWORDS)
+    return Model(config, train.vocab, graph)
 
 
 def _chunks(lengths: list[int], width: int, heads: int) -> list[list[int]]:

@@ -18,18 +18,11 @@ from tinymodel import snapshot, states_equal, tiny_setup
 from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import AdamState, Tape, Tensor, matmul, mul, sum as t_sum
 from mhcvse.config import TrainConfig
-from mhcvse.consensus import build_graph
-from mhcvse.data import (
-    STOPWORDS,
-    generate_synthetic,
-    load_dataset,
-    read_features,
-    write_features,
-)
+from mhcvse.data import generate_synthetic, load_dataset, read_features, write_features
 from mhcvse.evaluation import evaluate, recall_at_k
 from mhcvse.gradcheck import TOLERANCE, max_relative_error, numeric_gradients, run_suite
 from mhcvse.losses import contrastive_loss, dynamic_weight, kl_loss, total_loss
-from mhcvse.model import Model, load_checkpoint, save_checkpoint
+from mhcvse.model import load_checkpoint, model_for, save_checkpoint
 from mhcvse.training import LrSchedule, fit, lr_at, train_epoch
 
 
@@ -208,11 +201,7 @@ def test_6_retrieval_oracles(synthetic_dir):
         ok &= all(b >= a for a, b in zip(values, values[1:]))
 
     train_ds = load_dataset(synthetic_dir / "train.manifest.json")
-    cfg = TrainConfig()
-    graph = build_graph((tokens for _, _, tokens in train_ds.captions),
-                        cfg.concepts, cfg.embed_dim,
-                        np.random.default_rng(cfg.seed), STOPWORDS)
-    untrained = Model(cfg, train_ds.vocab, graph)
+    untrained = model_for(TrainConfig(), train_ds)
     result = evaluate(untrained, train_ds)
     n = len(train_ds.pairs)
     p = 1.0 / n
@@ -234,10 +223,7 @@ def test_7_end_to_end_convergence(synthetic_dir):
     assert len(val_ds.pairs) == 16
     assert len(test_ds.pairs) == 16
 
-    graph = build_graph((tokens for _, _, tokens in train_ds.captions),
-                        cfg.concepts, cfg.embed_dim,
-                        np.random.default_rng(cfg.seed), STOPWORDS)
-    model = Model(cfg, train_ds.vocab, graph)
+    model = model_for(cfg, train_ds)
     result = fit(model, train_ds, val_ds)
     elapsed = time.perf_counter() - start
 

@@ -12,9 +12,8 @@ import mhcvse.model
 from mhcvse.attention import MhsaParams, attend_and_pool, head_attention_weights
 from mhcvse.autodiff import Tape, Tensor
 from mhcvse.config import TrainConfig
-from mhcvse.consensus import build_graph
-from mhcvse.data import STOPWORDS, generate_synthetic, load_dataset
-from mhcvse.model import Model
+from mhcvse.data import generate_synthetic, load_dataset
+from mhcvse.model import model_for
 
 
 def softmax(x):
@@ -357,9 +356,7 @@ class TestFusedOp:
         generate_synthetic(tmp_path)
         train = load_dataset(tmp_path / "train.manifest.json")
         cfg = TrainConfig()
-        graph = build_graph((tokens for _, _, tokens in train.captions), cfg.concepts,
-                            cfg.embed_dim, np.random.default_rng(cfg.seed), STOPWORDS)
-        model = Model(cfg, train.vocab, graph)
+        model = model_for(cfg, train)
         added = {}
 
         def counted(name):
@@ -417,9 +414,7 @@ class TestMemory:
         generate_synthetic(tmp_path)
         train = load_dataset(tmp_path / "train.manifest.json")
         cfg = TrainConfig()
-        graph = build_graph((tokens for _, _, tokens in train.captions), cfg.concepts,
-                            cfg.embed_dim, np.random.default_rng(cfg.seed), STOPWORDS)
-        model = Model(cfg, train.vocab, graph)
+        model = model_for(cfg, train)
 
         def step():
             with Tape() as tape:

@@ -19,13 +19,20 @@ import mhcvse.autodiff as ad
 import mhcvse.cli
 import mhcvse.model
 from mhcvse.cli import main
-from mhcvse.config import TrainConfig, save_config
-from mhcvse.data import load_dataset, read_features
+from mhcvse.config import TrainConfig, load_config, save_config
+from mhcvse.data import Dataset, Vocabulary, load_dataset, read_features
 from mhcvse.gradcheck import CASES
-from mhcvse.model import load_checkpoint
+from mhcvse.model import load_checkpoint, model_for, save_model
+from mhcvse.training import fit
 
 TINY_CFG = dict(embed_dim=8, feature_dim=5, heads=2, concepts=4, batch_size=4,
                 epochs=2, patience=1, eta0=0.01, seed=11)
+
+
+def train_argv(cfg_path, data, out):
+    """``mhcvse train`` with ``cfg_path`` on the train and val splits in ``data``."""
+    return ["train", "--config", str(cfg_path), "--train", str(data / "train.manifest.json"),
+            "--val", str(data / "val.manifest.json"), "--out", str(out)]
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +45,7 @@ def workspace(tmp_path_factory):
     save_config(TrainConfig(**TINY_CFG), cfg_path)
     assert main(["synth", "--out", str(data), "--pairs", "12",
                  "--feature-dim", "5", "--seed", "5"]) == 0
-    assert main(["train", "--config", str(cfg_path),
-                 "--train", str(data / "train.manifest.json"),
-                 "--val", str(data / "val.manifest.json"),
-                 "--out", str(run)]) == 0
+    assert main(train_argv(cfg_path, data, run)) == 0
     return data, run, cfg_path
 
 
@@ -91,13 +95,21 @@ class TestSynth:
                                                                     capsys):
         # at seed 0 coverage, not separation, rejects most of the val pair's
         # candidates, so a message naming separation alone would mislead
-        code = main(["synth", "--out", str(tmp_path / "x"), "--pairs", "4",
-                     "--seed", "0"])
+        out = tmp_path / "x"
+        out.mkdir()
+        # the train split is placed before the failing val pair; the dataset
+        # already in --out must survive the failed call as it was
+        existing = {f"train.{kind}": f"earlier {kind}\n".encode()
+                    for kind in ("captions.jsonl", "features.rgft", "manifest.json")}
+        for name, content in existing.items():
+            (out / name).write_bytes(content)
+        code = main(["synth", "--out", str(out), "--pairs", "4", "--seed", "0"])
         assert code == 1
         err = capsys.readouterr().err
         assert "could not place 4 latents" in err
         assert "all 10000 candidates for pair 3 of 4 (val split)" in err
         assert "4708 by separation, 0 by caption distance, 5292 by coverage" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == existing
 
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 279. TiB for an array with shape (100000000000, 6, 64)",
@@ -142,11 +154,7 @@ class TestTrain:
             raise AssertionError("fit ran although the output path is unusable")
 
         monkeypatch.setattr(mhcvse.cli, "fit", no_fit)
-        code = main(["train", "--config", str(cfg_path),
-                     "--train", str(data / "train.manifest.json"),
-                     "--val", str(data / "val.manifest.json"),
-                     "--out", str(out)])
-        assert code == 1
+        assert main(train_argv(cfg_path, data, out)) == 1
         assert f"File exists: '{out}'" in capsys.readouterr().err
         assert out.read_text() == "keep me\n"
 
@@ -157,6 +165,30 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "no such file" in err and "usage" in err
+
+
+class TestModelFor:
+    """``model_for`` is the model ``mhcvse train`` fits."""
+
+    def test_fits_the_checkpoint_that_train_writes(self, workspace, tmp_path):
+        data, run, cfg_path = workspace
+        train = load_dataset(data / "train.manifest.json")
+        val = load_dataset(data / "val.manifest.json", vocab=train.vocab)
+        model = model_for(load_config(cfg_path), train)
+        fit(model, train, val)
+        save_model(tmp_path / "checkpoint.mhcv", model)
+        for name in ("checkpoint.mhcv", "checkpoint.mhcv.meta.json"):
+            assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_leaves_stopwords_out_of_the_concepts(self):
+        # synthetic tokens are wNNN, so only a corpus like this one shows it
+        captions = [(0, 0, ["the", "red", "dog"]), (1, 1, ["the", "the", "blue", "cat"]),
+                    (2, 2, ["the", "red", "bird"])]
+        vocab = Vocabulary.build(tokens for _, _, tokens in captions)
+        assert vocab.tokens[1] == "the"
+        images = {i: np.zeros((1, TINY_CFG["feature_dim"])) for i in range(3)}
+        model = model_for(TrainConfig(**TINY_CFG), Dataset("train", images, captions, vocab))
+        assert model.graph.concepts == ["red", "bird", "blue", "cat"]
 
 
 class TestBadConfig:
@@ -173,12 +205,8 @@ class TestBadConfig:
         data, _, _ = workspace
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        code = main(["train", "--config", str(cfg),
-                     "--train", str(data / "train.manifest.json"),
-                     "--val", str(data / "val.manifest.json"),
-                     "--out", str(tmp_path / "run")])
+        assert main(train_argv(cfg, data, tmp_path / "run")) == 1
         err = capsys.readouterr().err
-        assert code == 1
         assert str(cfg) in err and line.split(" = ")[0] in err
         assert not (tmp_path / "run").exists()
 
@@ -188,13 +216,10 @@ class TestBadConfig:
         data, _, _ = workspace
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xffembed_dim = 16\n")
-        args = {"train": ["--train", str(data / "train.manifest.json"),
-                          "--val", str(data / "val.manifest.json"),
-                          "--out", str(tmp_path / "run")],
-                "lr-curve": ["--period", "4", "--steps", "3",
-                             "--out", str(tmp_path / "lr.csv")]}[command]
-        code = main([command, "--config", str(cfg)] + args)
-        assert code == 1
+        argv = {"train": train_argv(cfg, data, tmp_path / "run"),
+                "lr-curve": ["lr-curve", "--config", str(cfg), "--period", "4", "--steps",
+                             "3", "--out", str(tmp_path / "lr.csv")]}[command]
+        assert main(argv) == 1
         assert f"config {cfg}: not UTF-8" in capsys.readouterr().err
 
 
@@ -229,11 +254,8 @@ class TestEval:
         bad.write_bytes(b"MHCV" + struct.pack("<II1sIQQ", 1, 1, b"w", 2,
                                                2**22, 2**22))
         shutil.copy(f"{run / 'checkpoint.mhcv'}.meta.json", f"{bad}.meta.json")
-        code = main(["eval", "--checkpoint", str(bad),
-                     "--manifest", str(data / "val.manifest.json"),
-                     "--out", str(tmp_path / "report.csv")])
-        assert code == 1
-        assert "truncated" in capsys.readouterr().err
+        code, err = _eval_exit(bad, data / "val.manifest.json", tmp_path, capsys)
+        assert code == 1 and "truncated" in err
 
     def test_missing_checkpoint_exits_two(self, workspace, tmp_path):
         data, _, _ = workspace
@@ -253,6 +275,14 @@ def _eval_exit(checkpoint, manifest, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
                  "--out", str(tmp_path / "report.csv")])
     return code, capsys.readouterr().err
+
+
+def _edit_json(path, edit):
+    """Apply ``edit`` in place to the JSON value in ``path``, save it and return it."""
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return raw
 
 
 def _set_config(key, value):
@@ -341,9 +371,7 @@ class TestMalformedInputs:
     def test_manifest_non_integer_count_exits_one(self, split, tmp_path, capsys):
         data, checkpoint = split
         manifest = data / "test.manifest.json"
-        raw = json.loads(manifest.read_text())
-        raw["images"] = "many"
-        manifest.write_text(json.dumps(raw))
+        _edit_json(manifest, lambda raw: raw.update(images="many"))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(manifest) in err and "'images'" in err
@@ -354,9 +382,7 @@ class TestMalformedInputs:
         # eval exited 1 with "[Errno 21] Is a directory: '<dir>'" alone
         data, checkpoint = split
         manifest = data / "test.manifest.json"
-        raw = json.loads(manifest.read_text())
-        raw[key] = "."
-        manifest.write_text(json.dumps(raw))
+        _edit_json(manifest, lambda raw: raw.update({key: "."}))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert f"manifest {manifest}: key '{key}' names {data}" in err
@@ -367,9 +393,7 @@ class TestMalformedInputs:
                                                                        capsys, key):
         data, checkpoint = split
         manifest = data / "test.manifest.json"
-        raw = json.loads(manifest.read_text())
-        raw[key] = "gone.bin"
-        manifest.write_text(json.dumps(raw))
+        _edit_json(manifest, lambda raw: raw.update({key: "gone.bin"}))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 2
         assert f"{data / 'gone.bin'}, named by key '{key}' of manifest {manifest}" in err
@@ -379,9 +403,7 @@ class TestMalformedInputs:
                                                                capsys, key):
         data, checkpoint = split
         manifest = data / "test.manifest.json"
-        raw = json.loads(manifest.read_text())
-        raw[key] += 1
-        manifest.write_text(json.dumps(raw))
+        raw = _edit_json(manifest, lambda old: old.update({key: old[key] + 1}))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(manifest) in err and f"key '{key}' is {raw[key]}" in err
@@ -396,9 +418,7 @@ class TestMalformedInputs:
 
     def test_sidecar_without_vocab_exits_one(self, sidecar, tmp_path, capsys):
         checkpoint, meta, manifest = sidecar
-        raw = json.loads(meta.read_text())
-        del raw["vocab"]
-        meta.write_text(json.dumps(raw))
+        _edit_json(meta, lambda raw: raw.pop("vocab"))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(meta) in err and "'vocab'" in err
@@ -410,9 +430,7 @@ class TestMalformedInputs:
     def test_sidecar_with_malformed_field_exits_one(self, sidecar, tmp_path, capsys,
                                                     key, value):
         checkpoint, meta, manifest = sidecar
-        raw = json.loads(meta.read_text())
-        raw[key] = value
-        meta.write_text(json.dumps(raw))
+        _edit_json(meta, lambda raw: raw.update({key: value}))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert str(meta) in err and f"'{key}'" in err
@@ -438,9 +456,7 @@ class TestMalformedInputs:
     def test_a_sidecar_entry_of_the_wrong_kind_exits_one(self, sidecar, tmp_path, capsys,
                                                          key, edit, detail):
         checkpoint, meta, manifest = sidecar
-        raw = json.loads(meta.read_text())
-        raw[key] = edit(raw[key])
-        meta.write_text(json.dumps(raw))
+        _edit_json(meta, lambda raw: raw.update({key: edit(raw[key])}))
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert f"checkpoint sidecar {meta}: key '{key}' " in err and detail in err
@@ -510,9 +526,7 @@ class TestMalformedInputs:
     def test_a_sidecar_that_does_not_fit_the_checkpoint_exits_one(
             self, sidecar, tmp_path, capsys, edit, detail):
         checkpoint, meta, manifest = sidecar
-        raw = json.loads(meta.read_text())
-        edit(raw)
-        meta.write_text(json.dumps(raw))
+        _edit_json(meta, edit)
         code, err = _eval_exit(checkpoint, manifest, tmp_path, capsys)
         assert code == 1
         assert f"checkpoint {checkpoint} does not match its sidecar {meta}" in err
@@ -579,11 +593,7 @@ class TestFeatureWidth:
     def test_train_with_another_feature_dim_exits_one_before_the_fit(
             self, workspace, narrow, tmp_path, capsys):
         _, _, cfg_path = workspace
-        code = main(["train", "--config", str(cfg_path),
-                     "--train", str(narrow / "train.manifest.json"),
-                     "--val", str(narrow / "val.manifest.json"),
-                     "--out", str(tmp_path / "run")])
-        assert code == 1
+        assert main(train_argv(cfg_path, narrow, tmp_path / "run")) == 1
         first = min(read_features(narrow / "train.features.rgft"))
         self.assert_names_the_width(capsys.readouterr().err, "train.features.rgft", first)
         assert not (tmp_path / "run").exists()
@@ -640,9 +650,7 @@ class TestNonFiniteFeatures:
     def argv(command, workspace, data, image_id, tmp_path):
         _, run, cfg_path = workspace
         if command == "train":
-            return ["train", "--config", str(cfg_path),
-                    "--train", str(data / "train.manifest.json"),
-                    "--val", str(data / "val.manifest.json"), "--out", str(tmp_path / "run")]
+            return train_argv(cfg_path, data, tmp_path / "run")
         extra = (["--out", str(tmp_path / "report.csv")] if command == "eval"
                  else ["--image-id", str(image_id)])
         return [command, "--checkpoint", str(run / "checkpoint.mhcv"),
@@ -669,7 +677,7 @@ class TestNonFiniteFeatures:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(mhcvse.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "mhcvse.cli",
+            [sys.executable, "-O", "-m", "mhcvse",
              *self.argv(command, workspace, data, image_id, tmp_path)],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stdout + done.stderr
@@ -817,21 +825,14 @@ class TestDeterminism:
 
     def test_env_seed_reaches_training(self, workspace, tmp_path, monkeypatch):
         data, _, cfg_path = workspace
-
-        def run(out):
-            return main(["train", "--config", str(cfg_path),
-                         "--train", str(data / "train.manifest.json"),
-                         "--val", str(data / "val.manifest.json"),
-                         "--out", str(out)])
-
         monkeypatch.setenv("MHCVSE_SEED", "99")
-        assert run(tmp_path / "r1") == 0
-        assert run(tmp_path / "r2") == 0
+        assert main(train_argv(cfg_path, data, tmp_path / "r1")) == 0
+        assert main(train_argv(cfg_path, data, tmp_path / "r2")) == 0
         a = load_checkpoint(tmp_path / "r1" / "checkpoint.mhcv")
         b = load_checkpoint(tmp_path / "r2" / "checkpoint.mhcv")
         assert all(np.array_equal(a[n], b[n]) for n in a)
         monkeypatch.setenv("MHCVSE_SEED", "100")
-        assert run(tmp_path / "r3") == 0
+        assert main(train_argv(cfg_path, data, tmp_path / "r3")) == 0
         c = load_checkpoint(tmp_path / "r3" / "checkpoint.mhcv")
         assert any(not np.array_equal(a[n], c[n]) for n in a)
 
